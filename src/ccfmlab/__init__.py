@@ -2,9 +2,9 @@
 
 The package splits along the natural workflow:
 
-* :mod:`ccfmlab.model`     -- configuration, equilibrium gains, right-hand sides;
+* :mod:`ccfmlab.model`     -- configuration, equilibrium gains, the vector field;
 * :mod:`ccfmlab.spectral`  -- regime classification and dominant characteristic roots;
-* :mod:`ccfmlab.rates`     -- convergence-rate branches and the optimal delay;
+* :mod:`ccfmlab.rates`     -- decay rates from the dominant root, and the optimal delay;
 * :mod:`ccfmlab.integrate` -- method-of-steps simulation and trajectory metrics;
 * :mod:`ccfmlab.hopf`      -- center-manifold normal form at the critical gain;
 * :mod:`ccfmlab.cli`       -- the ``ccfm`` command-line front end.

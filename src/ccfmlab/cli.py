@@ -256,10 +256,10 @@ def _cmd_bifurcation(args) -> int:
     for i in range(pc.n):
         chart.add([r[0] for r in results], [r[1][i] for r in results], label=f"v_{i + 1}")
     chart.write(os.path.join(out, "bifurcation.svg"))
-    peak = max(results[-1][1])
+    peak = max(max(amps) for _, amps in results)
     print(
         f"bifurcation: {len(results)} gains in [{kappa_min:g}, {kappa_max:g}], "
-        f"largest final amplitude = {peak:.6g}"
+        f"largest tail amplitude = {peak:.6g}"
     )
     return 0
 

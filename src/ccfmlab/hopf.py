@@ -103,31 +103,6 @@ class CriticalEigendata:
     residual_q: float
     residual_p: float
 
-    # Conventional eigenvector names used in the report dumps.
-    @property
-    def phi(self) -> np.ndarray:
-        return self.q
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.p
-
-    @property
-    def zeta1(self) -> complex:
-        return self.zetas[0]
-
-    @property
-    def zeta2(self) -> complex:
-        return self.zetas[1]
-
-    @property
-    def zeta3(self) -> complex:
-        return self.zetas[2]
-
-    @property
-    def zeta4(self) -> complex:
-        return self.zetas[3]
-
 
 def _pick_pair(pc: PlatoonConfig, eq: EquilibriumCoefficients) -> int:
     """Default critical pair: the one whose Hopf gain is reached first."""

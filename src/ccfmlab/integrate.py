@@ -14,19 +14,20 @@ Two fixed-step schemes are provided:
 Pairs with zero delay read the current (or current-stage) state directly, so
 a delay-free configuration reduces to the ordinary ODE schemes.  Pre-history
 (t < 0) is the initial perturbation held constant, and the leader is at rest
-for t < 0.
+for t < 0.  Both schemes evaluate the model's one vector field,
+:class:`ccfmlab.model.VectorField`; the step size and the delay offsets in
+steps belong to the scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainBreakdownError, InvalidConfigError, NegativeVelocityBaseError, NumericalError
-from .model import LeaderProfile, PlatoonConfig, PlatoonState
+from .errors import InvalidConfigError, NumericalError
+from .model import PlatoonConfig, PlatoonState, VectorField
 
 __all__ = [
     "SimConfig",
@@ -85,62 +86,6 @@ class Trajectory:
         return PlatoonState.from_vector(self.states[k])
 
 
-def _leader_velocity(leader: LeaderProfile, t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    return leader.v_eq * (1.0 - math.exp(-leader.ramp * t))
-
-
-class _Engine:
-    """Shared machinery: parameter unpacking, domain-checked RHS, delayed lookup."""
-
-    def __init__(self, pc: PlatoonConfig, h: float):
-        self.n = pc.n
-        self.h = h
-        self.kappa = pc.kappa
-        self.m = pc.m
-        self.l = pc.l
-        self.m_is_int = abs(pc.m - round(pc.m)) < 1e-12 and abs(pc.m) < 1e6
-        self.m_int = int(round(pc.m))
-        self.alpha = [veh.alpha for veh in pc.vehicles]
-        self.tau = [veh.tau for veh in pc.vehicles]
-        self.b = [veh.b for veh in pc.vehicles]
-        self.leader = pc.leader
-        # Delay measured in steps, as a float; constant per pair.
-        self.off = [tau / h for tau in self.tau]
-
-    def rhs(self, t: float, state, delayed_rows) -> np.ndarray:
-        """Time derivative given the current state and per-pair delayed rows."""
-        n = self.n
-        m, l = self.m, self.l
-        flux = [0.0] * n
-        for i in range(n):
-            row = delayed_rows[i]
-            td = t - self.tau[i]
-            cum = 0.0
-            for k in range(i + 1):
-                cum += row[k]
-            speed = _leader_velocity(self.leader, td) - cum
-            head = row[n + i] + self.b[i]
-            if head <= 0.0:
-                raise DomainBreakdownError(td, i + 1, head)
-            if self.m_is_int:
-                num = speed**self.m_int if self.m_int != 0 else 1.0
-            elif speed > 0.0:
-                num = speed**m
-            else:
-                raise NegativeVelocityBaseError(td, i + 1, speed, m)
-            flux[i] = self.alpha[i] * num / head**l * row[i]
-        out = np.empty(2 * n)
-        prev = 0.0
-        for i in range(n):
-            out[i] = self.kappa * (prev - flux[i])
-            prev = flux[i]
-        for i in range(n):
-            out[n + i] = self.kappa * state[i]
-        return out
-
-
 def _hermite(sj, sj1, dj, dj1, h: float, th: float):
     """Cubic Hermite value at fraction th of the interval [t_j, t_j+h]."""
     t2 = th * th
@@ -174,45 +119,41 @@ def simulate(pc: PlatoonConfig, sc: SimConfig, perturbation: PlatoonState | None
             "the method of steps requires step <= min positive tau"
         )
     steps = int(math.ceil(sc.horizon / h - 1e-9))
-    eng = _Engine(pc, h)
+    field = VectorField(pc)
+    # Delay measured in steps, as a float; constant per pair.
+    off = [tau / h for tau in field.tau]
     init = perturbation.as_vector()
     states = np.zeros((steps + 1, 2 * n))
     states[0] = init
     t_grid = np.arange(steps + 1) * h
 
-    if sc.method == "euler":
-        _run_euler(eng, states, init, steps)
-    else:
-        _run_rk4(eng, states, init, steps)
+    run = _run_euler if sc.method == "euler" else _run_rk4
+    run(field, h, off, states, init, steps)
     return Trajectory(t=t_grid, states=states, config=pc, sim=sc)
 
 
-def _run_euler(eng: _Engine, states: np.ndarray, init: np.ndarray, steps: int) -> None:
-    h = eng.h
-    n = eng.n
-    off = eng.off
+def _run_euler(field: VectorField, h: float, off: list, states: np.ndarray, init: np.ndarray, steps: int) -> None:
+    n = field.n
     rows: list = [None] * n
     for k in range(steps):
         for i in range(n):
             j = math.floor(k - off[i] + 1e-9)
             rows[i] = init if j < 0 else states[j]
-        dot = eng.rhs(k * h, states[k], rows)
+        dot = field(k * h, states[k], rows)
         np.multiply(dot, h, out=dot)
         np.add(states[k], dot, out=states[k + 1])
         if not np.isfinite(states[k + 1]).all() or np.abs(states[k + 1]).max() > _BLOWUP_LIMIT:
             raise NumericalError(f"trajectory blew up at t = {(k + 1) * h:.6g}")
 
 
-def _run_rk4(eng: _Engine, states: np.ndarray, init: np.ndarray, steps: int) -> None:
-    h = eng.h
-    n = eng.n
-    off = eng.off
+def _run_rk4(field: VectorField, h: float, off: list, states: np.ndarray, init: np.ndarray, steps: int) -> None:
+    n = field.n
     derivs = np.zeros_like(states)
     stage_c = (0.0, 0.5, 0.5, 1.0)
 
     def lookup(i: int, x: float, stage_state):
         # x is the delayed instant in units of steps; stage_state covers tau = 0.
-        if eng.tau[i] == 0.0:
+        if field.tau[i] == 0.0:
             return stage_state
         if x <= 1e-12:
             return init
@@ -230,7 +171,7 @@ def _run_rk4(eng: _Engine, states: np.ndarray, init: np.ndarray, steps: int) -> 
         # lookups of later stages that land on the current node).
         for i in range(n):
             rows[i] = lookup(i, k - off[i], yk)
-        k1 = eng.rhs(t0, yk, rows)
+        k1 = field(t0, yk, rows)
         derivs[k] = k1
         ks = [k1]
         prev = k1
@@ -238,7 +179,7 @@ def _run_rk4(eng: _Engine, states: np.ndarray, init: np.ndarray, steps: int) -> 
             ystage = yk + (h * c) * prev
             for i in range(n):
                 rows[i] = lookup(i, k + c - off[i], ystage)
-            prev = eng.rhs(t0 + c * h, ystage, rows)
+            prev = field(t0 + c * h, ystage, rows)
             ks.append(prev)
         states[k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
         if not np.isfinite(states[k + 1]).all() or np.abs(states[k + 1]).max() > _BLOWUP_LIMIT:

@@ -19,15 +19,15 @@ with the state-dependent gain
 Index 0 refers to the leader: there is no pair 0, and the ``beta_0 v_0`` term
 is structurally absent (treated as identically zero).  The global gain
 ``kappa`` scales time and acts as the bifurcation parameter; the physical
-model has kappa = 1.
+model has kappa = 1.  :class:`VectorField` is the one implementation of this
+right-hand side; the integrator evaluates it on flat state rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,7 @@ __all__ = [
     "EquilibriumCoefficients",
     "beta_star",
     "power",
-    "nonlinear_rhs",
-    "linear_rhs",
+    "VectorField",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -166,6 +165,13 @@ class PlatoonState:
         return cls(v=np.full(n, v0), y=np.full(n, y0))
 
 
+def _integer_exponent(exponent: float) -> int | None:
+    """The exponent as an int when it is one (to 1e-12), else None."""
+    if abs(exponent - round(exponent)) < 1e-12 and abs(exponent) < 1e6:
+        return int(round(exponent))
+    return None
+
+
 def power(base: float, exponent: float, *, t: float = 0.0, pair: int = 0) -> float:
     """base**exponent with the domain rules of the interaction term.
 
@@ -175,11 +181,11 @@ def power(base: float, exponent: float, *, t: float = 0.0, pair: int = 0) -> flo
     """
     if exponent == 0.0:
         return 1.0
-    is_int = abs(exponent - round(exponent)) < 1e-12 and abs(exponent) < 1e6
-    if is_int:
-        if base == 0.0 and exponent < 0:
+    k = _integer_exponent(exponent)
+    if k is not None:
+        if base == 0.0 and k < 0:
             raise DomainBreakdownError(t, pair, base)
-        return base ** int(round(exponent))
+        return base**k
     if base <= 0.0:
         raise NegativeVelocityBaseError(t, pair, base, exponent)
     return base**exponent
@@ -215,74 +221,60 @@ class EquilibriumCoefficients:
         return self.beta * self.taus
 
 
-def _dynamic_beta(pc: PlatoonConfig, i: int, t: float, x0dot: float, cum_v: float, y_i: float) -> float:
-    """Instantaneous gain beta_i evaluated on a (possibly delayed) state.
+class VectorField:
+    """The platoon's delayed vector field on flat [v_1..v_N, y_1..y_N] rows.
 
-    cum_v is sum_{k<=i} v_k at the evaluation time, so the follower speed is
-    x0dot - cum_v; y_i is the pair's headway deviation at that time.
+    Per-config constants (alpha, tau, b and whether m is an integer) are
+    unpacked once.  ``field(t, state, delayed_rows)`` returns the 2N
+    derivative, where ``delayed_rows[i-1]`` is the flat state at t - tau_i,
+    the delayed instant of pair i.  The coupling term of pair i is the flux
+    of pair i-1 at its own delayed instant; for i = 1 it is absent.  Leaving
+    the model's domain raises DomainBreakdownError or
+    NegativeVelocityBaseError with the same rules as :func:`power`.
     """
-    veh = pc.vehicles[i - 1]
-    head = y_i + veh.b
-    if head <= 0.0:
-        raise DomainBreakdownError(t, i, head)
-    speed = x0dot - cum_v
-    return veh.alpha * power(speed, pc.m, t=t, pair=i) / power(head, pc.l, t=t, pair=i)
 
+    def __init__(self, pc: PlatoonConfig):
+        self.n = pc.n
+        self.kappa = pc.kappa
+        self.m = pc.m
+        self.l = pc.l
+        self.m_int = _integer_exponent(pc.m)
+        self.alpha = [veh.alpha for veh in pc.vehicles]
+        self.tau = [veh.tau for veh in pc.vehicles]
+        self.b = [veh.b for veh in pc.vehicles]
+        self.leader = pc.leader
 
-def nonlinear_rhs(
-    pc: PlatoonConfig,
-    t: float,
-    state: PlatoonState,
-    delayed: Sequence[PlatoonState],
-    leader: LeaderProfile | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full nonlinear right-hand side (dv/dt, dy/dt).
-
-    ``delayed[i-1]`` must be the platoon state at time t - tau_i, the delayed
-    instant of pair i.  The coupling term of pair i uses the gain of pair i-1
-    evaluated at t - tau_{i-1}, i.e. on ``delayed[i-2]``; for i = 1 that term
-    is structurally absent.
-    """
-    lead = pc.leader if leader is None else leader
-    n = pc.n
-    if len(delayed) != n:
-        raise InvalidConfigError(f"expected {n} delayed states, got {len(delayed)}")
-    vdot = np.empty(n)
-    for i in range(1, n + 1):
-        st_i = delayed[i - 1]
-        td_i = t - pc.vehicles[i - 1].tau
-        cum_i = float(np.sum(st_i.v[:i]))
-        beta_i = _dynamic_beta(pc, i, td_i, lead.velocity(td_i), cum_i, float(st_i.y[i - 1]))
-        flux = -beta_i * float(st_i.v[i - 1])
-        if i > 1:
-            st_p = delayed[i - 2]
-            td_p = t - pc.vehicles[i - 2].tau
-            cum_p = float(np.sum(st_p.v[: i - 1]))
-            beta_p = _dynamic_beta(pc, i - 1, td_p, lead.velocity(td_p), cum_p, float(st_p.y[i - 2]))
-            flux += beta_p * float(st_p.v[i - 2])
-        vdot[i - 1] = pc.kappa * flux
-    ydot = pc.kappa * state.v
-    return vdot, ydot
-
-
-def linear_rhs(
-    pc: PlatoonConfig,
-    eq: EquilibriumCoefficients,
-    v_now: np.ndarray,
-    v_self_delayed: np.ndarray,
-    v_pred_delayed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization about equilibrium: frozen gains beta*_i, delayed couplings.
-
-    ``v_self_delayed[i-1]`` is v_i(t - tau_i); ``v_pred_delayed[i-1]`` is
-    v_{i-1}(t - tau_{i-1}) with the i = 1 entry ignored (no pair 0).
-    """
-    beta = eq.beta
-    vdot = -pc.kappa * beta * np.asarray(v_self_delayed, dtype=float)
-    pred = np.asarray(v_pred_delayed, dtype=float)
-    vdot[1:] += pc.kappa * beta[:-1] * pred[1:]
-    ydot = pc.kappa * np.asarray(v_now, dtype=float)
-    return vdot, ydot
+    def __call__(self, t: float, state, delayed_rows) -> np.ndarray:
+        n = self.n
+        m, l, m_int = self.m, self.l, self.m_int
+        flux = [0.0] * n
+        for i in range(n):
+            row = delayed_rows[i]
+            td = t - self.tau[i]
+            cum = 0.0
+            for k in range(i + 1):
+                cum += row[k]
+            speed = self.leader.velocity(td) - cum
+            head = row[n + i] + self.b[i]
+            if head <= 0.0:
+                raise DomainBreakdownError(td, i + 1, head)
+            if m_int is not None:
+                if m_int < 0 and speed == 0.0:
+                    raise DomainBreakdownError(td, i + 1, speed)
+                num = speed**m_int if m_int != 0 else 1.0
+            elif speed > 0.0:
+                num = speed**m
+            else:
+                raise NegativeVelocityBaseError(td, i + 1, speed, m)
+            flux[i] = self.alpha[i] * num / head**l * row[i]
+        out = np.empty(2 * n)
+        prev = 0.0
+        for i in range(n):
+            out[i] = self.kappa * (prev - flux[i])
+            prev = flux[i]
+        for i in range(n):
+            out[n + i] = self.kappa * state[i]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exponential convergence rates of a stable pair, and their dependence on delay.
 
 For a stable pair the asymptotic decay e^{-sigma*t} of perturbations is set by
-the rightmost characteristic root.  Writing c = kappa*beta**tau, the decay
-rate sigma solves one of three real equations, depending on where c sits:
+the rightmost characteristic root, sigma = -Re(lambda).  The rate is read off
+:func:`ccfmlab.spectral.dominant_root`; the product c = kappa*beta**tau only
+labels the branch it lies on:
 
 * c < 1/e   -- the dominant root is real, lambda = -sigma2, with
                (sigma2*tau) * exp(-sigma2*tau) = c  (smaller solution);
@@ -14,20 +15,20 @@ rate sigma solves one of three real equations, depending on where c sits:
 As a function of tau (fixed gain), the rate rises on the real branch, peaks at
 tau* = 1/(c'e) -- i.e. kappa*beta**tau = 1/e, where the rate equals
 kappa*beta**e -- and falls on the oscillatory branch, reaching zero at the
-stability boundary kappa*beta**tau = pi/2.  All solvers here are safeguarded
-Newton iterations on the real branch equations; the spectral module computes
-the same quantity through the complex dominant root, and the two routes are
-held to agree in the test suite.
+stability boundary kappa*beta**tau = pi/2.  The test suite solves the two
+real branch equations above by Newton iteration and holds this module to
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import InvalidConfigError, RootSolveError, UnstableRegimeError
+from .errors import InvalidConfigError, UnstableRegimeError
 from .model import beta_star as _beta_star
+from .spectral import dominant_root
 
 __all__ = [
     "RateResult",
@@ -41,85 +42,6 @@ __all__ = [
 _INV_E = 1.0 / math.e
 _HALF_PI = 0.5 * math.pi
 _BOUNDARY_TOL = 1e-12
-
-
-def _safeguarded_newton(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    lo: float,
-    hi: float,
-    x0: float | None = None,
-    tol: float = 1e-15,
-    maxit: int = 200,
-) -> float:
-    """Newton iteration with a bisection fallback on a sign-changing bracket."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise RootSolveError(f"no sign change on bracket [{lo:.6g}, {hi:.6g}]")
-    x = 0.5 * (lo + hi) if x0 is None else x0
-    for _ in range(maxit):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0) == (flo < 0):
-            lo = x
-        else:
-            hi = x
-        fp = fprime(x)
-        step_ok = fp != 0
-        if step_ok:
-            xn = x - fx / fp
-            step_ok = lo < xn < hi
-        if not step_ok:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= tol * (1.0 + abs(xn)):
-            return xn
-        x = xn
-    raise RootSolveError(f"root solve did not converge on [{lo:.6g}, {hi:.6g}]")
-
-
-def _sigma2_scaled(c: float) -> float:
-    """Smaller solution x of x*exp(-x) = c on [0, 1) (real-branch rate times tau)."""
-
-    def f(x: float) -> float:
-        return x * math.exp(-x) - c
-
-    def fp(x: float) -> float:
-        return math.exp(-x) * (1.0 - x)
-
-    x = _safeguarded_newton(f, fp, 0.0, 1.0, x0=min(c * math.e * 0.9, 0.9))
-    if abs(f(x)) > 1e-12:
-        raise RootSolveError(f"real-branch residual too large at c = {c!r}")
-    return x
-
-
-def _mu_of_c(c: float) -> float:
-    """Solution mu of (mu/sin mu)*exp(-mu/tan mu) = c on (0, pi/2].
-
-    The left side increases from 1/e (mu -> 0) to pi/2 (mu = pi/2), so a
-    unique solution exists exactly for c in (1/e, pi/2].
-    """
-
-    def g(mu: float) -> float:
-        return (mu / math.sin(mu)) * math.exp(-mu / math.tan(mu)) - c
-
-    def gp(mu: float) -> float:
-        val = (mu / math.sin(mu)) * math.exp(-mu / math.tan(mu))
-        s = math.sin(mu)
-        return val * (1.0 / mu - 2.0 / math.tan(mu) + mu / (s * s))
-
-    lo = 1e-8
-    if g(lo) >= 0.0:
-        # c is within ~1e-16 of 1/e; the series G = (1/e)(1 + mu^2/2) gives mu.
-        return math.sqrt(max(2.0 * (c * math.e - 1.0) / math.e, 0.0)) * math.sqrt(math.e)
-    mu = _safeguarded_newton(g, gp, lo, _HALF_PI)
-    if abs(g(mu)) > 1e-12:
-        raise RootSolveError(f"oscillatory-branch residual too large at c = {c!r}")
-    return mu
 
 
 @dataclass(frozen=True)
@@ -168,16 +90,17 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
             product=c, sigma1=sigma, sigma2=sigma, sigma3=sigma, dominant=sigma,
             branch="boundary", tau_star=ts, regime="at",
         )
+    # Solved at unit delay (u = lambda*tau) and read back as -Re(u)/tau:
+    # dominant_root's absolute residual bound of 1e-12 rejects correct roots
+    # once |lambda| exceeds about 1e3.
+    dominant = -dominant_root(c, 1.0, verify=False).lam.real / tau
     if c < _INV_E:
-        sigma2 = _sigma2_scaled(c) / tau
         return RateResult(
-            product=c, sigma1=1.0 / tau, sigma2=sigma2, sigma3=None, dominant=sigma2,
+            product=c, sigma1=1.0 / tau, sigma2=dominant, sigma3=None, dominant=dominant,
             branch="real", tau_star=ts, regime="below",
         )
-    mu = _mu_of_c(c)
-    sigma3 = mu / (tau * math.tan(mu))
     return RateResult(
-        product=c, sigma1=1.0 / tau, sigma2=None, sigma3=sigma3, dominant=sigma3,
+        product=c, sigma1=1.0 / tau, sigma2=None, sigma3=dominant, dominant=dominant,
         branch="complex", tau_star=ts, regime="above",
     )
 

@@ -224,6 +224,26 @@ def test_bifurcation_csv_and_worker_determinism(tmp_path, single_path):
     assert (out1 / "bifurcation.svg").exists()
 
 
+def test_bifurcation_summary_reports_the_sweep_maximum(tmp_path, capsys):
+    # products kappa*beta**tau = 0.0875 .. 0.35 stay below 1/e: every gain
+    # decays on the real branch, faster as kappa rises, so the largest tail
+    # amplitude is at the first gain, not the last
+    cfg = dict(SINGLE, vehicles=[{"alpha": 0.7, "tau": 0.05, "b": 20.0}])
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    argv = [
+        "bifurcation", "--config", str(path), "--out", str(out),
+        "--kappa-range", "0.5,2", "--points", "4", "--ts", "0.01", "--tmax", "4",
+    ]
+    assert main(argv) == 0
+    rows = _read_csv(out / "bifurcation.csv")[1:]
+    amps = [max(float(a) for a in r[1:]) for r in rows]
+    assert max(amps) > amps[-1] > 0.0
+    shown = capsys.readouterr().out
+    assert shown.endswith(f"largest tail amplitude = {max(amps):.6g}\n")
+
+
 # ---------------------------------------------------------------------------
 # hopf
 # ---------------------------------------------------------------------------

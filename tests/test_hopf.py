@@ -71,10 +71,6 @@ def test_eigendata_exact_hand_values(critical_config):
     assert eig.residual_q <= 1e-12
     assert eig.residual_p <= 1e-12
 
-    # aliases used in report dumps
-    assert np.array_equal(eig.phi, eig.q) and np.array_equal(eig.psi, eig.p)
-    assert (eig.zeta1, eig.zeta2, eig.zeta3, eig.zeta4) == eig.zetas
-
 
 def test_eigendata_residuals_two_vehicle_platoons():
     for taus in [(0.5, 0.4), (0.4, 0.4488)]:

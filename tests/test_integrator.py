@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ccfmlab.errors import InvalidConfigError, NumericalError
+from ccfmlab.errors import DomainBreakdownError, InvalidConfigError, NumericalError
 from ccfmlab.integrate import (
     SimConfig,
     Trajectory,
@@ -26,6 +26,7 @@ from ccfmlab.model import (
     LeaderProfile,
     PlatoonConfig,
     PlatoonState,
+    VectorField,
     VehicleParams,
     beta_star,
 )
@@ -88,6 +89,27 @@ def test_blow_up_raises_numerical_error():
     pc = single_follower(kappa=400.0)
     with pytest.raises(NumericalError):
         simulate(pc, SimConfig(step=0.01, horizon=300.0), _perturb(1))
+
+
+def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
+    """At t = 0 the leader is at rest and v = 0, so the speed base is 0 and 0**-1 is undefined."""
+    pc = PlatoonConfig(
+        vehicles=(VehicleParams(alpha=0.7, tau=0.3, b=20.0),),
+        m=-1.0, l=1.0, leader=LeaderProfile(v_eq=10.0),
+    )
+    with pytest.raises(DomainBreakdownError) as exc:
+        simulate(pc, SimConfig(step=0.01, horizon=1.0), _perturb(1, v0=0.0))
+    assert exc.value.pair == 1 and exc.value.t == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
+    """A constant field moves one step by h times that constant."""
+    monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: np.full(2 * self.n, 3.0))
+    pc = four_vehicle_platoon()
+    traj = simulate(pc, SimConfig(step=0.01, horizon=0.01, method=method), _perturb(4))
+    expected = np.concatenate([np.full(4, 0.1), np.zeros(4)]) + 0.01 * 3.0
+    assert np.allclose(traj.states[1], expected, rtol=1e-15, atol=1e-17)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core model layer: parameter validation, gains, right-hand sides, config I/O."""
+"""Core model layer: parameter validation, gains, the vector field, config I/O."""
 
 import json
 import math
@@ -18,17 +18,17 @@ from ccfmlab.model import (
     LeaderProfile,
     PlatoonConfig,
     PlatoonState,
+    VectorField,
     VehicleParams,
     beta_star,
     config_from_dict,
     config_to_dict,
-    linear_rhs,
     load_config,
-    nonlinear_rhs,
     power,
 )
 
 from conftest import four_vehicle_platoon, single_follower
+from oracles import linear_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -183,39 +183,38 @@ def test_equilibrium_coefficients_from_config(platoon_config):
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# the vector field
 # ---------------------------------------------------------------------------
 
 
 def test_zero_state_is_equilibrium(platoon_config):
-    zero = PlatoonState(v=np.zeros(4), y=np.zeros(4))
+    field = VectorField(platoon_config)
+    zero = np.zeros(8)
     for t in (0.0, 0.05, 1.0, 37.2):
-        vdot, ydot = nonlinear_rhs(platoon_config, t, zero, [zero] * 4)
-        assert np.all(vdot == 0.0) and np.all(ydot == 0.0)
+        out = field(t, zero, [zero] * 4)
+        assert out.shape == (8,) and np.all(out == 0.0)
 
 
 def test_first_pair_has_no_incoming_coupling():
     """Vehicle 1's acceleration depends only on its own delayed state."""
     pc = four_vehicle_platoon(taus=(0.2, 0.3, 0.25, 0.3))
     rng = np.random.default_rng(7)
-    now = PlatoonState(v=rng.normal(size=4) * 0.1, y=rng.normal(size=4) * 0.1)
-    delayed = [
-        PlatoonState(v=rng.normal(size=4) * 0.1, y=rng.normal(size=4) * 0.1)
-        for _ in range(4)
-    ]
+    now = rng.normal(size=8) * 0.1
+    delayed = [rng.normal(size=8) * 0.1 for _ in range(4)]
     t = 8.0
-    vdot, _ = nonlinear_rhs(pc, t, now, delayed)
+    vdot = VectorField(pc)(t, now, delayed)[:4]
     # hand evaluation of the self term of pair 1 at the delayed instant
     td = t - 0.2
     x0d = 10.0 * (1.0 - math.exp(-10.0 * td))
-    speed = x0d - delayed[0].v[0]
-    head = delayed[0].y[0] + 20.0
+    speed = x0d - delayed[0][0]
+    head = delayed[0][4] + 20.0
     beta1 = 0.5 * speed**2 / head
-    assert vdot[0] == pytest.approx(-beta1 * delayed[0].v[0], rel=1e-13)
+    assert vdot[0] == pytest.approx(-beta1 * delayed[0][0], rel=1e-13)
 
 
 def test_rhs_matches_linearization_to_second_order():
     pc = four_vehicle_platoon()
+    field = VectorField(pc)
     eq = EquilibriumCoefficients.from_config(pc)
     rng = np.random.default_rng(11)
     dv = rng.normal(size=4)
@@ -223,14 +222,35 @@ def test_rhs_matches_linearization_to_second_order():
     t = 12.0  # leader ramp fully settled
 
     def gap(h):
-        st_ = PlatoonState(v=h * dv, y=h * dy)
-        vdot_nl, _ = nonlinear_rhs(pc, t, st_, [st_] * 4)
-        vdot_lin, _ = linear_rhs(pc, eq, st_.v, h * dv, np.roll(h * dv, 1))
+        row = np.concatenate([h * dv, h * dy])
+        vdot_nl = field(t, row, [row] * 4)[:4]
+        vdot_lin, _ = linear_rhs(pc, eq, h * dv, h * dv, np.roll(h * dv, 1))
         return float(np.linalg.norm(vdot_nl - vdot_lin))
 
     h = 1e-3
     e1, e2 = gap(h), gap(h / 2.0)
     assert e1 / e2 == pytest.approx(4.0, rel=0.05)  # quadratic remainder
+
+
+@pytest.mark.parametrize("m", [-1.0, 0.0, 1.5, 2.0])
+@pytest.mark.parametrize("base", [-0.1, 0.0, 0.1])
+def test_field_and_power_share_the_domain_rules(m, base):
+    """The field raises where power raises, and otherwise uses its value."""
+    pc = PlatoonConfig(
+        vehicles=(VehicleParams(alpha=0.7, tau=0.3, b=20.0),),
+        m=m, l=1.0, leader=LeaderProfile(v_eq=10.0),
+    )
+    # t - tau < 0: the leader is at rest, so the speed base is -v_1 = base
+    row = np.array([0.0 - base, 0.0])
+    t, td = 0.1, 0.1 - 0.3
+    try:
+        expected = power(base, m, t=td, pair=1)
+    except (DomainBreakdownError, NegativeVelocityBaseError) as exc:
+        with pytest.raises(type(exc)) as got:
+            VectorField(pc)(t, row, [row])
+        assert got.value.t == td and got.value.pair == 1 and got.value.value == base
+        return
+    assert VectorField(pc)(t, row, [row])[0] == -(0.7 * expected / 20.0**1.0 * row[0])
 
 
 def test_linear_rhs_structure():
@@ -248,9 +268,9 @@ def test_linear_rhs_structure():
 
 def test_kappa_scales_both_equation_blocks(critical_config):
     pc = critical_config.with_kappa(1.7)
-    st_ = PlatoonState(v=np.array([0.1]), y=np.array([0.05]))
-    vdot1, ydot1 = nonlinear_rhs(critical_config, 5.0, st_, [st_])
-    vdot2, ydot2 = nonlinear_rhs(pc, 5.0, st_, [st_])
+    row = np.array([0.1, 0.05])
+    vdot1, ydot1 = VectorField(critical_config)(5.0, row, [row])
+    vdot2, ydot2 = VectorField(pc)(5.0, row, [row])
     assert np.allclose(vdot2, 1.7 * vdot1, rtol=1e-14)
     assert np.allclose(ydot2, 1.7 * ydot1, rtol=1e-14)
 

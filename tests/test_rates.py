@@ -1,9 +1,10 @@
 """Decay-rate computations.
 
-The rate module solves real transcendental equations; the spectral module
-reaches the same number through the complex dominant root.  The two routes
-share no solver code, so their agreement is the primary correctness check
-here, alongside frozen values from the Lambert W function.
+The rate module reads the decay rate off the complex dominant root; the
+oracle in ``oracles.py`` solves the real branch equations by safeguarded
+Newton iteration.  The two routes share no solver code, so their agreement is
+the primary correctness check here, alongside frozen values from the Lambert
+W function.
 """
 
 import math
@@ -22,6 +23,8 @@ from ccfmlab.rates import (
 )
 from ccfmlab.spectral import dominant_root
 
+from oracles import branch_rate
+
 E_INV = 1.0 / math.e
 
 
@@ -38,6 +41,26 @@ def test_rate_equals_negated_real_part_of_dominant_root(c, tau):
     res = rate_of_convergence(beta, tau)
     lam = dominant_root(beta, tau, verify=False).lam
     assert res.dominant == pytest.approx(-lam.real, rel=1e-8)
+    assert res.dominant == pytest.approx(branch_rate(res.product, tau), rel=1e-8)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.3])
+def test_rate_matches_branch_equations_on_a_dense_grid(tau):
+    """Products k*(pi/2)/2000 for k = 1..1999, away from the boundary 1/e.
+
+    At tau = 1e-4 the roots reach |lambda| ~ 1.6e4, beyond what the absolute
+    residual bound of 1e-12 in dominant_root admits; the rate must still come
+    out.
+    """
+    worst = 0.0
+    for k in range(1, 2000):
+        c = k * (math.pi / 2.0) / 2000
+        if abs(c - E_INV) <= 1e-10:
+            continue
+        res = rate_of_convergence(c / tau, tau)
+        ref = branch_rate(res.product, tau)
+        worst = max(worst, abs(res.dominant - ref) / ref)
+    assert worst <= 1e-10
 
 
 def test_rate_branch_values_cross_checked():
@@ -54,6 +77,7 @@ def test_rate_branch_values_cross_checked():
     assert res.sigma2 is None
     lam = dominant_root(2.0, 0.5).lam
     assert res.sigma3 == pytest.approx(-lam.real, rel=1e-10)
+    assert res.sigma3 == pytest.approx(branch_rate(1.0, 0.5), rel=1e-10)
     assert res.dominant == res.sigma3
 
 
