@@ -26,6 +26,7 @@ from .integrate import (
     amplitude_envelope,
     settling_time,
     simulate,
+    simulate_batch,
     write_trajectory_csv,
 )
 from .model import (
@@ -98,6 +99,7 @@ __all__ = [
     "rate_of_convergence",
     "settling_time",
     "simulate",
+    "simulate_batch",
     "small_delay_condition",
     "stability_region_margin",
     "transversality",

@@ -17,20 +17,17 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import CcfmError, InvalidConfigError, NumericalError
 from .hopf import hopf_report
-from .integrate import SimConfig, amplitude_envelope, settling_time, simulate, write_trajectory_csv
+from .integrate import SimConfig, amplitude_envelope, settling_time, simulate, simulate_batch, write_trajectory_csv
 from .model import (
     EquilibriumCoefficients,
     PlatoonConfig,
     PlatoonState,
     beta_star,
-    config_from_dict,
-    config_to_dict,
     load_config,
 )
 from .rates import optimal_delay, rate_curve
@@ -75,8 +72,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("euler", "rk4"), default="euler", help="integration scheme")
+def _add_sim_flags(p: argparse.ArgumentParser, method: str = "euler") -> None:
+    p.add_argument("--method", choices=("euler", "rk4"), default=method, help=f"integration scheme (default {method})")
     p.add_argument("--ts", type=float, default=0.01, help="integration step size")
     p.add_argument("--tmax", type=float, default=300.0, help="integration horizon")
     p.add_argument("--perturb-v", type=float, default=0.1, help="initial relative-velocity perturbation")
@@ -205,19 +202,6 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _bifurcation_point(payload) -> tuple[float, tuple[float, ...]]:
-    """One sweep point: returns (kappa, per-vehicle speed amplitudes)."""
-    pc_dict, kappa, step, horizon, method, v0, y0, tail = payload
-    pc = config_from_dict(pc_dict).with_kappa(kappa)
-    traj = simulate(
-        pc,
-        SimConfig(step=step, horizon=horizon, method=method),
-        PlatoonState.uniform_perturbation(pc.n, v0=v0, y0=y0),
-    )
-    env = amplitude_envelope(traj, tail_fraction=tail)
-    return kappa, tuple(float(a) for a in env.v)
-
-
 def _cmd_bifurcation(args) -> int:
     pc = load_config(args.config)
     if args.points < 2:
@@ -229,24 +213,8 @@ def _cmd_bifurcation(args) -> int:
         kappa_min + k * (kappa_max - kappa_min) / (args.points - 1)
         for k in range(args.points)
     ]
-    payloads = [
-        (
-            config_to_dict(pc),
-            kappa,
-            args.ts,
-            args.tmax,
-            args.method,
-            args.perturb_v,
-            args.perturb_y,
-            args.tail,
-        )
-        for kappa in kappas
-    ]
-    if args.workers == 1:
-        results = [_bifurcation_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_bifurcation_point, payloads))
+    trajs = simulate_batch([pc.with_kappa(kappa) for kappa in kappas], _sim_config(args), _perturbation(pc, args))
+    results = [(kappa, amplitude_envelope(tr, tail_fraction=args.tail).v.tolist()) for kappa, tr in zip(kappas, trajs)]
     out = _ensure_outdir(args.out)
     with open(os.path.join(out, "bifurcation.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("kappa," + ",".join(f"amp_v_{i + 1}" for i in range(pc.n)) + "\n")
@@ -344,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-range", default="1,1.05", help="gain span, as 'lo,hi'")
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--tail", type=float, default=0.25, help="trailing window fraction for amplitudes")
-    p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-    _add_sim_flags(p)
+    p.add_argument("--workers", type=int, default=1, help="kept for old command lines (>= 1); starts no processes")
+    _add_sim_flags(p, method="rk4")
     p.set_defaults(func=_cmd_bifurcation)
 
     p = sub.add_parser("hopf", help="normal-form analysis at the critical gain")

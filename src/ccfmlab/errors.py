@@ -21,16 +21,17 @@ class NumericalError(CcfmError):
 
 
 class DomainBreakdownError(NumericalError):
-    """A headway term y_i + b_i became non-positive during integration."""
+    """A headway y_i + b_i, or a speed base under a negative integer m, left the domain."""
 
-    def __init__(self, t: float, pair: int, value: float):
+    def __init__(self, t: float, pair: int, value: float, quantity: str = "headway"):
         self.t = t
         self.pair = pair
         self.value = value
-        super().__init__(
-            f"headway base y_{pair} + b_{pair} = {value:.6g} <= 0 at t = {t:.6g}; "
-            "the interaction term is undefined past this point"
-        )
+        self.quantity = quantity
+        base = f"headway base y_{pair} + b_{pair} = {value:.6g} <= 0"
+        if quantity == "speed":
+            base = f"speed base of pair {pair} = {value:.6g} under a negative integer exponent m"
+        super().__init__(f"{base} at t = {t:.6g}; the interaction term is undefined past this point")
 
 
 class NegativeVelocityBaseError(NumericalError):

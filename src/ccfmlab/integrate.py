@@ -1,15 +1,17 @@
 """Method-of-steps time integration of the nonlinear platoon dynamics.
 
-Two fixed-step schemes are provided:
+:func:`simulate_batch` integrates configs that differ only in kappa, alpha
+and b (a gain sweep, say) in one step loop; :func:`simulate` is its batch of
+one.  Two fixed-step schemes are provided:
 
 * ``euler``  -- explicit Euler; each delayed value is read at the grid point
   floor((t - tau)/h), i.e. the newest stored node not later than the delayed
-  instant.  This is the workhorse scheme for long sweep studies.
+  instant.  Its first-order lag shifts the oscillation threshold.
 * ``rk4``    -- classical Runge-Kutta; delayed values are reconstructed by
-  cubic Hermite interpolation on stored node values and derivatives, so the
-  scheme keeps meaningful accuracy in the delayed terms as well.  Stage
-  lookups never run ahead of the newest completed node because the step size
-  is capped by the smallest positive delay.
+  cubic Hermite interpolation on stored node values and derivatives (Bellen &
+  Zennaro, *Numerical Methods for Delay Differential Equations*, 2003).
+  Stage lookups never run ahead of the newest completed node because the
+  step size is capped by the smallest positive delay.
 
 Pairs with zero delay read the current (or current-stage) state directly, so
 a delay-free configuration reduces to the ordinary ODE schemes.  Pre-history
@@ -35,12 +37,15 @@ __all__ = [
     "SettlingReport",
     "EnvelopeReport",
     "simulate",
+    "simulate_batch",
     "settling_time",
     "amplitude_envelope",
     "write_trajectory_csv",
 ]
 
-_METHODS = ("euler", "rk4")
+# Per scheme, the stage fractions whose delayed rows are gathered after stage
+# 1; the last one's rows are the next step's stage 1 (Euler evaluates no other).
+_LATER = {"euler": (1.0,), "rk4": (0.5, 0.5, 1.0)}
 _BLOWUP_LIMIT = 1e12
 
 
@@ -57,8 +62,8 @@ class SimConfig:
             raise InvalidConfigError(f"step must be positive, got {self.step}")
         if not (self.horizon >= self.step and math.isfinite(self.horizon)):
             raise InvalidConfigError(f"horizon must be at least one step, got {self.horizon}")
-        if self.method not in _METHODS:
-            raise InvalidConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in _LATER:
+            raise InvalidConfigError(f"method must be one of {tuple(_LATER)}, got {self.method!r}")
 
 
 @dataclass
@@ -86,104 +91,131 @@ class Trajectory:
         return PlatoonState.from_vector(self.states[k])
 
 
-def _hermite(sj, sj1, dj, dj1, h: float, th: float):
-    """Cubic Hermite value at fraction th of the interval [t_j, t_j+h]."""
-    t2 = th * th
-    t3 = t2 * th
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * sj
-        + (-2.0 * t3 + 3.0 * t2) * sj1
-        + h * ((t3 - 2.0 * t2 + th) * dj + (t3 - t2) * dj1)
-    )
-
-
 def simulate(pc: PlatoonConfig, sc: SimConfig, perturbation: PlatoonState | None = None) -> Trajectory:
-    """Integrate the platoon from a perturbed equilibrium state.
+    """Integrate one platoon: the batch of one of :func:`simulate_batch`."""
+    return simulate_batch([pc], sc, perturbation)[0]
+
+
+def simulate_batch(
+    pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None = None
+) -> list[Trajectory]:
+    """Integrate platoons that share N, the delays, m, l and the leader, each bit-identically to its run alone.
 
     The initial state (default: v_i = 0.1, y_i = 0) also serves as the
-    constant pre-history.  The horizon is rounded up to a whole number of
-    steps.  Raises DomainBreakdownError / NegativeVelocityBaseError if the
-    trajectory leaves the model's domain, and NumericalError if it blows up
-    beyond any physically meaningful magnitude.
+    constant pre-history; the horizon is rounded up to a whole number of
+    steps.  A member that leaves the model's domain (DomainBreakdownError /
+    NegativeVelocityBaseError) or blows up (NumericalError) is masked while
+    the others run on; then the lowest-index failing member's error is raised.
     """
-    n = pc.n
+    field = VectorField(*pcs)
+    n = field.n
     if perturbation is None:
         perturbation = PlatoonState.uniform_perturbation(n)
     if perturbation.n != n:
         raise InvalidConfigError(f"perturbation has {perturbation.n} pairs, config has {n}")
     h = sc.step
-    positive_taus = [veh.tau for veh in pc.vehicles if veh.tau > 0]
+    positive_taus = [tau for tau in field.tau.tolist() if tau > 0]
     if positive_taus and h > min(positive_taus) * (1.0 + 1e-9):
         raise InvalidConfigError(
             f"step {h:g} exceeds the smallest positive delay {min(positive_taus):g}; "
             "the method of steps requires step <= min positive tau"
         )
     steps = int(math.ceil(sc.horizon / h - 1e-9))
-    field = VectorField(pc)
-    # Delay measured in steps, as a float; constant per pair.
-    off = [tau / h for tau in field.tau]
-    init = perturbation.as_vector()
-    states = np.zeros((steps + 1, 2 * n))
-    states[0] = init
+    states, errors = _run(field, h, sc.method, perturbation.as_vector(), steps)
+    if errors:
+        raise errors[min(errors)]
     t_grid = np.arange(steps + 1) * h
-
-    run = _run_euler if sc.method == "euler" else _run_rk4
-    run(field, h, off, states, init, steps)
-    return Trajectory(t=t_grid, states=states, config=pc, sim=sc)
+    return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
 
 
-def _run_euler(field: VectorField, h: float, off: list, states: np.ndarray, init: np.ndarray, steps: int) -> None:
-    n = field.n
-    rows: list = [None] * n
+_NODE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None, None]  # weights that read node j itself
+
+
+def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
+    """Offsets from step k (all j, then all j + 1) and (4, S, N, 1) weights of the delayed rows.
+
+    At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
+    k, between nodes j and j + 1, at the same place in every step.  Euler
+    reads node j; rk4 weights the values and h times the derivatives at j and
+    j + 1, unless the instant is within 1e-9 steps of node j.
+    """
+    offsets, weights = [], []
+    for c in fractions:
+        for tau in taus:
+            x = c - tau / h
+            j = 0 if tau == 0.0 else math.floor(x + 1e-9)  # zero-delay pairs read the stage state
+            th = x - j
+            t2 = th * th
+            t3 = t2 * th
+            offsets.append(j)
+            if not hermite or tau == 0.0 or th < 1e-9:
+                weights.append(_NODE.ravel())
+            else:
+                weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
+    offsets = np.array(offsets)
+    return np.concatenate((offsets, offsets + 1)), np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
+
+
+def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
+    n, batch = field.n, field.batch
+    # Node values and derivatives side by side, so that one gather reads both.
+    hist = np.zeros((batch, 2, steps + 1, 2 * n))
+    states, derivs = hist[:, 0], hist[:, 1]
+    states[:, 0] = init
+    taus = field.tau.tolist()
+    later = _LATER[method]
+    offsets, weights = _lookup_table(taus, h, later, method == "rk4")
+    pre = -int(offsets.min())  # steps whose lookups reach into t < 0
+    zero = [i for i, tau in enumerate(taus) if tau == 0.0]
+    rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
+    errors: dict = {}
     for k in range(steps):
-        for i in range(n):
-            j = math.floor(k - off[i] + 1e-9)
-            rows[i] = init if j < 0 else states[j]
-        dot = field(k * h, states[k], rows)
-        np.multiply(dot, h, out=dot)
-        np.add(states[k], dot, out=states[k + 1])
-        if not np.isfinite(states[k + 1]).all() or np.abs(states[k + 1]).max() > _BLOWUP_LIMIT:
-            raise NumericalError(f"trajectory blew up at t = {(k + 1) * h:.6g}")
-
-
-def _run_rk4(field: VectorField, h: float, off: list, states: np.ndarray, init: np.ndarray, steps: int) -> None:
-    n = field.n
-    derivs = np.zeros_like(states)
-    stage_c = (0.0, 0.5, 0.5, 1.0)
-
-    def lookup(i: int, x: float, stage_state):
-        # x is the delayed instant in units of steps; stage_state covers tau = 0.
-        if field.tau[i] == 0.0:
-            return stage_state
-        if x <= 1e-12:
-            return init
-        j = math.floor(x + 1e-9)
-        th = x - j
-        if th < 1e-9:
-            return states[j]
-        return _hermite(states[j], states[j + 1], derivs[j], derivs[j + 1], h, th)
-
-    rows: list = [None] * n
-    for k in range(steps):
-        t0 = k * h
-        yk = states[k]
-        # Stage 1 doubles as the stored node derivative (needed by Hermite
-        # lookups of later stages that land on the current node).
-        for i in range(n):
-            rows[i] = lookup(i, k - off[i], yk)
-        k1 = field(t0, yk, rows)
-        derivs[k] = k1
+        yk = states[:, k]
+        if zero:
+            rows[:, zero] = yk[:, None]
+        k1, failures = field(k * h, yk, rows)
         ks = [k1]
-        prev = k1
-        for c in stage_c[1:]:
-            ystage = yk + (h * c) * prev
-            for i in range(n):
-                rows[i] = lookup(i, k + c - off[i], ystage)
-            prev = field(t0 + c * h, ystage, rows)
-            ks.append(prev)
-        states[k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-        if not np.isfinite(states[k + 1]).all() or np.abs(states[k + 1]).max() > _BLOWUP_LIMIT:
-            raise NumericalError(f"trajectory blew up at t = {(k + 1) * h:.6g}")
+        if failures:
+            _retire(failures, errors, (hist, rows, k1))
+        derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
+        # One gather reads the rows of every later stage.
+        nodes, w = offsets + k, weights
+        if k < pre:  # instants before t = 0 read the pre-history, held in node 0
+            early = nodes[: nodes.size // 2] < 0
+            nodes = np.where(np.tile(early, 2), 0, nodes)
+            w = np.where(early.reshape(len(later), n, 1), _NODE, w)
+        if method == "euler":
+            delayed = states[:, nodes[:n]][:, None]  # Euler reads nodes, with no weights
+            states[:, k + 1] = yk + k1 * h
+        else:
+            delayed = (hist[:, :, nodes].reshape(batch, 4, len(later), n, 2 * n) * w).sum(axis=1)
+            for stage, c in enumerate(later):
+                ystage = yk + (h * c) * ks[-1]
+                rows = delayed[:, stage]
+                if zero:
+                    rows[:, zero] = ystage[:, None]
+                dot, failures = field(k * h + c * h, ystage, rows)
+                ks.append(dot)
+                if failures:
+                    _retire(failures, errors, (hist, delayed, *ks))
+            states[:, k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
+        if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(states[:, k + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
+            message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
+            _retire({b: NumericalError(message) for b in blown}, errors, (hist, rows))
+        if 0 in errors:  # no member can fail with a lower index
+            break
+    return states, errors
+
+
+def _retire(failures: dict, errors: dict, arrays) -> None:
+    """Record each newly failed member's error and zero its rows, an equilibrium of the field."""
+    for member, exc in failures.items():
+        if member not in errors:
+            errors[member] = exc
+            for arr in arrays:
+                arr[member] = 0.0
 
 
 # ---------------------------------------------------------------------------

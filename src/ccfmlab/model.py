@@ -20,7 +20,7 @@ Index 0 refers to the leader: there is no pair 0, and the ``beta_0 v_0`` term
 is structurally absent (treated as identically zero).  The global gain
 ``kappa`` scales time and acts as the bifurcation parameter; the physical
 model has kappa = 1.  :class:`VectorField` is the one implementation of this
-right-hand side; the integrator evaluates it on flat state rows.
+right-hand side; the integrator evaluates it on a batch of state rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainBreakdownError, InvalidConfigError, NegativeVelocityBaseError
+from .errors import DomainBreakdownError, InvalidConfigError, NegativeVelocityBaseError, NumericalError
 
 __all__ = [
     "VehicleParams",
@@ -40,7 +40,6 @@ __all__ = [
     "PlatoonState",
     "EquilibriumCoefficients",
     "beta_star",
-    "power",
     "VectorField",
     "config_from_dict",
     "config_to_dict",
@@ -172,25 +171,6 @@ def _integer_exponent(exponent: float) -> int | None:
     return None
 
 
-def power(base: float, exponent: float, *, t: float = 0.0, pair: int = 0) -> float:
-    """base**exponent with the domain rules of the interaction term.
-
-    Integer exponents accept any base (negative bases included); non-integer
-    exponents require a positive base and raise NegativeVelocityBaseError
-    otherwise.  A zero base with a negative exponent is a domain breakdown.
-    """
-    if exponent == 0.0:
-        return 1.0
-    k = _integer_exponent(exponent)
-    if k is not None:
-        if base == 0.0 and k < 0:
-            raise DomainBreakdownError(t, pair, base)
-        return base**k
-    if base <= 0.0:
-        raise NegativeVelocityBaseError(t, pair, base, exponent)
-    return base**exponent
-
-
 def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float:
     """Equilibrium interaction gain beta* = alpha * x0dot**m / b**l.
 
@@ -222,59 +202,76 @@ class EquilibriumCoefficients:
 
 
 class VectorField:
-    """The platoon's delayed vector field on flat [v_1..v_N, y_1..y_N] rows.
+    """The platoon's delayed vector field for B configs that share N, the delays, m, l and the leader.
 
-    Per-config constants (alpha, tau, b and whether m is an integer) are
-    unpacked once.  ``field(t, state, delayed_rows)`` returns the 2N
-    derivative, where ``delayed_rows[i-1]`` is the flat state at t - tau_i,
-    the delayed instant of pair i.  The coupling term of pair i is the flux
-    of pair i-1 at its own delayed instant; for i = 1 it is absent.  Leaving
-    the model's domain raises DomainBreakdownError or
-    NegativeVelocityBaseError with the same rules as :func:`power`.
+    ``field(t, state, delayed)`` takes the (B, 2N) rows [v_1..v_N, y_1..y_N]
+    at t, and the (B, N, 2N) rows with ``delayed[:, i-1]`` at t - tau_i, the
+    delayed instant of pair i, whose flux is pair i+1's coupling term.  It
+    returns the (B, 2N) derivative, each row from its own member's inputs
+    alone, and the error of each member that left the model's domain: a
+    headway <= 0, a zero speed base under integer m < 0, or a speed base
+    <= 0 under non-integer m.  A failed member's row is finite but void.
     """
 
-    def __init__(self, pc: PlatoonConfig):
+    def __init__(self, *pcs: PlatoonConfig):
+        _require(len(pcs) >= 1, "a batch needs at least one config")
+        pc = pcs[0]
+        for k, other in enumerate(pcs):
+            _require(
+                (other.n, other.m, other.l, other.leader) == (pc.n, pc.m, pc.l, pc.leader)
+                and np.array_equal(other.taus, pc.taus),
+                f"batch config {k} differs from config 0 in N, the delays, m, l or the leader",
+            )
         self.n = pc.n
-        self.kappa = pc.kappa
+        self.batch = len(pcs)
         self.m = pc.m
         self.l = pc.l
         self.m_int = _integer_exponent(pc.m)
-        self.alpha = [veh.alpha for veh in pc.vehicles]
-        self.tau = [veh.tau for veh in pc.vehicles]
-        self.b = [veh.b for veh in pc.vehicles]
+        self.tau = pc.taus
         self.leader = pc.leader
+        self.kappa = np.array([[other.kappa] for other in pcs])
+        self.alpha = np.array([other.alphas for other in pcs])
+        self.b = np.array([other.headways for other in pcs])
+        # Below 2**-54, 1 - exp(-ramp*t) rounds to 1.0: from there the leader is at v_eq exactly.
+        self._settled = float(self.tau.max()) + pc.leader.settled_time(2.0**-55)
+        self._v_eq = np.full(pc.n, pc.leader.v_eq)
 
-    def __call__(self, t: float, state, delayed_rows) -> np.ndarray:
+    def __call__(self, t: float, state: np.ndarray, delayed: np.ndarray):
         n = self.n
-        m, l, m_int = self.m, self.l, self.m_int
-        flux = [0.0] * n
-        for i in range(n):
-            row = delayed_rows[i]
-            td = t - self.tau[i]
-            cum = 0.0
-            for k in range(i + 1):
-                cum += row[k]
-            speed = self.leader.velocity(td) - cum
-            head = row[n + i] + self.b[i]
-            if head <= 0.0:
-                raise DomainBreakdownError(td, i + 1, head)
-            if m_int is not None:
-                if m_int < 0 and speed == 0.0:
-                    raise DomainBreakdownError(td, i + 1, speed)
-                num = speed**m_int if m_int != 0 else 1.0
-            elif speed > 0.0:
-                num = speed**m
-            else:
-                raise NegativeVelocityBaseError(td, i + 1, speed, m)
-            flux[i] = self.alpha[i] * num / head**l * row[i]
-        out = np.empty(2 * n)
-        prev = 0.0
-        for i in range(n):
-            out[i] = self.kappa * (prev - flux[i])
-            prev = flux[i]
-        for i in range(n):
-            out[n + i] = self.kappa * state[i]
-        return out
+        lead = self._v_eq if t >= self._settled else np.array([self.leader.velocity(x) for x in (t - self.tau).tolist()])
+        # Pair i reads v_1..v_i, v_i and y_i of its own delayed row: the
+        # diagonals of the (B, N, N) blocks.
+        speed = lead - np.add.accumulate(delayed[:, :, :n], axis=2).diagonal(0, 1, 2)
+        head = delayed[:, :, n:].diagonal(0, 1, 2) + self.b
+        bad = head <= 0.0
+        if self.m_int is None:
+            bad |= speed <= 0.0
+        elif self.m_int < 0:
+            bad |= speed == 0.0
+        failures = {}
+        if np.count_nonzero(bad):
+            failures = {b: self._error(t, b, speed, head, bad) for b in np.flatnonzero(bad.any(axis=1)).tolist()}
+            speed = np.where(bad, 1.0, speed)  # so that no power of a base outside the domain warns
+            head = np.where(bad, 1.0, head)
+        flux = self.alpha * speed ** (self.m if self.m_int is None else self.m_int)
+        if self.l != 0.0:  # else head**l is exactly 1.0
+            flux = flux / head**self.l
+        flux = flux * delayed.diagonal(0, 1, 2)
+        dv = -flux
+        if n > 1:
+            dv[:, 1:] += flux[:, :-1]
+        out = np.concatenate((dv, state[:, :n]), axis=1)
+        out *= self.kappa
+        return out, failures
+
+    def _error(self, t: float, b: int, speed: np.ndarray, head: np.ndarray, bad: np.ndarray) -> NumericalError:
+        i = int(np.argmax(bad[b]))
+        td = float(t - self.tau[i])
+        if head[b, i] <= 0.0:
+            return DomainBreakdownError(td, i + 1, float(head[b, i]))
+        if self.m_int is not None:
+            return DomainBreakdownError(td, i + 1, float(speed[b, i]), quantity="speed")
+        return NegativeVelocityBaseError(td, i + 1, float(speed[b, i]), self.m)
 
 
 # ---------------------------------------------------------------------------

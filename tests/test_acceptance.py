@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from ccfmlab.integrate import SimConfig, amplitude_envelope, simulate
+from ccfmlab.integrate import SimConfig, amplitude_envelope, simulate, simulate_batch
 from ccfmlab.model import (
     EquilibriumCoefficients,
     LeaderProfile,
@@ -262,14 +262,13 @@ def test_criterion_08_supercritical_onset_scaling(capsys):
     kappas = np.array([1.0025, 1.005, 1.01, 1.02])
     amps = []
     worst_drift = 0.0
-    for kappa in kappas:
-        pc = single_follower(kappa=float(kappa), l=0.0)
-        # 900 s: at 300 s the kappa = 1.0025 run is still growing
-        traj = simulate(
-            pc,
-            SimConfig(step=0.01, horizon=900.0, method="rk4"),
-            PlatoonState.uniform_perturbation(1),
-        )
+    # 900 s: at 300 s the kappa = 1.0025 run is still growing
+    trajs = simulate_batch(
+        [single_follower(kappa=float(kappa), l=0.0) for kappa in kappas],
+        SimConfig(step=0.01, horizon=900.0, method="rk4"),
+        PlatoonState.uniform_perturbation(1),
+    )
+    for traj in trajs:
         env = amplitude_envelope(traj)
         amps.append(env.max_v)
         # stationarity guard: the two halves of the tail see the same cycle
@@ -299,21 +298,21 @@ def test_criterion_09_amplitude_growth_and_l_ordering(capsys):
     for l in (0.95, 1.0, 1.05):
         bstar = beta_star(0.7, 10.0, 2.0, 20.0, l)
         tau_cr = HALF_PI / bstar
-        amps = []
-        for kappa in kappas:
-            pc = PlatoonConfig(
+        pcs = [
+            PlatoonConfig(
                 vehicles=(VehicleParams(alpha=0.7, tau=tau_cr, b=20.0),),
                 m=2.0,
                 l=l,
                 leader=LeaderProfile(v_eq=10.0, ramp=10.0),
                 kappa=float(kappa),
             )
-            traj = simulate(
-                pc, SimConfig(step=0.01, horizon=300.0),
-                PlatoonState.uniform_perturbation(1),
-            )
-            amps.append(amplitude_envelope(traj).max_v)
-        curves[l] = np.array(amps)
+            for kappa in kappas
+        ]
+        trajs = simulate_batch(
+            pcs, SimConfig(step=0.01, horizon=300.0),
+            PlatoonState.uniform_perturbation(1),
+        )
+        curves[l] = np.array([amplitude_envelope(traj).max_v for traj in trajs])
 
     finals = {l: curves[l][-1] for l in curves}
     ok_positive = all(a > 0.0 for a in finals.values())

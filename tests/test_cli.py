@@ -214,7 +214,9 @@ def test_bifurcation_csv_and_worker_determinism(tmp_path, single_path):
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--out", str(out2), "--workers", "2"]) == 0
+    # --workers is still accepted; rk4 is the sweep's default scheme
+    assert main(base + ["--out", str(out2), "--workers", "2", "--method", "rk4"]) == 0
+    assert main(base + ["--out", str(tmp_path / "c"), "--workers", "0"]) == 2
     b1 = (out1 / "bifurcation.csv").read_bytes()
     assert b1 == (out2 / "bifurcation.csv").read_bytes()
     rows = _read_csv(out1 / "bifurcation.csv")
@@ -222,6 +224,21 @@ def test_bifurcation_csv_and_worker_determinism(tmp_path, single_path):
     assert len(rows) == 4
     assert [float(r[0]) for r in rows[1:]] == pytest.approx([1.0, 1.005, 1.01])
     assert (out1 / "bifurcation.svg").exists()
+
+
+def test_bifurcation_blow_up_reports_the_gain_as_run_alone(tmp_path, single_path, capsys):
+    sweep = main([
+        "bifurcation", "--config", single_path, "--out", str(tmp_path / "s"),
+        "--kappa-range", "1,400", "--points", "2", "--tmax", "20",
+    ])
+    sweep_err = capsys.readouterr().err
+    alone = main([
+        "simulate", "--config", single_path, "--out", str(tmp_path / "a"),
+        "--kappa", "400", "--method", "rk4", "--tmax", "20",
+    ])
+    alone_err = capsys.readouterr().err
+    assert sweep == alone == 3
+    assert sweep_err == alone_err and "headway base y_1 + b_1" in sweep_err
 
 
 def test_bifurcation_summary_reports_the_sweep_maximum(tmp_path, capsys):

@@ -24,7 +24,7 @@ from ccfmlab.hopf import (
     manifold_corrections,
     predicted_amplitude,
 )
-from ccfmlab.integrate import SimConfig, amplitude_envelope, simulate
+from ccfmlab.integrate import SimConfig, amplitude_envelope, simulate_batch
 from ccfmlab.model import (
     LeaderProfile,
     PlatoonConfig,
@@ -280,12 +280,14 @@ def test_post_threshold_sweep_is_reproducible_and_ordered():
     at this step size is comparable to the tiny physical growth rates and
     reverses the ordering.
     """
+    kappas = (1.0025, 1.01)
+    sc = SimConfig(step=0.01, horizon=300.0, method="rk4")
+    # each gain twice in one batch: the copies must agree bit for bit
+    trajs = simulate_batch(
+        [single_follower(kappa=kappa) for kappa in kappas * 2], sc, PlatoonState.uniform_perturbation(1)
+    )
     amps = {}
-    for kappa in (1.0025, 1.01):
-        pc = single_follower(kappa=kappa)
-        sc = SimConfig(step=0.01, horizon=300.0, method="rk4")
-        tr1 = simulate(pc, sc, PlatoonState.uniform_perturbation(1))
-        tr2 = simulate(pc, sc, PlatoonState.uniform_perturbation(1))
+    for kappa, tr1, tr2 in zip(kappas, trajs[:2], trajs[2:]):
         assert np.array_equal(tr1.states, tr2.states)
         amp = amplitude_envelope(tr1).max_v
         assert math.isfinite(amp) and amp > 0.0

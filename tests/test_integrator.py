@@ -20,6 +20,7 @@ from ccfmlab.integrate import (
     amplitude_envelope,
     settling_time,
     simulate,
+    simulate_batch,
     write_trajectory_csv,
 )
 from ccfmlab.model import (
@@ -32,6 +33,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
+from oracles import reference_simulate
 
 
 def _perturb(n, v0=0.1, y0=0.0):
@@ -100,16 +102,75 @@ def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
     with pytest.raises(DomainBreakdownError) as exc:
         simulate(pc, SimConfig(step=0.01, horizon=1.0), _perturb(1, v0=0.0))
     assert exc.value.pair == 1 and exc.value.t == pytest.approx(-0.3)
+    assert exc.value.quantity == "speed" and str(exc.value).startswith("speed base of pair 1 = 0 ")
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     """A constant field moves one step by h times that constant."""
-    monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: np.full(2 * self.n, 3.0))
+    monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: (np.full(state.shape, 3.0), {}))
     pc = four_vehicle_platoon()
     traj = simulate(pc, SimConfig(step=0.01, horizon=0.01, method=method), _perturb(4))
     expected = np.concatenate([np.full(4, 0.1), np.zeros(4)]) + 0.01 * 3.0
     assert np.allclose(traj.states[1], expected, rtol=1e-15, atol=1e-17)
+
+
+def _zero_delay_pair():
+    """A zero-delay pair followed by a delayed one: the first reads its current stage state."""
+    vehicles = (VehicleParams(alpha=0.6, tau=0.0, b=20.0), VehicleParams(alpha=0.7, tau=0.3, b=20.0))
+    return PlatoonConfig(vehicles=vehicles, m=2.0, l=1.0, leader=LeaderProfile(v_eq=10.0))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize(
+    "pc", [single_follower(kappa=1.01), four_vehicle_platoon(), _zero_delay_pair()], ids=["single", "platoon", "tau0"]
+)
+def test_simulate_matches_the_scalar_reference_engine(pc, method):
+    """The batched engine against the per-pair scalar engine it replaced.
+
+    Its Hermite weights come from c - tau/h once per run, not from
+    k + c - tau/h at every step, and numpy's array power may round apart
+    from the scalar one, so the two agree to rounding, not bit for bit.
+    """
+    sc = SimConfig(step=0.01, horizon=20.0, method=method)
+    got = simulate(pc, sc, _perturb(pc.n))
+    want = reference_simulate(pc, sc, _perturb(pc.n))
+    assert np.array_equal(got.t, want.t)
+    assert np.max(np.abs(got.states - want.states)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_batch_members_are_bit_identical_to_single_runs(method):
+    base = four_vehicle_platoon()
+    other = PlatoonConfig(
+        vehicles=tuple(VehicleParams(alpha=1.1 * v.alpha, tau=v.tau, b=v.b - 1.0) for v in base.vehicles),
+        m=base.m, l=base.l, leader=base.leader, kappa=0.9,
+    )
+    pcs = [base, base.with_kappa(1.2), other, base.with_kappa(0.7)]
+    sc = SimConfig(step=0.02, horizon=30.0, method=method)
+    batch = simulate_batch(pcs, sc, _perturb(4, v0=0.2, y0=-0.1))
+    assert len(batch) == len(pcs)
+    for pc, traj in zip(pcs, batch):
+        alone = simulate(pc, sc, _perturb(4, v0=0.2, y0=-0.1))
+        assert traj.config is pc and np.array_equal(traj.states, alone.states)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_batch_raises_the_error_of_its_lowest_failing_member(method):
+    """Member 1 fails later than member 3; the batch raises member 1's error, as run alone."""
+    sc = SimConfig(step=0.01, horizon=20.0, method=method)
+    pcs = [single_follower(kappa=k) for k in (1.0, 20.0, 0.5, 400.0)]
+    alone = {}
+    for i in (1, 3):
+        with pytest.raises(NumericalError) as exc:
+            simulate(pcs[i], sc)
+        alone[i] = exc.value
+    assert alone[3].t < alone[1].t
+    with pytest.raises(NumericalError) as exc:
+        simulate_batch(pcs, sc)
+    got, want = exc.value, alone[1]
+    assert type(got) is type(want) and str(got) == str(want)
+    assert (got.t, got.pair, got.value) == (want.t, want.pair, want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from ccfmlab.model import (
     config_from_dict,
     config_to_dict,
     load_config,
-    power,
 )
 
 from conftest import four_vehicle_platoon, single_follower
-from oracles import linear_rhs
+from oracles import linear_rhs, power
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +186,17 @@ def test_equilibrium_coefficients_from_config(platoon_config):
 # ---------------------------------------------------------------------------
 
 
+def _eval(pc, t, state, delayed_rows):
+    """One config through the batched field: flat rows in, flat derivative out."""
+    out, failures = VectorField(pc)(t, np.asarray(state)[None], np.asarray(delayed_rows)[None])
+    return out[0], failures
+
+
 def test_zero_state_is_equilibrium(platoon_config):
-    field = VectorField(platoon_config)
     zero = np.zeros(8)
     for t in (0.0, 0.05, 1.0, 37.2):
-        out = field(t, zero, [zero] * 4)
-        assert out.shape == (8,) and np.all(out == 0.0)
+        out, failures = _eval(platoon_config, t, zero, [zero] * 4)
+        assert out.shape == (8,) and np.all(out == 0.0) and failures == {}
 
 
 def test_first_pair_has_no_incoming_coupling():
@@ -202,7 +206,7 @@ def test_first_pair_has_no_incoming_coupling():
     now = rng.normal(size=8) * 0.1
     delayed = [rng.normal(size=8) * 0.1 for _ in range(4)]
     t = 8.0
-    vdot = VectorField(pc)(t, now, delayed)[:4]
+    vdot = _eval(pc, t, now, delayed)[0][:4]
     # hand evaluation of the self term of pair 1 at the delayed instant
     td = t - 0.2
     x0d = 10.0 * (1.0 - math.exp(-10.0 * td))
@@ -214,7 +218,6 @@ def test_first_pair_has_no_incoming_coupling():
 
 def test_rhs_matches_linearization_to_second_order():
     pc = four_vehicle_platoon()
-    field = VectorField(pc)
     eq = EquilibriumCoefficients.from_config(pc)
     rng = np.random.default_rng(11)
     dv = rng.normal(size=4)
@@ -223,7 +226,7 @@ def test_rhs_matches_linearization_to_second_order():
 
     def gap(h):
         row = np.concatenate([h * dv, h * dy])
-        vdot_nl = field(t, row, [row] * 4)[:4]
+        vdot_nl = _eval(pc, t, row, [row] * 4)[0][:4]
         vdot_lin, _ = linear_rhs(pc, eq, h * dv, h * dv, np.roll(h * dv, 1))
         return float(np.linalg.norm(vdot_nl - vdot_lin))
 
@@ -235,7 +238,7 @@ def test_rhs_matches_linearization_to_second_order():
 @pytest.mark.parametrize("m", [-1.0, 0.0, 1.5, 2.0])
 @pytest.mark.parametrize("base", [-0.1, 0.0, 0.1])
 def test_field_and_power_share_the_domain_rules(m, base):
-    """The field raises where power raises, and otherwise uses its value."""
+    """The field reports an error where power raises, and otherwise uses its value."""
     pc = PlatoonConfig(
         vehicles=(VehicleParams(alpha=0.7, tau=0.3, b=20.0),),
         m=m, l=1.0, leader=LeaderProfile(v_eq=10.0),
@@ -243,14 +246,29 @@ def test_field_and_power_share_the_domain_rules(m, base):
     # t - tau < 0: the leader is at rest, so the speed base is -v_1 = base
     row = np.array([0.0 - base, 0.0])
     t, td = 0.1, 0.1 - 0.3
+    out, failures = _eval(pc, t, row, [row])
     try:
         expected = power(base, m, t=td, pair=1)
     except (DomainBreakdownError, NegativeVelocityBaseError) as exc:
-        with pytest.raises(type(exc)) as got:
-            VectorField(pc)(t, row, [row])
-        assert got.value.t == td and got.value.pair == 1 and got.value.value == base
+        got = failures[0]
+        assert type(got) is type(exc) and str(got) == str(exc)
+        assert got.t == td and got.pair == 1 and got.value == base
         return
-    assert VectorField(pc)(t, row, [row])[0] == -(0.7 * expected / 20.0**1.0 * row[0])
+    assert failures == {}
+    assert out[0] == -(0.7 * expected / 20.0**1.0 * row[0])
+
+
+def test_field_rejects_batches_that_do_not_share_the_delays():
+    pc = four_vehicle_platoon()
+    VectorField(pc, pc.with_kappa(2.0))  # kappa may differ
+    with pytest.raises(InvalidConfigError):
+        VectorField()
+    with pytest.raises(InvalidConfigError):
+        VectorField(pc, four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.31)))
+    with pytest.raises(InvalidConfigError):
+        VectorField(pc, four_vehicle_platoon(l=0.0))
+    with pytest.raises(InvalidConfigError):
+        VectorField(single_follower(), single_follower(tau=0.2))
 
 
 def test_linear_rhs_structure():
@@ -269,8 +287,8 @@ def test_linear_rhs_structure():
 def test_kappa_scales_both_equation_blocks(critical_config):
     pc = critical_config.with_kappa(1.7)
     row = np.array([0.1, 0.05])
-    vdot1, ydot1 = VectorField(critical_config)(5.0, row, [row])
-    vdot2, ydot2 = VectorField(pc)(5.0, row, [row])
+    vdot1, ydot1 = _eval(critical_config, 5.0, row, [row])[0]
+    vdot2, ydot2 = _eval(pc, 5.0, row, [row])[0]
     assert np.allclose(vdot2, 1.7 * vdot1, rtol=1e-14)
     assert np.allclose(ydot2, 1.7 * ydot1, rtol=1e-14)
 
