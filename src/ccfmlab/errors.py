@@ -49,7 +49,7 @@ class NegativeVelocityBaseError(NumericalError):
 
 
 class RootSolveError(NumericalError):
-    """An iterative root solve failed to converge or verify."""
+    """An iterative root solve failed to converge, or converged off the principal branch."""
 
 
 class UnstableRegimeError(NumericalError):

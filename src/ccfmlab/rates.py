@@ -90,10 +90,9 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
             product=c, sigma1=sigma, sigma2=sigma, sigma3=sigma, dominant=sigma,
             branch="boundary", tau_star=ts, regime="at",
         )
-    # Solved at unit delay (u = lambda*tau) and read back as -Re(u)/tau:
-    # dominant_root's absolute residual bound of 1e-12 rejects correct roots
-    # once |lambda| exceeds about 1e3.
-    dominant = -dominant_root(c, 1.0, verify=False).lam.real / tau
+    # Solved at unit delay (u = lambda*tau) and read back as -Re(u)/tau: the
+    # scaled root depends only on the product c.
+    dominant = -dominant_root(c, 1.0).lam.real / tau
     if c < _INV_E:
         return RateResult(
             product=c, sigma1=1.0 / tau, sigma2=dominant, sigma3=None, dominant=dominant,

@@ -11,11 +11,13 @@ Three regimes follow from classical delay-equation theory:
 * 1/e < product < pi/2  -- oscillatory stable (dominant pair complex, Re < 0),
 * product >= pi/2       -- unstable.
 
-The dominant (rightmost) root is computed by Newton iteration on the
-transformed equation u*exp(u) = -kappa*beta**tau with u = lambda*tau, seeded
-by a square-root series at the branch point and an asymptotic/continuation
-seed beyond it, and is then certified rightmost by an argument-principle
-winding count over a rectangle to its right.
+The dominant (rightmost) root is lambda = W_0(-kappa*beta**tau)/tau, the
+principal Lambert-W branch (Shinozaki & Mori, Automatica 42, 2006; Corless
+et al., "On the Lambert W function", 1996).  It is computed by Newton
+iteration on u*exp(u) = -kappa*beta**tau with u = lambda*tau, seeded by a
+square-root series at the branch point and by the asymptotic form of W_0
+beyond it.  A root that passes the residual check and lies on the principal
+branch (|Im u| < pi, and u >= -1 when real) is rightmost by that theorem.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "classify_pair",
     "classify_platoon",
     "dominant_root",
-    "winding_zero_count",
     "no_delay_spectrum",
     "small_delay_condition",
     "hopf_point",
@@ -163,23 +164,11 @@ def _principal_uexpu(p: float) -> complex:
             u = u * s + coeff
         u = _newton_uexpu(u, p)
     elif p < -_INV_E:
-        # Beyond the branch point: continuation along the negative real axis,
-        # walking p from just past -1/e out to its target.  The root moves
-        # smoothly up the strip 0 < Im(u) < pi, so a short geometric walk with
-        # Newton polish at each stop is robust for any magnitude.
-        p_start = -1.25 * _INV_E
-        s = cmath.sqrt(2.0 * (1.0 + math.e * p_start))
-        u = 0.0 + 0.0j
-        for coeff in reversed(_BRANCH_SERIES):
-            u = u * s + coeff
-        u = _newton_uexpu(u, p_start)
-        steps = max(1, int(math.ceil(4.0 * math.log(p / p_start))))
-        ratio = (p / p_start) ** (1.0 / steps)
-        pk = p_start
-        for _ in range(steps):
-            pk *= ratio
-            u = _newton_uexpu(u, pk)
-        u = _newton_uexpu(u, p)
+        # Beyond the branch zone: Newton from the asymptotic form of W_0,
+        # u = L1 - L2 + L2/L1 with L1 = ln|p| + i*pi and L2 = ln(L1).
+        l1 = complex(math.log(-p), math.pi)
+        l2 = cmath.log(l1)
+        u = _newton_uexpu(l1 - l2 + l2 / l1, p)
     else:
         # Real zone away from the branch point: f is increasing and convex on
         # (-1, inf), so Newton from 0 descends monotonically to the root.
@@ -193,129 +182,28 @@ def _principal_uexpu(p: float) -> complex:
 
 @dataclass(frozen=True)
 class CharacteristicRoot:
-    """Rightmost root of lambda + a*exp(-lambda*tau), with its certificate."""
+    """Rightmost root of lambda + a*exp(-lambda*tau), with its residual.
+
+    Every returned root has passed the residual check and lies on the
+    principal Lambert-W branch, so it is rightmost by the theorem:
+    ``verified`` is always True and ``right_count``, the number of roots
+    found right of it, is always 0.
+    """
 
     lam: complex
     residual: float
     verified: bool
-    right_count: int | None
+    right_count: int
 
 
-def _deep_real_root_scaled(c: float) -> float:
-    """Larger solution x of x*exp(-x) = c on (1, inf) (the deeper real root)."""
-    lo, hi = 1.0, max(3.0, -2.0 * math.log(c) + 5.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(-mid) > c:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _certify_rightmost(a: float, tau: float, lam: complex) -> int:
-    """Argument-principle certificate that lam is the rightmost root.
-
-    Counts all zeros of lambda + a*exp(-lambda*tau) in a tall rectangle whose
-    left edge sits a root-spacing-scaled distance d below Re(lam), and checks
-    the count against the analytically known roots there: lam itself (double
-    at the branch point), its conjugate, or its real-branch partner.  The edge
-    distance is grown if a known root falls too close to the contour, keeping
-    every phase kink resolvable by the sampled winding number.  Roots outside
-    the rectangle's height lie far deeper in the left half-plane, so a
-    matching count proves nothing else lies to the right of lam.
-
-    Returns the number of unexpected zeros strictly right of the certified
-    line (0 on success).
-    """
-    u = lam * tau
-    c = a * tau
-    if abs(u + 1.0) < 1e-6:
-        known = [(lam, 2)]  # branch-point double root (within float resolution)
-    elif abs(lam.imag) > 0.0:
-        known = [(lam, 1), (lam.conjugate(), 1)]
-    else:
-        partner = -_deep_real_root_scaled(c) / tau
-        known = [(lam, 1), (partner, 1)]
-    margin = 0.07 / tau
-    d = 0.3 / tau
-    for _ in range(8):
-        re_lo = lam.real - d
-        if any(abs(root.real - re_lo) < margin for root, _ in known):
-            d *= 1.23
-            continue
-        expected = sum(mult for root, mult in known if root.real > re_lo)
-        count = winding_zero_count(
-            a, tau, re_lo, lam.real + 50.0 / tau, -100.0 / tau, 100.0 / tau
-        )
-        return count - expected
-    raise RootSolveError("could not place a counting contour clear of the known roots")
-
-
-def winding_zero_count(
-    a: float,
-    tau: float,
-    re_lo: float,
-    re_hi: float,
-    im_lo: float,
-    im_hi: float,
-    samples: int = 4096,
-) -> int:
-    """Count zeros of lambda + a*exp(-lambda*tau) inside a rectangle.
-
-    Argument-principle winding number of the image of the rectangle boundary,
-    computed from dense samples with phase unwrapping.  Sampling is doubled
-    until consecutive phase increments are all below pi/2 (so no winding can
-    slip between samples) and the count is integer-consistent.
-    """
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise InvalidConfigError("rectangle must have positive extent")
-
-    def boundary(num: int) -> np.ndarray:
-        # Staggered samples (never exactly at edge midpoints or corners), so a
-        # zero aligned with an edge's midline cannot coincide with a sample.
-        frac = (np.arange(num) + 0.5) / num
-        bottom = re_lo + (re_hi - re_lo) * frac
-        right = re_hi + 1j * (im_lo + (im_hi - im_lo) * frac)
-        top = re_hi - (re_hi - re_lo) * frac
-        left = re_lo + 1j * (im_hi - (im_hi - im_lo) * frac)
-        return np.concatenate(
-            [bottom + 1j * im_lo, right, top + 1j * im_hi, left]
-        )
-
-    num = samples
-    while True:
-        z = boundary(num)
-        vals = z + a * np.exp(-tau * z)
-        mag = np.abs(vals)
-        if mag.min() < 1e-12 * max(1.0, abs(a)):
-            raise RootSolveError("a zero lies (numerically) on the counting contour")
-        phases = np.unwrap(np.angle(np.append(vals, vals[0])))
-        increments = np.abs(np.diff(phases))
-        total = (phases[-1] - phases[0]) / (2.0 * math.pi)
-        count = round(total)
-        if increments.max() < 0.5 * math.pi and abs(total - count) < 1e-6:
-            return int(count)
-        num *= 2
-        if num > 2**20:
-            raise RootSolveError("winding count did not stabilize under refinement")
-
-
-def dominant_root(
-    beta_star: float,
-    tau: float,
-    kappa: float = 1.0,
-    verify: bool = True,
-) -> CharacteristicRoot:
+def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> CharacteristicRoot:
     """Rightmost characteristic root of one pair.
 
     Solves u*exp(u) = -kappa*beta_star*tau (u = lambda*tau) by seeded Newton
-    iteration, polishes in the lambda variable, and (optionally) certifies
-    rightmost-ness with an argument-principle zero count over a tall rectangle
-    enclosing the root.  The complex member of a conjugate pair with positive
-    imaginary part is returned.
+    iteration and polishes in the lambda variable.  Raises RootSolveError
+    unless the residual is below 1e-12 relative to max(1, |lambda|) and u
+    lies on the principal branch.  The complex member of a conjugate pair
+    with positive imaginary part is returned.
     """
     if beta_star <= 0 or tau < 0 or kappa <= 0:
         raise InvalidConfigError(f"need beta* > 0, tau >= 0, kappa > 0; got {beta_star}, {tau}, {kappa}")
@@ -324,7 +212,7 @@ def dominant_root(
         return CharacteristicRoot(lam=complex(-a, 0.0), residual=0.0, verified=True, right_count=0)
     u = _principal_uexpu(-a * tau)
     lam = u / tau
-    # Polish directly on F(lambda) to push the absolute residual to the floor.
+    # Polish directly on F(lambda) to push the residual to the floor.
     for _ in range(3):
         ex = cmath.exp(-lam * tau)
         f = lam + a * ex
@@ -335,22 +223,22 @@ def dominant_root(
             break
         lam -= f / fp
     residual = abs(lam + a * cmath.exp(-lam * tau))
-    if residual > 1e-12:
+    # A double-precision lambda carries a residual near |lambda|*eps, so the
+    # bound scales with |lambda|.
+    if residual > 1e-12 * max(1.0, abs(lam)):
         raise RootSolveError(
-            f"dominant-root residual {residual:.3e} exceeds 1e-12 for beta*={beta_star}, tau={tau}, kappa={kappa}"
+            f"dominant-root residual {residual:.3e} exceeds 1e-12*max(1, |lambda|) "
+            f"for beta*={beta_star}, tau={tau}, kappa={kappa}"
         )
-    count = None
-    verified = False
-    if verify:
-        count = _certify_rightmost(a, tau, lam)
-        if count != 0:
-            raise RootSolveError(
-                f"rightmost-ness verification failed: {count} unexpected zero(s) right of Re = {lam.real:.6g}"
-            )
-        verified = True
+    u = lam * tau
+    if not (abs(u.imag) < math.pi and (u.imag != 0.0 or u.real >= -1.0)):
+        raise RootSolveError(
+            f"root lambda*tau = {u!r} is off the principal Lambert-W branch "
+            f"for beta*={beta_star}, tau={tau}, kappa={kappa}"
+        )
     if lam.imag < 0:
         lam = lam.conjugate()
-    return CharacteristicRoot(lam=lam, residual=residual, verified=verified, right_count=count)
+    return CharacteristicRoot(lam=lam, residual=residual, verified=True, right_count=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ numbers by independent means and share no solver code with it:
   (``_sigma2_scaled`` and ``_mu_of_c``) by safeguarded Newton iteration,
   against which ``rates.rate_of_convergence`` (read off the dominant
   characteristic root) is checked;
+* ``winding_zero_count`` counts characteristic roots in a rectangle by the
+  argument principle, and ``_certify_rightmost`` uses it to confirm that
+  the root returned by ``spectral.dominant_root`` (the principal
+  Lambert-W branch) has no other root to its right;
 * ``linear_rhs`` is the linearization about equilibrium with frozen gains
   beta*_i, against which the nonlinear ``model.VectorField`` is checked;
 * ``power`` is the scalar domain rule of the interaction term, against
@@ -134,6 +138,113 @@ def linear_rhs(pc, eq, v_now, v_self_delayed, v_pred_delayed):
     vdot[1:] += pc.kappa * beta[:-1] * pred[1:]
     ydot = pc.kappa * np.asarray(v_now, dtype=float)
     return vdot, ydot
+
+
+# ---------------------------------------------------------------------------
+# rightmost-root certificate
+# ---------------------------------------------------------------------------
+
+
+def _deep_real_root_scaled(c: float) -> float:
+    """Larger solution x of x*exp(-x) = c on (1, inf) (the deeper real root)."""
+    lo, hi = 1.0, max(3.0, -2.0 * math.log(c) + 5.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid * math.exp(-mid) > c:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _certify_rightmost(a: float, tau: float, lam: complex) -> int:
+    """Argument-principle certificate that lam is the rightmost root.
+
+    Counts all zeros of lambda + a*exp(-lambda*tau) in a tall rectangle whose
+    left edge sits a root-spacing-scaled distance d below Re(lam), and checks
+    the count against the analytically known roots there: lam itself (double
+    at the branch point), its conjugate, or its real-branch partner.  The edge
+    distance is grown if a known root falls too close to the contour, keeping
+    every phase kink resolvable by the sampled winding number.  Roots outside
+    the rectangle's height lie far deeper in the left half-plane, so a
+    matching count proves nothing else lies to the right of lam.
+
+    Returns the number of unexpected zeros strictly right of the certified
+    line (0 on success).
+    """
+    u = lam * tau
+    c = a * tau
+    if abs(u + 1.0) < 1e-6:
+        known = [(lam, 2)]  # branch-point double root (within float resolution)
+    elif abs(lam.imag) > 0.0:
+        known = [(lam, 1), (lam.conjugate(), 1)]
+    else:
+        partner = -_deep_real_root_scaled(c) / tau
+        known = [(lam, 1), (partner, 1)]
+    margin = 0.07 / tau
+    d = 0.3 / tau
+    for _ in range(8):
+        re_lo = lam.real - d
+        if any(abs(root.real - re_lo) < margin for root, _ in known):
+            d *= 1.23
+            continue
+        expected = sum(mult for root, mult in known if root.real > re_lo)
+        count = winding_zero_count(
+            a, tau, re_lo, lam.real + 50.0 / tau, -100.0 / tau, 100.0 / tau
+        )
+        return count - expected
+    raise RootSolveError("could not place a counting contour clear of the known roots")
+
+
+def winding_zero_count(
+    a: float,
+    tau: float,
+    re_lo: float,
+    re_hi: float,
+    im_lo: float,
+    im_hi: float,
+    samples: int = 4096,
+) -> int:
+    """Count zeros of lambda + a*exp(-lambda*tau) inside a rectangle.
+
+    Argument-principle winding number of the image of the rectangle boundary,
+    computed from dense samples with phase unwrapping.  Sampling is doubled
+    until consecutive phase increments are all below pi/2 (so no winding can
+    slip between samples) and the count is integer-consistent.
+    """
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise InvalidConfigError("rectangle must have positive extent")
+
+    def boundary(num: int) -> np.ndarray:
+        # Staggered samples (never exactly at edge midpoints or corners), so a
+        # zero aligned with an edge's midline cannot coincide with a sample.
+        frac = (np.arange(num) + 0.5) / num
+        bottom = re_lo + (re_hi - re_lo) * frac
+        right = re_hi + 1j * (im_lo + (im_hi - im_lo) * frac)
+        top = re_hi - (re_hi - re_lo) * frac
+        left = re_lo + 1j * (im_hi - (im_hi - im_lo) * frac)
+        return np.concatenate(
+            [bottom + 1j * im_lo, right, top + 1j * im_hi, left]
+        )
+
+    num = samples
+    while True:
+        z = boundary(num)
+        vals = z + a * np.exp(-tau * z)
+        mag = np.abs(vals)
+        if mag.min() < 1e-12 * max(1.0, abs(a)):
+            raise RootSolveError("a zero lies (numerically) on the counting contour")
+        phases = np.unwrap(np.angle(np.append(vals, vals[0])))
+        increments = np.abs(np.diff(phases))
+        total = (phases[-1] - phases[0]) / (2.0 * math.pi)
+        count = round(total)
+        if increments.max() < 0.5 * math.pi and abs(total - count) < 1e-6:
+            return int(count)
+        num *= 2
+        if num > 2**20:
+            raise RootSolveError("winding count did not stabilize under refinement")
 
 
 # ---------------------------------------------------------------------------

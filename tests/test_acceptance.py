@@ -73,7 +73,7 @@ def test_criterion_02_classification_consistency(capsys):
                 break
         tau = rng.uniform(0.05, 2.0)
         regime = classify_pair(c / tau, tau).regime
-        lam = dominant_root(c / tau, tau, verify=False).lam
+        lam = dominant_root(c / tau, tau).lam
         if regime is Regime.NON_OSCILLATORY_STABLE:
             ok = lam.imag == 0.0 and lam.real < 0.0
         elif regime is Regime.OSCILLATORY_STABLE:

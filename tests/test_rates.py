@@ -39,7 +39,7 @@ def test_rate_equals_negated_real_part_of_dominant_root(c, tau):
     assume(abs(c - E_INV) > 1e-10)
     beta = c / tau
     res = rate_of_convergence(beta, tau)
-    lam = dominant_root(beta, tau, verify=False).lam
+    lam = dominant_root(beta, tau).lam
     assert res.dominant == pytest.approx(-lam.real, rel=1e-8)
     assert res.dominant == pytest.approx(branch_rate(res.product, tau), rel=1e-8)
 
@@ -48,9 +48,9 @@ def test_rate_equals_negated_real_part_of_dominant_root(c, tau):
 def test_rate_matches_branch_equations_on_a_dense_grid(tau):
     """Products k*(pi/2)/2000 for k = 1..1999, away from the boundary 1/e.
 
-    At tau = 1e-4 the roots reach |lambda| ~ 1.6e4, beyond what the absolute
-    residual bound of 1e-12 in dominant_root admits; the rate must still come
-    out.
+    At tau = 1e-4 the roots reach |lambda| ~ 1.6e4 and the rates ~ 1e4; the
+    rate is read off the root at unit delay and scaled back, and must still
+    agree to 1e-10 relative.
     """
     worst = 0.0
     for k in range(1, 2000):

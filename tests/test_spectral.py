@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
-from ccfmlab.errors import InvalidConfigError
+from ccfmlab import spectral
+from ccfmlab.errors import InvalidConfigError, RootSolveError
 from ccfmlab.model import EquilibriumCoefficients
 from ccfmlab.spectral import (
     Regime,
@@ -29,10 +30,10 @@ from ccfmlab.spectral import (
     small_delay_condition,
     stability_region_margin,
     transversality,
-    winding_zero_count,
 )
 
 from conftest import four_vehicle_platoon, numeric_crossing_speed, single_follower
+from oracles import _certify_rightmost, winding_zero_count
 
 E_INV = 1.0 / math.e
 HALF_PI = math.pi / 2.0
@@ -151,6 +152,66 @@ def test_dominant_root_deterministic():
     assert a.lam == b.lam and a.residual == b.residual
 
 
+def test_dominant_root_of_large_modulus_is_accepted():
+    # |lambda| ~ 1.6e4 carries a residual near |lambda|*eps, above an
+    # absolute 1e-12; the residual bound is relative to max(1, |lambda|).
+    tau = 1e-4
+    root = dominant_root(3620.6855332622367, tau)
+    ref = complex(lambertw(-3620.6855332622367 * tau, 0)) / tau
+    assert abs(root.lam - ref) <= 1e-12 * abs(ref)
+    worst = 0.0
+    for k in range(1, 2000):
+        c = k * HALF_PI / 2000
+        lam = dominant_root(c / tau, tau).lam
+        ref = complex(lambertw(-c, 0)) / tau
+        ref = ref.conjugate() if ref.imag < 0 else ref
+        worst = max(worst, abs(lam - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+def _exact_product_beta(rng, target, tau):
+    """(beta*, kappa) whose float product (kappa*beta*)*tau equals target exactly."""
+    for _ in range(10_000):
+        kappa = float(rng.uniform(0.5, 2.0))
+        start = target / (kappa * tau)
+        for direction in (math.inf, -math.inf):
+            beta = start
+            for _ in range(64):
+                if kappa * beta * tau == target:
+                    return beta, kappa
+                beta = math.nextafter(beta, direction)
+    raise RuntimeError(f"no exact product {target!r} found")
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 2.0])
+def test_winding_certificate_finds_nothing_right_of_the_dominant_root(tau):
+    """The argument-principle oracle confirms the principal-branch theorem."""
+    rng = np.random.default_rng(7)
+    cases = [(c / tau, 1.0) for lo, hi in ((0.01, E_INV), (E_INV, HALF_PI), (HALF_PI, 3.0))
+             for c in np.linspace(lo, hi, 35)[1:-1]]
+    cases += [_exact_product_beta(rng, target, tau) for target in (E_INV, HALF_PI)]
+    assert len(cases) == 101
+    for beta, kappa in cases:
+        root = dominant_root(beta, tau, kappa=kappa)
+        assert root.verified and root.right_count == 0
+        assert _certify_rightmost(kappa * beta, tau, root.lam) == 0
+
+
+@pytest.mark.parametrize("c, branch", [(0.2, -1), (0.35, -1), (0.2, 1), (1.0, 1), (3.0, 1)])
+def test_dominant_root_rejects_a_non_principal_branch(monkeypatch, c, branch):
+    # W_{-1} is real and below -1 for c < 1/e; W_1 has |Im| > pi.
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: complex(lambertw(p, branch)))
+    with pytest.raises(RootSolveError, match="principal Lambert-W branch"):
+        dominant_root(c / 0.4, 0.4)
+
+
+def test_dominant_root_accepts_the_conjugate_branch_beyond_1_over_e(monkeypatch):
+    # For c > 1/e, W_{-1} is the conjugate of W_0: the same root pair.
+    expected = dominant_root(1.0 / 0.4, 0.4).lam
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: complex(lambertw(p, -1)))
+    assert dominant_root(1.0 / 0.4, 0.4).lam == pytest.approx(expected, rel=1e-15)
+
+
 @given(
     c=st.floats(0.02, 2.5),
     tau=st.floats(0.05, 2.0),
@@ -159,7 +220,7 @@ def test_dominant_root_deterministic():
 def test_regime_agrees_with_dominant_root(c, tau):
     assume(abs(c - E_INV) > 1e-9 and abs(c - HALF_PI) > 1e-9)
     verdict = classify_pair(c / tau, tau)
-    lam = dominant_root(c / tau, tau, verify=False).lam
+    lam = dominant_root(c / tau, tau).lam
     if verdict.regime is Regime.NON_OSCILLATORY_STABLE:
         assert lam.imag == 0.0 and lam.real < 0.0
     elif verdict.regime is Regime.OSCILLATORY_STABLE:
