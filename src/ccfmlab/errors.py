@@ -35,7 +35,7 @@ class DomainBreakdownError(NumericalError):
 
 
 class NegativeVelocityBaseError(NumericalError):
-    """A velocity base became negative while the exponent m is non-integer."""
+    """A velocity base became zero or negative while the exponent m is non-integer."""
 
     def __init__(self, t: float, pair: int, value: float, m: float):
         self.t = t
@@ -43,7 +43,7 @@ class NegativeVelocityBaseError(NumericalError):
         self.value = value
         self.m = m
         super().__init__(
-            f"velocity base {value:.6g} < 0 at t = {t:.6g} (pair {pair}) cannot be "
+            f"velocity base {value:.6g} <= 0 at t = {t:.6g} (pair {pair}) cannot be "
             f"raised to non-integer exponent m = {m:g}"
         )
 

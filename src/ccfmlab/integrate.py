@@ -1,7 +1,7 @@
 """Method-of-steps time integration of the nonlinear platoon dynamics.
 
 :func:`simulate_batch` integrates configs that differ only in kappa, alpha
-and b (a gain sweep, say) in one step loop; :func:`simulate` is its batch of
+and b (a gain sweep, say) together; :func:`simulate` is its batch of
 one.  Two fixed-step schemes are provided:
 
 * ``euler``  -- explicit Euler; each delayed value is read at the grid point
@@ -19,6 +19,19 @@ a delay-free configuration reduces to the ordinary ODE schemes.  Pre-history
 for t < 0.  Both schemes evaluate the model's one vector field,
 :class:`ccfmlab.model.VectorField`; the step size and the delay offsets in
 steps belong to the scheme.
+
+The steps are taken in blocks (a block method of steps).  Only y' = kappa*v
+is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
+block of K steps with K about tau_min/h, every stage's delayed instant lies at
+or before the block's first node, so one field call on one gather of stored
+history gives every stage's v-derivative.  Sequential sums of those give v
+at every stage and node, and a second field call at those states gives
+y' = kappa*v.  The sums add in the order of a step-by-step loop, so a block
+is bit-identical to taking its steps one at a time.  Where a stage's rows
+need the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
+block where a member fails, the steps are taken one at a time, one field
+call per stage, which keeps the order of failure events: earliest step,
+then stage, then the blow-up check.
 """
 
 from __future__ import annotations
@@ -43,10 +56,15 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Per scheme, the stage fractions whose delayed rows are gathered after stage
-# 1; the last one's rows are the next step's stage 1 (Euler evaluates no other).
-_LATER = {"euler": (1.0,), "rk4": (0.5, 0.5, 1.0)}
+# Per scheme, the distinct stage fractions whose delayed rows are gathered
+# after stage 1; the last one's rows are the next step's stage 1 (Euler
+# evaluates no other).  rk4's k2 and k3 read the same rows, at c = 1/2.
+_FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
+_RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
+_RK4_ROWS = [0, 1, 1, 2]  # k1..k4 in the block's rows of k1, k2 = k3 and k4
 _BLOWUP_LIMIT = 1e12
+_BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
+_CSV_ROWS = 32  # rows formatted per write; 256 were no faster and took 0.5 MiB more at the peak
 
 
 @dataclass(frozen=True)
@@ -62,8 +80,8 @@ class SimConfig:
             raise InvalidConfigError(f"step must be positive, got {self.step}")
         if not (self.horizon >= self.step and math.isfinite(self.horizon)):
             raise InvalidConfigError(f"horizon must be at least one step, got {self.horizon}")
-        if self.method not in _LATER:
-            raise InvalidConfigError(f"method must be one of {tuple(_LATER)}, got {self.method!r}")
+        if self.method not in _FRACTIONS:
+            raise InvalidConfigError(f"method must be one of {tuple(_FRACTIONS)}, got {self.method!r}")
 
 
 @dataclass
@@ -128,11 +146,11 @@ def simulate_batch(
     return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
 
 
-_NODE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None, None]  # weights that read node j itself
+_NODE = np.array([1.0, 0.0, 0.0, 0.0])  # weights that read node j itself
 
 
 def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
-    """Offsets from step k (all j, then all j + 1) and (4, S, N, 1) weights of the delayed rows.
+    """(2, S*N) offsets from step k, of nodes j and then j + 1, and (4, S, N, 2N) weights of the delayed rows.
 
     At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
     k, between nodes j and j + 1, at the same place in every step.  Euler
@@ -149,64 +167,173 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
             t3 = t2 * th
             offsets.append(j)
             if not hermite or tau == 0.0 or th < 1e-9:
-                weights.append(_NODE.ravel())
+                weights.append(_NODE)
             else:
                 weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
     offsets = np.array(offsets)
-    return np.concatenate((offsets, offsets + 1)), np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
+    weights = np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
+    return np.stack((offsets, offsets + 1)), np.repeat(weights, 2 * len(taus), axis=3)
 
 
 def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
-    n, batch = field.n, field.batch
-    # Node values and derivatives side by side, so that one gather reads both.
-    hist = np.zeros((batch, 2, steps + 1, 2 * n))
-    states, derivs = hist[:, 0], hist[:, 1]
-    states[:, 0] = init
-    taus = field.tau.tolist()
-    later = _LATER[method]
-    offsets, weights = _lookup_table(taus, h, later, method == "rk4")
-    pre = -int(offsets.min())  # steps whose lookups reach into t < 0
-    zero = [i for i, tau in enumerate(taus) if tau == 0.0]
-    rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
-    errors: dict = {}
-    for k in range(steps):
+    engine = _MethodOfSteps(field, h, method, init, steps)
+    size = engine.block_size()
+    k = 0
+    while k < steps and 0 not in engine.errors:  # no member can fail with a lower index
+        count = min(max(size, 1), steps - k)
+        if not (size and engine.block(k, count)):
+            for j in range(k, k + count):
+                engine.step(j)
+                if 0 in engine.errors:
+                    break
+        k += count
+    return engine.states, engine.errors
+
+
+class _MethodOfSteps:
+    """A batch's node history, advanced a block of steps or one step at a time.
+
+    Both routes give every stage the same delayed rows, times and float
+    operations, so they agree bit for bit.  A block evaluates all its stages'
+    velocity derivatives in one field call, which it can because they read
+    only nodes that precede the block; a step evaluates one stage per call.
+    """
+
+    def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
+        n, batch = field.n, field.batch
+        self.field, self.h, self.rk4 = field, h, method == "rk4"
+        # Node values and derivatives side by side, so that one gather reads both.
+        self.hist = np.zeros((batch, 2, steps + 1, 2 * n))
+        self.states, self.derivs = self.hist[:, 0], self.hist[:, 1]
+        self.states[:, 0] = init
+        taus = field.tau.tolist()
+        self.offsets, self.weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
+        self.pre = -int(self.offsets.min())  # steps whose lookups reach into t < 0
+        self.zero = [i for i, tau in enumerate(taus) if tau == 0.0]
+        self.rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
+        # The times of a block's distinct rows from k*h: k1 and, under rk4, k2 = k3 and k4.
+        self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
+        self.errors: dict = {}
+
+    def block_size(self) -> int:
+        """Steps per block, or 0 where a stage's rows need the stage before it.
+
+        A block of steps k0 .. k0 + K - 1 computes node k0's derivative (its
+        first stage) and everything after, so its gathers may read node
+        values up to k0 and, under rk4, derivatives up to k0 - 1.  With
+        r = tau_min/h, that makes K = ceil(r) under Euler, which reads node
+        j, and floor(r) - 1 under rk4, which also reads node j + 1 (r - 2
+        when r is whole).  Zero delays read the stage state itself.  A byte
+        budget on the gathered history caps K.
+        """
+        if self.zero:
+            return 0
+        newest = int(self.offsets[1 if self.rk4 else 0].max())  # relative to the reading step
+        size = 1 - newest - self.rk4
+        per_step = self.hist.itemsize * self.field.batch * self.weights.size  # bytes gathered per step
+        return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
+
+    def _gather(self, k0: int, count: int) -> np.ndarray:
+        """The (B, count, S, N, 2N) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
+        n, batch = self.field.n, self.field.batch
+        nodes = self.offsets[:, None] + np.arange(k0, k0 + count)[:, None]
+        w = self.weights[:, None]
+        if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0
+            early = nodes[0] < 0
+            nodes = np.where(early, 0, nodes)
+            w = np.where(early.reshape(count, -1, n, 1), _NODE[:, None, None, None, None], w)
+        if not self.rk4:  # Euler reads nodes, with no weights
+            return np.take(self.states, nodes[0], axis=1).reshape(batch, count, 1, n, 2 * n)
+        gathered = np.take(self.hist, nodes, axis=2).reshape(batch, 4, count, -1, n, 2 * n)
+        gathered *= w
+        return gathered.sum(axis=1)
+
+    def step(self, k: int) -> None:
+        """Advance step k with one field call per stage, recording each member's first failure."""
+        field, h, hist, states, errors = self.field, self.h, self.hist, self.states, self.errors
         yk = states[:, k]
-        if zero:
-            rows[:, zero] = yk[:, None]
+        rows = self.rows
+        if self.zero:
+            rows[:, self.zero] = yk[:, None]
         k1, failures = field(k * h, yk, rows)
         ks = [k1]
         if failures:
             _retire(failures, errors, (hist, rows, k1))
-        derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
-        # One gather reads the rows of every later stage.
-        nodes, w = offsets + k, weights
-        if k < pre:  # instants before t = 0 read the pre-history, held in node 0
-            early = nodes[: nodes.size // 2] < 0
-            nodes = np.where(np.tile(early, 2), 0, nodes)
-            w = np.where(early.reshape(len(later), n, 1), _NODE, w)
-        if method == "euler":
-            delayed = states[:, nodes[:n]][:, None]  # Euler reads nodes, with no weights
-            states[:, k + 1] = yk + k1 * h
-        else:
-            delayed = (hist[:, :, nodes].reshape(batch, 4, len(later), n, 2 * n) * w).sum(axis=1)
-            for stage, c in enumerate(later):
+        self.derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
+        delayed = self._gather(k, 1)[:, 0]
+        if self.rk4:
+            for c, s in _RK4_STAGES:
                 ystage = yk + (h * c) * ks[-1]
-                rows = delayed[:, stage]
-                if zero:
-                    rows[:, zero] = ystage[:, None]
+                rows = delayed[:, s]
+                if self.zero:
+                    rows[:, self.zero] = ystage[:, None]
                 dot, failures = field(k * h + c * h, ystage, rows)
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, delayed, *ks))
             states[:, k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-        rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
+        else:
+            states[:, k + 1] = yk + k1 * h
+        self.rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
         if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(states[:, k + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
             message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
-            _retire({b: NumericalError(message) for b in blown}, errors, (hist, rows))
-        if 0 in errors:  # no member can fail with a lower index
-            break
-    return states, errors
+            _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
+
+    def block(self, k0: int, count: int) -> bool:
+        """Advance steps k0 .. k0 + count - 1 with two field calls.
+
+        The first evaluates the velocity derivatives of every stage, which
+        read stored history only; sequential sums of them give v at every
+        stage and node.  The second evaluates the stages at those states, for
+        y' = kappa*v and each node's derivative.  Returns False if a member
+        newly fails or blows up in the block: the caller then takes its steps
+        one at a time, in the order of events of a step, overwriting what
+        the block wrote.
+        """
+        field, h, errors = self.field, self.h, self.errors
+        n, batch = field.n, field.batch
+        delayed = self._gather(k0, count)
+        last = delayed[:, :, -1]  # each step's last stage rows are the next step's stage 1 rows
+        rows = np.empty((batch, count, len(self.lags), n, 2 * n))  # the distinct rows of k1, k2 = k3, k4
+        rows[:, 0, 0] = self.rows
+        rows[:, 1:, 0] = last[:, :-1]
+        if self.rk4:
+            rows[:, :, 1:] = delayed
+        times = (np.arange(k0, k0 + count) * h)[:, None] + self.lags
+        dv, failures = field(times.ravel(), np.zeros(rows.shape[:3] + (2 * n,)), rows)
+        if any(b not in errors for b in failures):
+            return False
+        span = self.states[:, k0 : k0 + count + 1]
+        v, y = span[..., :n], span[..., n:]
+        stage = np.zeros((batch, count, 4 if self.rk4 else 1, 2 * n))  # the field reads v of a state only
+        if self.rk4:
+            d1, d2, d4 = dv[:, :, 0, :n], dv[:, :, 1, :n], dv[:, :, 2, :n]  # k3's is d2: k2's rows and time
+            v[:, 1:] = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d2 + d4)
+            np.add.accumulate(v, axis=1, out=v)
+            stage[..., :n] = v[:, :-1, None]
+            stage[:, :, 1, :n] += (h * 0.5) * d1
+            stage[:, :, 2, :n] += (h * 0.5) * d2
+            stage[:, :, 3, :n] += (h * 1.0) * d2
+            rows, times = rows[:, :, _RK4_ROWS], times[:, _RK4_ROWS]
+        else:
+            v[:, 1:] = dv[:, :, 0, :n] * h
+            np.add.accumulate(v, axis=1, out=v)
+            stage[:, :, 0, :n] = v[:, :-1]
+        out, _ = field(times.ravel(), stage, rows)  # the first call's rows and times: no new failure
+        dy = out[..., n:]
+        if self.rk4:
+            y[:, 1:] = (h / 6.0) * (dy[:, :, 0] + 2.0 * dy[:, :, 1] + 2.0 * dy[:, :, 2] + dy[:, :, 3])
+        else:
+            y[:, 1:] = dy[:, :, 0] * h
+        np.add.accumulate(y, axis=1, out=y)
+        self.derivs[:, k0 : k0 + count] = out[:, :, 0]
+        if not abs(span[:, 1:]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(span[:, 1:]).max(axis=(1, 2)) <= _BLOWUP_LIMIT)).tolist()
+            if any(b not in errors for b in blown):
+                return False
+        self.rows = last[:, -1]
+        return True
 
 
 def _retire(failures: dict, errors: dict, arrays) -> None:
@@ -299,8 +426,9 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     header = "t," + ",".join(f"v_{i}" for i in range(1, n + 1)) + "," + ",".join(
         f"y_{i}" for i in range(1, n + 1)
     )
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for k in range(traj.t.size):
-            row = [traj.t[k], *traj.states[k]]
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+        for k in range(0, traj.t.size, _CSV_ROWS):
+            chunk = np.column_stack((traj.t[k : k + _CSV_ROWS], traj.states[k : k + _CSV_ROWS])).tolist()
+            fh.write("".join(row % tuple(values) for values in chunk))

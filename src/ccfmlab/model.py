@@ -211,6 +211,11 @@ class VectorField:
     alone, and the error of each member that left the model's domain: a
     headway <= 0, a zero speed base under integer m < 0, or a speed base
     <= 0 under non-integer m.  A failed member's row is finite but void.
+
+    Many instants at once: with a (B, R, 2N) state and a (B, R, N, 2N)
+    ``delayed``, ``t`` is a scalar or an (R,) array of one time per row, and
+    the (B, R, 2N) result equals R calls, one per row, bit for bit.  A
+    member's error is then that of its first failing row.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
@@ -229,20 +234,24 @@ class VectorField:
         self.m_int = _integer_exponent(pc.m)
         self.tau = pc.taus
         self.leader = pc.leader
-        self.kappa = np.array([[other.kappa] for other in pcs])
-        self.alpha = np.array([other.alphas for other in pcs])
-        self.b = np.array([other.headways for other in pcs])
+        # Per member, shaped to broadcast over the rows of a call.
+        self.kappa = np.array([[[other.kappa]] for other in pcs])
+        self.alpha = np.array([[other.alphas] for other in pcs])
+        self.b = np.array([[other.headways] for other in pcs])
         # Below 2**-54, 1 - exp(-ramp*t) rounds to 1.0: from there the leader is at v_eq exactly.
         self._settled = float(self.tau.max()) + pc.leader.settled_time(2.0**-55)
         self._v_eq = np.full(pc.n, pc.leader.v_eq)
 
-    def __call__(self, t: float, state: np.ndarray, delayed: np.ndarray):
+    def __call__(self, t: float | np.ndarray, state: np.ndarray, delayed: np.ndarray):
         n = self.n
-        lead = self._v_eq if t >= self._settled else np.array([self.leader.velocity(x) for x in (t - self.tau).tolist()])
+        shape = state.shape
+        state = state.reshape(self.batch, -1, 2 * n)
+        delayed = delayed.reshape(self.batch, -1, n, 2 * n)
+        times = np.asarray(t, dtype=float).reshape(-1)
         # Pair i reads v_1..v_i, v_i and y_i of its own delayed row: the
-        # diagonals of the (B, N, N) blocks.
-        speed = lead - np.add.accumulate(delayed[:, :, :n], axis=2).diagonal(0, 1, 2)
-        head = delayed[:, :, n:].diagonal(0, 1, 2) + self.b
+        # diagonals of the (N, N) blocks.
+        speed = self._lead(times) - np.add.accumulate(delayed[..., :n], axis=3).diagonal(0, 2, 3)
+        head = delayed[..., n:].diagonal(0, 2, 3) + self.b
         bad = head <= 0.0
         if self.m_int is None:
             bad |= speed <= 0.0
@@ -250,28 +259,39 @@ class VectorField:
             bad |= speed == 0.0
         failures = {}
         if np.count_nonzero(bad):
-            failures = {b: self._error(t, b, speed, head, bad) for b in np.flatnonzero(bad.any(axis=1)).tolist()}
+            times = np.broadcast_to(times, bad.shape[1:2])
+            failed = np.flatnonzero(bad.any(axis=(1, 2))).tolist()
+            failures = {b: self._error(times, b, speed, head, bad) for b in failed}
             speed = np.where(bad, 1.0, speed)  # so that no power of a base outside the domain warns
             head = np.where(bad, 1.0, head)
         flux = self.alpha * speed ** (self.m if self.m_int is None else self.m_int)
         if self.l != 0.0:  # else head**l is exactly 1.0
             flux = flux / head**self.l
-        flux = flux * delayed.diagonal(0, 1, 2)
+        flux = flux * delayed.diagonal(0, 2, 3)
         dv = -flux
         if n > 1:
-            dv[:, 1:] += flux[:, :-1]
-        out = np.concatenate((dv, state[:, :n]), axis=1)
+            dv[..., 1:] += flux[..., :-1]
+        out = np.concatenate((dv, state[..., :n]), axis=2)
         out *= self.kappa
-        return out, failures
+        return out.reshape(shape), failures
 
-    def _error(self, t: float, b: int, speed: np.ndarray, head: np.ndarray, bad: np.ndarray) -> NumericalError:
-        i = int(np.argmax(bad[b]))
-        td = float(t - self.tau[i])
-        if head[b, i] <= 0.0:
-            return DomainBreakdownError(td, i + 1, float(head[b, i]))
+    def _lead(self, times: np.ndarray) -> np.ndarray:
+        """The leader's speed at the delayed instants of each time, (R, N), or (N,) when it has settled at all."""
+        ramp = times < self._settled
+        if not ramp.any():
+            return self._v_eq
+        lead = np.tile(self._v_eq, (times.size, 1))
+        lead[ramp] = [[self.leader.velocity(x) for x in row] for row in (times[ramp, None] - self.tau).tolist()]
+        return lead
+
+    def _error(self, times: np.ndarray, b: int, speed: np.ndarray, head: np.ndarray, bad: np.ndarray) -> NumericalError:
+        r, i = divmod(int(np.argmax(bad[b])), self.n)  # the first failing row, then its lowest pair
+        td = float(times[r] - self.tau[i])
+        if head[b, r, i] <= 0.0:
+            return DomainBreakdownError(td, i + 1, float(head[b, r, i]))
         if self.m_int is not None:
-            return DomainBreakdownError(td, i + 1, float(speed[b, i]), quantity="speed")
-        return NegativeVelocityBaseError(td, i + 1, float(speed[b, i]), self.m)
+            return DomainBreakdownError(td, i + 1, float(speed[b, r, i]), quantity="speed")
+        return NegativeVelocityBaseError(td, i + 1, float(speed[b, r, i]), self.m)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ numbers by independent means and share no solver code with it:
 * ``reference_simulate`` is the scalar method-of-steps engine: one config,
   a per-pair loop over the vector field, and a per-pair history lookup that
   interpolates each delayed row with its own Hermite weights at every stage.
-  ``integrate.simulate_batch`` is checked against it.
+  ``integrate.simulate_batch`` is checked against it;
+* ``step_loop_run`` is the batched engine before the block method of steps:
+  one field call per Runge-Kutta stage and step.  ``integrate._run`` must
+  match it bit for bit, error for error.
 """
 
 import math
@@ -34,7 +37,7 @@ from ccfmlab.errors import (
     RootSolveError,
 )
 from ccfmlab.integrate import Trajectory
-from ccfmlab.model import PlatoonState, _integer_exponent
+from ccfmlab.model import PlatoonState, VectorField, _integer_exponent
 
 _HALF_PI = 0.5 * math.pi
 
@@ -370,3 +373,101 @@ def reference_simulate(pc, sc, perturbation=None):
             if _blown_up(states[k + 1]):
                 raise NumericalError(f"trajectory blew up at t = {(k + 1) * h:.6g}")
     return Trajectory(t=np.arange(steps + 1) * h, states=states, config=pc, sim=sc)
+
+
+# ---------------------------------------------------------------------------
+# step-loop engine
+# ---------------------------------------------------------------------------
+
+_LATER = {"euler": (1.0,), "rk4": (0.5, 0.5, 1.0)}
+_BLOWUP_LIMIT = 1e12
+
+
+_NODE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None, None]  # weights that read node j itself
+
+
+def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
+    """Offsets from step k (all j, then all j + 1) and (4, S, N, 1) weights of the delayed rows.
+
+    At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
+    k, between nodes j and j + 1, at the same place in every step.  Euler
+    reads node j; rk4 weights the values and h times the derivatives at j and
+    j + 1, unless the instant is within 1e-9 steps of node j.
+    """
+    offsets, weights = [], []
+    for c in fractions:
+        for tau in taus:
+            x = c - tau / h
+            j = 0 if tau == 0.0 else math.floor(x + 1e-9)  # zero-delay pairs read the stage state
+            th = x - j
+            t2 = th * th
+            t3 = t2 * th
+            offsets.append(j)
+            if not hermite or tau == 0.0 or th < 1e-9:
+                weights.append(_NODE.ravel())
+            else:
+                weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
+    offsets = np.array(offsets)
+    return np.concatenate((offsets, offsets + 1)), np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
+
+
+def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
+    n, batch = field.n, field.batch
+    # Node values and derivatives side by side, so that one gather reads both.
+    hist = np.zeros((batch, 2, steps + 1, 2 * n))
+    states, derivs = hist[:, 0], hist[:, 1]
+    states[:, 0] = init
+    taus = field.tau.tolist()
+    later = _LATER[method]
+    offsets, weights = _lookup_table(taus, h, later, method == "rk4")
+    pre = -int(offsets.min())  # steps whose lookups reach into t < 0
+    zero = [i for i, tau in enumerate(taus) if tau == 0.0]
+    rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
+    errors: dict = {}
+    for k in range(steps):
+        yk = states[:, k]
+        if zero:
+            rows[:, zero] = yk[:, None]
+        k1, failures = field(k * h, yk, rows)
+        ks = [k1]
+        if failures:
+            _retire(failures, errors, (hist, rows, k1))
+        derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
+        # One gather reads the rows of every later stage.
+        nodes, w = offsets + k, weights
+        if k < pre:  # instants before t = 0 read the pre-history, held in node 0
+            early = nodes[: nodes.size // 2] < 0
+            nodes = np.where(np.tile(early, 2), 0, nodes)
+            w = np.where(early.reshape(len(later), n, 1), _NODE, w)
+        if method == "euler":
+            delayed = states[:, nodes[:n]][:, None]  # Euler reads nodes, with no weights
+            states[:, k + 1] = yk + k1 * h
+        else:
+            delayed = (hist[:, :, nodes].reshape(batch, 4, len(later), n, 2 * n) * w).sum(axis=1)
+            for stage, c in enumerate(later):
+                ystage = yk + (h * c) * ks[-1]
+                rows = delayed[:, stage]
+                if zero:
+                    rows[:, zero] = ystage[:, None]
+                dot, failures = field(k * h + c * h, ystage, rows)
+                ks.append(dot)
+                if failures:
+                    _retire(failures, errors, (hist, delayed, *ks))
+            states[:, k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
+        if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(states[:, k + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
+            message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
+            _retire({b: NumericalError(message) for b in blown}, errors, (hist, rows))
+        if 0 in errors:  # no member can fail with a lower index
+            break
+    return states, errors
+
+
+def _retire(failures: dict, errors: dict, arrays) -> None:
+    """Record each newly failed member's error and zero its rows, an equilibrium of the field."""
+    for member, exc in failures.items():
+        if member not in errors:
+            errors[member] = exc
+            for arr in arrays:
+                arr[member] = 0.0

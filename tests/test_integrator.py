@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ccfmlab.errors import DomainBreakdownError, InvalidConfigError, NumericalError
+from ccfmlab.errors import DomainBreakdownError, InvalidConfigError, NegativeVelocityBaseError, NumericalError
 from ccfmlab.integrate import (
     SimConfig,
     Trajectory,
@@ -22,6 +22,8 @@ from ccfmlab.integrate import (
     simulate,
     simulate_batch,
     write_trajectory_csv,
+    _MethodOfSteps,
+    _run,
 )
 from ccfmlab.model import (
     LeaderProfile,
@@ -33,7 +35,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
-from oracles import reference_simulate
+from oracles import reference_simulate, step_loop_run
 
 
 def _perturb(n, v0=0.1, y0=0.0):
@@ -115,6 +117,18 @@ def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     assert np.allclose(traj.states[1], expected, rtol=1e-15, atol=1e-17)
 
 
+def test_zero_speed_base_under_non_integer_m_is_named_as_not_positive():
+    """At m = 0.5 with v0 = 0 the pre-history speed base is exactly 0, which the message must not call negative."""
+    pc = PlatoonConfig(
+        vehicles=(VehicleParams(alpha=0.7, tau=0.3, b=20.0),),
+        m=0.5, l=1.0, leader=LeaderProfile(v_eq=10.0),
+    )
+    with pytest.raises(NegativeVelocityBaseError) as exc:
+        simulate(pc, SimConfig(step=0.01, horizon=1.0), _perturb(1, v0=0.0))
+    assert exc.value.pair == 1 and exc.value.t == pytest.approx(-0.3) and exc.value.value == 0.0
+    assert str(exc.value).startswith("velocity base 0 <= 0 at t = -0.3 ")
+
+
 def _zero_delay_pair():
     """A zero-delay pair followed by a delayed one: the first reads its current stage state."""
     vehicles = (VehicleParams(alpha=0.6, tau=0.0, b=20.0), VehicleParams(alpha=0.7, tau=0.3, b=20.0))
@@ -171,6 +185,102 @@ def test_batch_raises_the_error_of_its_lowest_failing_member(method):
     got, want = exc.value, alone[1]
     assert type(got) is type(want) and str(got) == str(want)
     assert (got.t, got.pair, got.value) == (want.t, want.pair, want.value)
+
+
+# ---------------------------------------------------------------------------
+# block method of steps against the step loop
+# ---------------------------------------------------------------------------
+
+
+def _eight_pairs():
+    """Eight pairs with delays in [0.3, 0.6], as in the benchmark's platoon."""
+    rng = np.random.default_rng(5)
+    taus, bs = rng.uniform(0.3, 0.6, 8), rng.uniform(15.0, 25.0, 8)
+    products = rng.uniform(0.1, 1.5, 8)
+    vehicles = tuple(
+        VehicleParams(alpha=float(c * b / (t * 100.0)), tau=float(t), b=float(b)) for c, t, b in zip(products, taus, bs)
+    )
+    return PlatoonConfig(vehicles=vehicles, m=2.0, l=1.0, leader=LeaderProfile(v_eq=10.0))
+
+
+def _slow_start():
+    """A 2 s delay and a leader ramp of 50 s: the first blocks read the pre-history and the ramp."""
+    vehicles = (VehicleParams(alpha=0.3, tau=2.0, b=20.0), VehicleParams(alpha=0.5, tau=0.3, b=20.0))
+    return PlatoonConfig(vehicles=vehicles, m=2.0, l=1.0, leader=LeaderProfile(v_eq=10.0, ramp=0.1))
+
+
+def _capped():
+    """Eight gains of the four-pair platoon at h = 0.002: the byte budget, not tau_min/h, sets the block."""
+    return [four_vehicle_platoon(kappa=0.85 + 0.05 * k) for k in range(8)]
+
+
+_BLOCK_CASES = {
+    "single": ([single_follower(kappa=1.01)], 0.01, 20.0),
+    "platoon": ([four_vehicle_platoon()], 0.01, 20.0),
+    "eight-pairs": ([_eight_pairs()], 0.02, 60.0),
+    "tau-over-h-integer": ([single_follower(tau=0.3)], 0.01, 20.0),
+    "kappa-batch": ([single_follower(kappa=k) for k in (0.8, 1.0, 1.01, 1.2)], 0.01, 20.0),
+    "pre-history-and-ramp": ([_slow_start()], 0.01, 30.0),
+    "row-cap": (_capped(), 0.002, 6.0),
+    "zero-delay": ([_zero_delay_pair()], 0.01, 20.0),
+}
+
+
+def _same_errors(got: dict, want: dict) -> bool:
+    def key(errors):
+        return {b: (type(e), str(e), e.t, e.pair, e.value) for b, e in errors.items()}
+
+    return key(got) == key(want)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
+    pcs, h, horizon = _BLOCK_CASES[case]
+    field = VectorField(*pcs)
+    init = _perturb(field.n).as_vector()
+    steps = int(math.ceil(horizon / h - 1e-9))
+    engine = _MethodOfSteps(field, h, method, init, steps)
+    size = engine.block_size()
+    assert size == 0 if case == "zero-delay" else size >= 2  # a zero delay needs each stage's own state
+    if case == "row-cap":
+        assert size < 0.3 / h - 2  # the byte budget splits what the delays would allow
+    if case == "pre-history-and-ramp":
+        assert engine.pre > 3 * size and pcs[0].leader.settled_time() > 3 * size * h
+    got, got_errors = _run(field, h, method, init, steps)
+    want, want_errors = step_loop_run(field, h, method, init, steps)
+    assert not got_errors and not want_errors
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # the CSV writes -0 and 0 apart
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("gains", [(400.0,), (1.0, 0.5, 400.0, 0.8)], ids=["alone", "in-a-batch"])
+def test_mid_block_domain_breakdown_matches_the_step_loop(gains, method):
+    """At kappa = 400 the headway of the single follower reaches zero at about t = 1.0.
+
+    That is step 103 (Euler) or 102 (rk4) at h = 0.01, inside the blocks that
+    start at steps 90 and 86.  The error must be the step loop's, to the value
+    and the message, and the other members must run on unharmed.
+    """
+    pcs = [single_follower(kappa=k) for k in gains]
+    sc = SimConfig(step=0.01, horizon=20.0, method=method)
+    field = VectorField(*pcs)
+    init = _perturb(1).as_vector()
+    steps = 2000
+    got, got_errors = _run(field, sc.step, method, init, steps)
+    want, want_errors = step_loop_run(field, sc.step, method, init, steps)
+    failed = gains.index(400.0)
+    assert list(got_errors) == [failed] and _same_errors(got_errors, want_errors)
+    size = _MethodOfSteps(field, sc.step, method, init, steps).block_size()
+    step = math.floor((got_errors[failed].t + pcs[0].vehicles[0].tau) / sc.step + 1e-6)
+    assert step % size > 0  # not the first step of a block
+    assert isinstance(got_errors[failed], DomainBreakdownError) and got_errors[failed].quantity == "headway"
+    ok = [b for b in range(len(gains)) if b != failed]
+    assert np.array_equal(got[ok], want[ok])
+    with pytest.raises(DomainBreakdownError) as exc:
+        simulate_batch(pcs, sc)
+    assert _same_errors({failed: exc.value}, want_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -401,3 +511,11 @@ def test_trajectory_csv_roundtrip(tmp_path, platoon_config):
     parsed = [float(x) for x in rows[1 + k]]
     assert parsed[0] == traj.t[k]
     assert parsed[1:] == traj.states[k].tolist()  # %.17g round-trips exactly
+    # The whole file, also over a run of several write chunks, is "%.17g" per value.
+    long = simulate(platoon_config, SimConfig(step=0.01, horizon=6.0), _perturb(4, v0=-0.05))
+    for tr in (traj, long):
+        write_trajectory_csv(tr, str(path))
+        lines = [",".join(rows[0])]
+        for k in range(tr.t.size):
+            lines.append(",".join("%.17g" % val for val in [tr.t[k], *tr.states[k]]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

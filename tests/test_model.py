@@ -258,6 +258,30 @@ def test_field_and_power_share_the_domain_rules(m, base):
     assert out[0] == -(0.7 * expected / 20.0**1.0 * row[0])
 
 
+def test_field_with_one_time_per_row_equals_one_call_per_row():
+    """Rows before t = 0, on the leader ramp and past it: the same bits, and each member's first failing row."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (1.0, 1.3)]
+    field = VectorField(*pcs)
+    times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, field._settled, 50.0])
+    assert times[0] < 0.0 < times[3] - field.tau.max() and times[4] < field._settled == times[5]  # rest, ramp, settled
+    rng = np.random.default_rng(3)
+    state = rng.normal(size=(2, times.size, 8)) * 0.1
+    delayed = rng.normal(size=(2, times.size, 4, 8)) * 0.1
+    delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
+    delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3), then at row 5 (pair 1)
+    delayed[1, 5, 0, 4] = -21.0
+    out, failures = field(times, state, delayed)
+    assert out.shape == state.shape and list(failures) == [1]
+    for r, t in enumerate(times.tolist()):
+        want, want_failures = field(t, state[:, r], delayed[:, r])
+        assert np.array_equal(out[:, r], want)
+        if r == 4:
+            got, exp = failures[1], want_failures[1]
+            assert type(got) is type(exp) and str(got) == str(exp) and (got.t, got.pair, got.value) == (exp.t, exp.pair, exp.value)
+    scalar, _ = field(50.0, state, delayed)  # one scalar time serves every row
+    assert np.array_equal(scalar[:, -1], out[:, -1])
+
+
 def test_field_rejects_batches_that_do_not_share_the_delays():
     pc = four_vehicle_platoon()
     VectorField(pc, pc.with_kappa(2.0))  # kappa may differ
