@@ -297,11 +297,9 @@ def _cubic_coefficients(pc: PlatoonConfig, eig: CriticalEigendata, corr: "Manifo
     taus = eig.taus
     b = [veh.b for veh in pc.vehicles]
     w0 = eig.omega0
-    w20_at = {}
-    w11_at = {}
-    for tau in set(float(t) for t in taus):
-        w20_at[tau] = corr.w20(-tau)
-        w11_at[tau] = corr.w11(-tau)
+    distinct = sorted(set(float(t) for t in taus))
+    w20_at = dict(zip(distinct, corr.w20(-np.array(distinct))))
+    w11_at = dict(zip(distinct, corr.w11(-np.array(distinct))))
 
     def block(idx: int, pos: int) -> complex:
         """Contribution of the interaction of pair idx, occupying position pos.
@@ -375,21 +373,25 @@ class ManifoldCorrections:
     eig: CriticalEigendata
     residuals: WResiduals | None = None
 
-    def w20(self, theta: float) -> np.ndarray:
+    def w20(self, theta: float | np.ndarray) -> np.ndarray:
+        """w20 at theta; an array of K thetas gives a (K, 2N) array."""
         w0 = self.eig.omega0
         q0 = self.eig.q
+        th = np.asarray(theta, dtype=float)[..., None]
         return (
-            -(self.g20 / (1j * w0)) * q0 * cmath.exp(1j * w0 * theta)
-            - (self.g02.conjugate() / (3j * w0)) * q0.conj() * cmath.exp(-1j * w0 * theta)
-            + self.e * cmath.exp(2j * w0 * theta)
+            -(self.g20 / (1j * w0)) * q0 * np.exp(1j * w0 * th)
+            - (self.g02.conjugate() / (3j * w0)) * q0.conj() * np.exp(-1j * w0 * th)
+            + self.e * np.exp(2j * w0 * th)
         )
 
-    def w11(self, theta: float) -> np.ndarray:
+    def w11(self, theta: float | np.ndarray) -> np.ndarray:
+        """w11 at theta; an array of K thetas gives a (K, 2N) array."""
         w0 = self.eig.omega0
         q0 = self.eig.q
+        th = np.asarray(theta, dtype=float)[..., None]
         return (
-            (self.g11 / (1j * w0)) * q0 * cmath.exp(1j * w0 * theta)
-            - (self.g11.conjugate() / (1j * w0)) * q0.conj() * cmath.exp(-1j * w0 * theta)
+            (self.g11 / (1j * w0)) * q0 * np.exp(1j * w0 * th)
+            - (self.g11.conjugate() / (1j * w0)) * q0.conj() * np.exp(-1j * w0 * th)
             + self.f
         )
 
@@ -441,21 +443,20 @@ def _w_residuals(
     qb = q0.conj()
     tau_max = eig.tau_max
 
-    # Interior: dw/dtheta must match the expansion ODEs at sample points.
-    interior20 = 0.0
-    interior11 = 0.0
-    for theta in np.linspace(-tau_max, 0.0, 11):
-        ew = cmath.exp(1j * w0 * theta)
-        d20 = (
-            -(g.g20 / (1j * w0)) * q0 * (1j * w0) * ew
-            - (g.g02.conjugate() / (3j * w0)) * qb * (-1j * w0) / ew
-            + corr.e * 2j * w0 * cmath.exp(2j * w0 * theta)
-        )
-        rhs20 = 2j * w0 * corr.w20(theta) + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
-        interior20 = max(interior20, float(np.max(np.abs(d20 - rhs20))))
-        d11 = (g.g11 / (1j * w0)) * q0 * (1j * w0) * ew - (g.g11.conjugate() / (1j * w0)) * qb * (-1j * w0) / ew
-        rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
-        interior11 = max(interior11, float(np.max(np.abs(d11 - rhs11))))
+    # Interior: dw/dtheta must match the expansion ODEs at 11 sample points,
+    # one row of the (11, 2N) arrays each.
+    theta = np.linspace(-tau_max, 0.0, 11)
+    ew = np.exp(1j * w0 * theta)[:, None]
+    d20 = (
+        -(g.g20 / (1j * w0)) * q0 * (1j * w0) * ew
+        - (g.g02.conjugate() / (3j * w0)) * qb * (-1j * w0) / ew
+        + corr.e * 2j * w0 * np.exp(2j * w0 * theta)[:, None]
+    )
+    rhs20 = 2j * w0 * corr.w20(theta) + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
+    d11 = (g.g11 / (1j * w0)) * q0 * (1j * w0) * ew - (g.g11.conjugate() / (1j * w0)) * qb * (-1j * w0) / ew
+    rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
+    interior20 = float(np.max(np.abs(d20 - rhs20)))
+    interior11 = float(np.max(np.abs(d11 - rhs11)))
 
     # Boundary theta = 0: generator action on each exponential piece.
     L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0, tau_max)

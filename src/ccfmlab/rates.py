@@ -2,8 +2,11 @@
 
 For a stable pair the asymptotic decay e^{-sigma*t} of perturbations is set by
 the rightmost characteristic root, sigma = -Re(lambda).  The rate is read off
-:func:`ccfmlab.spectral.dominant_root`; the product c = kappa*beta**tau only
-labels the branch it lies on:
+the principal-branch solve behind :func:`ccfmlab.spectral.dominant_root`, at
+unit delay: u = lambda*tau depends only on the product c = kappa*beta**tau,
+and sigma = -Re(u)/tau.  :func:`rate_curve` solves its whole (l, tau) grid as
+one array and :func:`rate_of_convergence` is its batch of one, so the two
+agree bit for bit.  The product only labels the branch the rate lies on:
 
 * c < 1/e   -- the dominant root is real, lambda = -sigma2, with
                (sigma2*tau) * exp(-sigma2*tau) = c  (smaller solution);
@@ -24,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidConfigError, UnstableRegimeError
 from .model import beta_star as _beta_star
-from .spectral import dominant_root
+from .spectral import _require_pair, _rightmost
 
 __all__ = [
     "RateResult",
@@ -64,43 +69,75 @@ class RateResult:
     regime: str
 
 
+# Branch labels, shared by every point so a sweep makes no new strings.
+_REAL, _BOUNDARY, _COMPLEX, _UNSTABLE = "real", "boundary", "complex", "unstable"
+_LABELS = (_REAL, _BOUNDARY, _COMPLEX, _UNSTABLE)
+
+
+def _decay_rates(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Decay rates and branch codes (indices into _LABELS) of 1-d arrays a = kappa*beta*, tau.
+
+    c = 0 gives the rate a (its limit; c also underflows to 0 for tiny
+    positive tau), the boundary c = 1/e gives 1/tau, and an unstable point
+    gives nan.  Every other point is one element of a single principal-branch
+    solve at unit delay (u = lambda*tau depends only on c), read back as
+    -Re(u)/tau.
+    """
+    c = a * tau
+    code = np.where(c < _INV_E, 0, 2)
+    code[np.abs(c - _INV_E) <= _BOUNDARY_TOL] = 1
+    code[c >= _HALF_PI] = 3
+    rate = np.full(c.shape, np.nan)
+    zero = c == 0.0
+    rate[zero] = a[zero]
+    boundary = code == 1
+    rate[boundary] = 1.0 / tau[boundary]
+    idx = np.flatnonzero(~zero & ((code == 0) | (code == 2)))
+    if idx.size:
+        u, _ = _rightmost(c[idx], np.ones(idx.size), lambda i: describe(int(idx[i])))
+        rate[idx] = -u.real / tau[idx]
+    return rate, code
+
+
 def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> RateResult:
     """Asymptotic decay rate of one pair (requires a stable pair).
 
-    Raises UnstableRegimeError when kappa*beta**tau >= pi/2: no decay rate
-    exists there.
+    A batch of one for the solve behind :func:`rate_curve`.  Raises
+    UnstableRegimeError when kappa*beta**tau >= pi/2: no decay rate exists
+    there.
     """
-    if beta_star <= 0 or tau < 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0, tau >= 0, kappa > 0; got {beta_star}, {tau}, {kappa}")
+    _require_pair(beta_star, tau, kappa)
     a = kappa * beta_star
     ts = 1.0 / (a * math.e)
+    rate, code = _decay_rates(
+        np.array([a], dtype=float),
+        np.array([tau], dtype=float),
+        lambda i: f"beta*={beta_star}, tau={tau}, kappa={kappa}",
+    )
+    dominant, branch = float(rate[0]), _LABELS[code[0]]
     if tau == 0.0:
         return RateResult(
-            product=0.0, sigma1=None, sigma2=a, sigma3=None, dominant=a,
-            branch="real", tau_star=ts, regime="below",
+            product=0.0, sigma1=None, sigma2=dominant, sigma3=None, dominant=dominant,
+            branch=_REAL, tau_star=ts, regime="below",
         )
     c = a * tau
-    if c >= _HALF_PI:
+    if branch == _UNSTABLE:
         raise UnstableRegimeError(
             f"kappa*beta**tau = {c:.6g} >= pi/2: the pair is not asymptotically stable"
         )
-    if abs(c - _INV_E) <= _BOUNDARY_TOL:
-        sigma = 1.0 / tau
+    if branch == _BOUNDARY:
         return RateResult(
-            product=c, sigma1=sigma, sigma2=sigma, sigma3=sigma, dominant=sigma,
-            branch="boundary", tau_star=ts, regime="at",
+            product=c, sigma1=dominant, sigma2=dominant, sigma3=dominant, dominant=dominant,
+            branch=_BOUNDARY, tau_star=ts, regime="at",
         )
-    # Solved at unit delay (u = lambda*tau) and read back as -Re(u)/tau: the
-    # scaled root depends only on the product c.
-    dominant = -dominant_root(c, 1.0).lam.real / tau
-    if c < _INV_E:
+    if branch == _REAL:
         return RateResult(
             product=c, sigma1=1.0 / tau, sigma2=dominant, sigma3=None, dominant=dominant,
-            branch="real", tau_star=ts, regime="below",
+            branch=_REAL, tau_star=ts, regime="below",
         )
     return RateResult(
         product=c, sigma1=1.0 / tau, sigma2=None, sigma3=dominant, dominant=dominant,
-        branch="complex", tau_star=ts, regime="above",
+        branch=_COMPLEX, tau_star=ts, regime="above",
     )
 
 
@@ -137,17 +174,25 @@ def rate_curve(
 ) -> list[RateCurvePoint]:
     """Decay rate versus delay for each headway exponent l in l_values.
 
-    Unstable (l, tau) combinations are flagged with branch 'unstable' and a
-    NaN rate rather than raising, so full sweeps always complete.
+    The whole (l, tau) grid is one batched principal-branch solve; points come
+    out l-major, tau-minor, each equal bit for bit to
+    :func:`rate_of_convergence` at that point.  Unstable (l, tau)
+    combinations are flagged with branch 'unstable' and a NaN rate rather than
+    raising, so full sweeps always complete.
     """
+    l_values = list(l_values)
     taus = list(taus)
-    points: list[RateCurvePoint] = []
-    for l in l_values:
-        bstar = _beta_star(alpha, x0dot, m, b, l)
-        for tau in taus:
-            try:
-                res = rate_of_convergence(bstar, tau, kappa=kappa)
-                points.append(RateCurvePoint(l=l, tau=tau, rate=res.dominant, branch=res.branch))
-            except UnstableRegimeError:
-                points.append(RateCurvePoint(l=l, tau=tau, rate=float("nan"), branch="unstable"))
-    return points
+    betas = np.array([_beta_star(alpha, x0dot, m, b, l) for l in l_values], dtype=float)
+    tau_arr = np.array(taus, dtype=float)
+    _require_pair(betas[:, None], tau_arr[None, :], kappa)
+    n_tau = len(taus)
+
+    def describe(i: int) -> str:
+        k, j = divmod(i, n_tau)
+        return f"l={l_values[k]}, beta*={betas[k]}, tau={taus[j]}, kappa={kappa}"
+
+    a = np.repeat(kappa * betas, n_tau)
+    rate, code = _decay_rates(a, np.tile(tau_arr, len(l_values)), describe)
+    labels = [_LABELS[k] for k in code.tolist()]
+    grid = ((l, tau) for l in l_values for tau in taus)
+    return [RateCurvePoint(l=l, tau=tau, rate=r, branch=br) for (l, tau), r, br in zip(grid, rate.tolist(), labels)]

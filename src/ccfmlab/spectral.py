@@ -18,6 +18,11 @@ iteration on u*exp(u) = -kappa*beta**tau with u = lambda*tau, seeded by a
 square-root series at the branch point and by the asymptotic form of W_0
 beyond it.  A root that passes the residual check and lies on the principal
 branch (|Im u| < pi, and u >= -1 when real) is rightmost by that theorem.
+
+The solve is array-first: a masked Newton iteration over a whole array of
+arguments, in which each element takes exactly the steps it would take
+alone, so a batch never changes a member's bits.  :func:`dominant_root` is
+its batch of one and ``rates.rate_curve`` a batch of a whole (l, tau) grid.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -87,10 +93,23 @@ class StabilityVerdict:
         }
 
 
+def _require_pair(beta_star, tau, kappa) -> None:
+    """Raise InvalidConfigError unless beta* > 0, tau >= 0 and kappa > 0 are finite.
+
+    Takes scalars or arrays that broadcast together, and names the first
+    offending point in C order.
+    """
+    b, t, k = (np.asarray(x, dtype=float) for x in (beta_star, tau, kappa))
+    ok = np.isfinite(b) & np.isfinite(t) & np.isfinite(k) & (b > 0) & (t >= 0) & (k > 0)
+    if np.count_nonzero(ok) < ok.size:
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        b, t, k = (float(np.broadcast_to(x, ok.shape)[i]) for x in (b, t, k))
+        raise InvalidConfigError(f"need finite beta* > 0, tau >= 0, kappa > 0; got {b}, {t}, {k}")
+
+
 def classify_pair(beta_star: float, tau: float, kappa: float = 1.0, pair: int | None = None) -> StabilityVerdict:
     """Classify one pair from beta* and tau (boundaries: <=1/e, <pi/2)."""
-    if beta_star <= 0 or tau < 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0, tau >= 0, kappa > 0; got {beta_star}, {tau}, {kappa}")
+    _require_pair(beta_star, tau, kappa)
     product = kappa * beta_star * tau
     if product <= _INV_E:
         regime = Regime.NON_OSCILLATORY_STABLE
@@ -127,57 +146,104 @@ _EPS = np.finfo(float).eps
 _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0, -221.0 / 8505.0)
 
 
-def _newton_uexpu(u: complex, p: float, tol: float = 1e-15, maxit: int = 80) -> complex:
-    """Newton iteration on f(u) = u*exp(u) - p from the given seed."""
-    for _ in range(maxit):
-        eu = cmath.exp(u)
-        f = u * eu - p
-        fp = eu * (1.0 + u)
-        if fp == 0:
-            break
-        du = f / fp
-        u -= du
-        if abs(du) <= tol * (1.0 + abs(u)):
-            return u
-    return u
+def _newton_uexpu(u: np.ndarray, p: np.ndarray, tol: float = 1e-15, maxit: int = 80) -> np.ndarray:
+    """Newton iteration on f(u) = u*exp(u) - p, elementwise and in place.
 
-
-def _principal_uexpu(p: float) -> complex:
-    """Principal solution u of u*exp(u) = p for real p <= 0.
-
-    Returns the root with Im(u) in [0, pi); real for p in [-1/e, 0].  Within
-    floating-point resolution of the branch point p = -1/e the double root
-    -1 is returned exactly, so boundary inputs produce the boundary root.
+    An element stops once its step is within tol*(1 + |u|), or where f'
+    vanishes; only the elements still moving are computed, so each takes the
+    same steps in any batch.
     """
-    if p > 0:
-        raise InvalidConfigError(f"argument must be <= 0, got {p}")
-    if p == 0.0:
-        return 0.0 + 0.0j
-    ep1 = 1.0 + math.e * p
-    if abs(ep1) <= 64.0 * _EPS:
-        return -1.0 + 0.0j
-    if abs(ep1) <= 0.25:
-        # Branch-point series seed (s imaginary when p < -1/e).
-        s = cmath.sqrt(2.0 * ep1)
-        u = 0.0 + 0.0j
-        for coeff in reversed(_BRANCH_SERIES):
-            u = u * s + coeff
-        u = _newton_uexpu(u, p)
-    elif p < -_INV_E:
-        # Beyond the branch zone: Newton from the asymptotic form of W_0,
-        # u = L1 - L2 + L2/L1 with L1 = ln|p| + i*pi and L2 = ln(L1).
-        l1 = complex(math.log(-p), math.pi)
-        l2 = cmath.log(l1)
-        u = _newton_uexpu(l1 - l2 + l2 / l1, p)
-    else:
-        # Real zone away from the branch point: f is increasing and convex on
-        # (-1, inf), so Newton from 0 descends monotonically to the root.
-        u = _newton_uexpu(0.0 + 0.0j, p)
-    if abs(u * cmath.exp(u) - p) > 1e-13 * max(1.0, abs(p)):
-        raise RootSolveError(f"principal-branch solve failed for p = {p!r}")
-    if u.imag < 0:
-        u = u.conjugate()
+    live, ul, pl = np.arange(u.size), u, p
+    for _ in range(maxit):
+        if not live.size:
+            break
+        eu = np.exp(ul)
+        fp = eu * (1.0 + ul)
+        if np.count_nonzero(fp) < fp.size:
+            go = fp != 0
+            live, ul, pl, eu, fp = live[go], ul[go], pl[go], eu[go], fp[go]
+        du = (ul * eu - pl) / fp
+        ul = ul - du
+        u[live] = ul
+        done = np.abs(du) <= tol * (1.0 + np.abs(ul))
+        if np.count_nonzero(done):
+            go = ~done
+            live, ul, pl = live[go], ul[go], pl[go]
     return u
+
+
+def _principal_uexpu(p: np.ndarray) -> np.ndarray:
+    """Principal solutions u of u*exp(u) = p for a 1-d array of real p <= 0.
+
+    Each u has Im(u) in [0, pi) and is real for p in [-1/e, 0].  Within
+    floating-point resolution of the branch point p = -1/e the double root
+    -1 is returned exactly (f' vanishes there, so Newton leaves that seed), so
+    boundary inputs produce the boundary root.
+    """
+    ep1 = 1.0 + math.e * p
+    # Real zone away from the branch point: f is increasing and convex on
+    # (-1, inf), so Newton from 0 descends monotonically to the root.
+    u = np.zeros(p.shape, dtype=complex)
+    near = np.abs(ep1) <= 0.25
+    if np.count_nonzero(near):
+        # Branch-point series seed (s imaginary when p < -1/e).
+        s = np.sqrt(2.0 * ep1[near] + 0j)
+        seed = np.zeros(s.shape, dtype=complex)
+        for coeff in reversed(_BRANCH_SERIES):
+            seed = seed * s + coeff
+        u[near] = seed
+    beyond = ~near & (p < -_INV_E)
+    if np.count_nonzero(beyond):
+        # Beyond the branch zone: the asymptotic form of W_0,
+        # u = L1 - L2 + L2/L1 with L1 = ln|p| + i*pi and L2 = ln(L1).
+        l1 = np.log(-p[beyond]) + 1j * math.pi
+        l2 = np.log(l1)
+        u[beyond] = l1 - l2 + l2 / l1
+    u[np.abs(ep1) <= 64.0 * _EPS] = -1.0
+    u = _newton_uexpu(u, p)
+    return np.where(u.imag < 0, u.conj(), u)
+
+
+def _rightmost(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Rightmost roots of lambda + a*exp(-lambda*tau) = 0 for 1-d arrays a, tau > 0.
+
+    Solves u*exp(u) = -a*tau (u = lambda*tau) on the principal branch and
+    polishes each lambda by up to three Newton steps on F itself.  Raises
+    RootSolveError at the first element whose residual exceeds
+    1e-12*max(1, |lambda|) or whose u is off the principal branch;
+    ``describe(i)`` names element i in the caller's terms.  Returns the roots,
+    each with Im >= 0, and their residuals.
+    """
+    at = a * tau
+    lam = _principal_uexpu(-at) / tau
+    live, ll, tl, al, atl = np.arange(lam.size), lam, tau, a, at
+    for _ in range(3):
+        ex = np.exp(-ll * tl)
+        f = ll + al * ex
+        # F' vanishes at the branch-point double root; polishing there would
+        # divide by ~0 and fling the iterate away, so leave the seed as is.
+        fp = 1.0 - atl * ex
+        stop = (np.abs(fp) < 1e-6) | (np.abs(f) == 0)
+        if np.count_nonzero(stop):
+            go = ~stop
+            live, ll, tl, al, atl, f, fp = live[go], ll[go], tl[go], al[go], atl[go], f[go], fp[go]
+        ll = ll - f / fp
+        lam[live] = ll
+    residual = np.abs(lam + a * np.exp(-lam * tau))
+    u = lam * tau
+    # A double-precision lambda carries a residual near |lambda|*eps, so the
+    # bound scales with |lambda|.
+    solved = residual <= 1e-12 * np.maximum(1.0, np.abs(lam))
+    principal = (np.abs(u.imag) < math.pi) & ((u.imag != 0.0) | (u.real >= -1.0))
+    bad = np.flatnonzero(~(solved & principal))
+    if bad.size:
+        i = int(bad[0])
+        if not solved[i]:
+            what = f"dominant-root residual {residual[i]:.3e} exceeds 1e-12*max(1, |lambda|)"
+        else:
+            what = f"root lambda*tau = {complex(u[i])!r} is off the principal Lambert-W branch"
+        raise RootSolveError(f"{what} for {describe(i)}")
+    return np.where(lam.imag < 0, lam.conj(), lam), residual
 
 
 @dataclass(frozen=True)
@@ -197,7 +263,7 @@ class CharacteristicRoot:
 
 
 def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> CharacteristicRoot:
-    """Rightmost characteristic root of one pair.
+    """Rightmost characteristic root of one pair: a batch of one for the array solver.
 
     Solves u*exp(u) = -kappa*beta_star*tau (u = lambda*tau) by seeded Newton
     iteration and polishes in the lambda variable.  Raises RootSolveError
@@ -205,40 +271,16 @@ def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> Character
     lies on the principal branch.  The complex member of a conjugate pair
     with positive imaginary part is returned.
     """
-    if beta_star <= 0 or tau < 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0, tau >= 0, kappa > 0; got {beta_star}, {tau}, {kappa}")
+    _require_pair(beta_star, tau, kappa)
     a = kappa * beta_star
     if tau == 0.0:
         return CharacteristicRoot(lam=complex(-a, 0.0), residual=0.0, verified=True, right_count=0)
-    u = _principal_uexpu(-a * tau)
-    lam = u / tau
-    # Polish directly on F(lambda) to push the residual to the floor.
-    for _ in range(3):
-        ex = cmath.exp(-lam * tau)
-        f = lam + a * ex
-        # F' vanishes at the branch-point double root; polishing there would
-        # divide by ~0 and fling the iterate away, so leave the seed as is.
-        fp = 1.0 - a * tau * ex
-        if abs(fp) < 1e-6 or abs(f) == 0:
-            break
-        lam -= f / fp
-    residual = abs(lam + a * cmath.exp(-lam * tau))
-    # A double-precision lambda carries a residual near |lambda|*eps, so the
-    # bound scales with |lambda|.
-    if residual > 1e-12 * max(1.0, abs(lam)):
-        raise RootSolveError(
-            f"dominant-root residual {residual:.3e} exceeds 1e-12*max(1, |lambda|) "
-            f"for beta*={beta_star}, tau={tau}, kappa={kappa}"
-        )
-    u = lam * tau
-    if not (abs(u.imag) < math.pi and (u.imag != 0.0 or u.real >= -1.0)):
-        raise RootSolveError(
-            f"root lambda*tau = {u!r} is off the principal Lambert-W branch "
-            f"for beta*={beta_star}, tau={tau}, kappa={kappa}"
-        )
-    if lam.imag < 0:
-        lam = lam.conjugate()
-    return CharacteristicRoot(lam=lam, residual=residual, verified=True, right_count=0)
+    lam, residual = _rightmost(
+        np.array([a], dtype=float),
+        np.array([tau], dtype=float),
+        lambda i: f"beta*={beta_star}, tau={tau}, kappa={kappa}",
+    )
+    return CharacteristicRoot(lam=complex(lam[0]), residual=float(residual[0]), verified=True, right_count=0)
 
 
 # ---------------------------------------------------------------------------

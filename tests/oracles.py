@@ -21,9 +21,16 @@ numbers by independent means and share no solver code with it:
   ``integrate.simulate_batch`` is checked against it;
 * ``step_loop_run`` is the batched engine before the block method of steps:
   one field call per Runge-Kutta stage and step.  ``integrate._run`` must
-  match it bit for bit, error for error.
+  match it bit for bit, error for error;
+* ``scalar_dominant_root`` is the principal-branch Newton solve one point at
+  a time, in ``cmath``: the same seeds, stop rule, lambda-polish and checks
+  as the masked array solve ``spectral._rightmost``, which is held to it;
+* ``loop_w_residuals`` evaluates the interior w-residuals of the Hopf
+  pipeline one theta sample at a time, against which the (11, 2N) broadcast
+  in ``hopf._w_residuals`` is checked.
 """
 
+import cmath
 import math
 from typing import Callable
 
@@ -36,6 +43,7 @@ from ccfmlab.errors import (
     NumericalError,
     RootSolveError,
 )
+from ccfmlab.hopf import WResiduals, _lin_matrix
 from ccfmlab.integrate import Trajectory
 from ccfmlab.model import PlatoonState, VectorField, _integer_exponent
 
@@ -141,6 +149,79 @@ def linear_rhs(pc, eq, v_now, v_self_delayed, v_pred_delayed):
     vdot[1:] += pc.kappa * beta[:-1] * pred[1:]
     ydot = pc.kappa * np.asarray(v_now, dtype=float)
     return vdot, ydot
+
+
+# ---------------------------------------------------------------------------
+# principal Lambert-W branch, one point at a time
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0, -221.0 / 8505.0)
+
+
+def _newton_uexpu(u: complex, p: float, tol: float = 1e-15, maxit: int = 80) -> complex:
+    """Newton iteration on f(u) = u*exp(u) - p from the given seed."""
+    for _ in range(maxit):
+        eu = cmath.exp(u)
+        f = u * eu - p
+        fp = eu * (1.0 + u)
+        if fp == 0:
+            break
+        du = f / fp
+        u -= du
+        if abs(du) <= tol * (1.0 + abs(u)):
+            return u
+    return u
+
+
+def scalar_principal_uexpu(p: float) -> complex:
+    """Principal solution u of u*exp(u) = p for real p <= 0, Im(u) in [0, pi)."""
+    if p > 0:
+        raise InvalidConfigError(f"argument must be <= 0, got {p}")
+    if p == 0.0:
+        return 0.0 + 0.0j
+    ep1 = 1.0 + math.e * p
+    if abs(ep1) <= 64.0 * _EPS:
+        return -1.0 + 0.0j
+    if abs(ep1) <= 0.25:
+        s = cmath.sqrt(2.0 * ep1)
+        u = 0.0 + 0.0j
+        for coeff in reversed(_BRANCH_SERIES):
+            u = u * s + coeff
+        u = _newton_uexpu(u, p)
+    elif p < -1.0 / math.e:
+        l1 = complex(math.log(-p), math.pi)
+        l2 = cmath.log(l1)
+        u = _newton_uexpu(l1 - l2 + l2 / l1, p)
+    else:
+        u = _newton_uexpu(0.0 + 0.0j, p)
+    if abs(u * cmath.exp(u) - p) > 1e-13 * max(1.0, abs(p)):
+        raise RootSolveError(f"principal-branch solve failed for p = {p!r}")
+    if u.imag < 0:
+        u = u.conjugate()
+    return u
+
+
+def scalar_dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> tuple[complex, float]:
+    """(lambda, residual) of the rightmost root of lambda + kappa*beta*exp(-lambda*tau)."""
+    a = kappa * beta_star
+    if tau == 0.0:
+        return complex(-a, 0.0), 0.0
+    lam = scalar_principal_uexpu(-a * tau) / tau
+    for _ in range(3):
+        ex = cmath.exp(-lam * tau)
+        f = lam + a * ex
+        fp = 1.0 - a * tau * ex
+        if abs(fp) < 1e-6 or abs(f) == 0:
+            break
+        lam -= f / fp
+    residual = abs(lam + a * cmath.exp(-lam * tau))
+    if residual > 1e-12 * max(1.0, abs(lam)):
+        raise RootSolveError(f"dominant-root residual {residual:.3e} for beta*={beta_star}, tau={tau}")
+    u = lam * tau
+    if not (abs(u.imag) < math.pi and (u.imag != 0.0 or u.real >= -1.0)):
+        raise RootSolveError(f"root lambda*tau = {u!r} is off the principal Lambert-W branch")
+    return (lam.conjugate() if lam.imag < 0 else lam), residual
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +552,54 @@ def _retire(failures: dict, errors: dict, arrays) -> None:
             errors[member] = exc
             for arr in arrays:
                 arr[member] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Hopf w-residuals, one theta sample at a time
+# ---------------------------------------------------------------------------
+
+
+def loop_w_residuals(pc, eig, g, corr) -> WResiduals:
+    """The w-operator residuals with the interior checked in a loop over theta."""
+    n = pc.n
+    w0 = eig.omega0
+    kappa = eig.kappa
+    q0 = eig.q
+    qb = q0.conj()
+    tau_max = eig.tau_max
+
+    interior20 = 0.0
+    interior11 = 0.0
+    for theta in np.linspace(-tau_max, 0.0, 11):
+        ew = cmath.exp(1j * w0 * theta)
+        d20 = (
+            -(g.g20 / (1j * w0)) * q0 * (1j * w0) * ew
+            - (g.g02.conjugate() / (3j * w0)) * qb * (-1j * w0) / ew
+            + corr.e * 2j * w0 * cmath.exp(2j * w0 * theta)
+        )
+        rhs20 = 2j * w0 * corr.w20(theta) + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
+        interior20 = max(interior20, float(np.max(np.abs(d20 - rhs20))))
+        d11 = (g.g11 / (1j * w0)) * q0 * (1j * w0) * ew - (g.g11.conjugate() / (1j * w0)) * qb * (-1j * w0) / ew
+        rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
+        interior11 = max(interior11, float(np.max(np.abs(d11 - rhs11))))
+
+    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0, tau_max)
+    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0, tau_max)
+    F20_full = np.zeros(2 * n, dtype=complex)
+    F20_full[:n] = g.F20
+    F11_full = np.zeros(2 * n, dtype=complex)
+    F11_full[:n] = g.F11
+    w20_0 = corr.w20(0.0)
+    A_w20 = -(g.g20 / (1j * w0)) * (1j * w0) * q0 - (g.g02.conjugate() / (3j * w0)) * (-1j * w0) * qb + L2 @ corr.e
+    H20_0 = -g.g20 * q0 - g.g02.conjugate() * qb + F20_full
+    res20 = 2j * w0 * w20_0 - A_w20 - H20_0
+    A_w11 = (g.g11 / (1j * w0)) * (1j * w0) * q0 - (g.g11.conjugate() / (1j * w0)) * (-1j * w0) * qb + L0 @ corr.f
+    H11_0 = -g.g11 * q0 - g.g11.conjugate() * qb + F11_full
+    res11 = -A_w11 - H11_0
+    return WResiduals(
+        w20_interior=interior20,
+        w20_boundary=float(np.max(np.abs(res20))),
+        w11_interior=interior11,
+        w11_boundary_v=float(np.max(np.abs(res11[:n]))),
+        w11_boundary_y=float(np.max(np.abs(res11[n:]))),
+    )

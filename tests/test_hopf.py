@@ -17,6 +17,7 @@ import pytest
 
 from ccfmlab.errors import NumericalError
 from ccfmlab.hopf import (
+    _w_residuals,
     critical_eigendata,
     first_lyapunov,
     g_coefficients,
@@ -33,6 +34,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
+from oracles import loop_w_residuals
 
 TAU = math.pi / 7.0
 PAIRING = 1.0 + 1j * math.pi / 2.0  # <p_raw, q> for the threshold config
@@ -146,6 +148,45 @@ def test_manifold_corrections_exact_values(critical_config):
     assert res.w11_boundary_v <= 1e-8
     # structural defect of the overdetermined y-row: kappa*tau_max*f_v
     assert res.w11_boundary_y == pytest.approx(math.pi / 14.0, rel=1e-10)
+
+
+def _random_platoon(rng, n, m, l):
+    """n followers with distinct products in (0.3, 1.5), so one pair is critical first."""
+    x0 = float(rng.uniform(5.0, 20.0))
+    while True:
+        products = rng.uniform(0.3, 1.5, n)
+        top = np.sort(products)
+        if n == 1 or top[-1] > 1.01 * top[-2]:
+            break
+    taus = rng.uniform(0.1, 1.0, n)
+    bs = rng.uniform(10.0, 30.0, n)
+    alphas = products * bs**l / (taus * x0**m)
+    vehicles = tuple(VehicleParams(float(a), float(t), float(b)) for a, t, b in zip(alphas, taus, bs))
+    return PlatoonConfig(vehicles, m, l, LeaderProfile(x0, 10.0))
+
+
+def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
+    rng = np.random.default_rng(5)
+    exponents = ((2.0, 1.0), (1.0, 1.0), (0.5, 0.5), (-1.0, 1.5), (2.0, 0.0), (1.5, 2.0))
+    configs = [critical_config, four_vehicle_platoon()]
+    configs += [_random_platoon(rng, 1 + k % 8, *exponents[k % len(exponents)]) for k in range(48)]
+    for pc in configs:
+        rep = hopf_report(pc)
+        got = _w_residuals(pc, rep.eig, rep.g, rep.corrections)
+        want = loop_w_residuals(pc, rep.eig, rep.g, rep.corrections)
+        assert got == rep.corrections.residuals
+        for name, value in vars(want).items():
+            assert abs(getattr(got, name) - value) <= 1e-13, (pc.n, name)
+
+
+def test_w_functions_take_an_array_of_thetas():
+    corr = hopf_report(four_vehicle_platoon()).corrections
+    thetas = np.linspace(-0.5, 0.0, 7)
+    for w in (corr.w20, corr.w11):
+        grid = w(thetas)
+        assert grid.shape == (7, 8)
+        for row, theta in zip(grid, thetas):
+            assert np.array_equal(row, w(float(theta)))
 
 
 def test_w_functions_frozen_samples(critical_config):

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
-from ccfmlab.errors import InvalidConfigError, UnstableRegimeError
+from ccfmlab import spectral
+from ccfmlab.errors import InvalidConfigError, RootSolveError, UnstableRegimeError
+from ccfmlab.model import beta_star
 from ccfmlab.rates import (
     optimal_delay,
     peak_rate,
@@ -86,6 +89,14 @@ def test_zero_delay_rate_is_the_gain():
     assert res.dominant == 3.5 and res.branch == "real"
     res = rate_of_convergence(3.5, 0.0, kappa=2.0)
     assert res.dominant == pytest.approx(7.0, rel=1e-15)
+
+
+def test_underflowed_product_gives_the_gain():
+    # kappa*beta**tau underflows to 0 while tau > 0: the rate's limit is the gain.
+    res = rate_of_convergence(1e-200, 1e-200, kappa=2.0)
+    assert res.product == 0.0 and res.branch == "real"
+    assert res.dominant == 2e-200
+    assert rate_curve(1e-200, 1.0, 2.0, 20.0, [0.0], [1e-200])[0].rate == 1e-200
 
 
 def test_boundary_triple_coincidence():
@@ -177,3 +188,76 @@ def test_rate_curve_covers_all_exponents():
     for l, r in fixed.items():
         single = rate_of_convergence(0.7 * 100.0 / 20.0**l, taus[4]).dominant
         assert r == pytest.approx(single, rel=1e-12)
+
+
+def test_rate_curve_points_equal_rate_of_convergence_bit_for_bit():
+    """tau = 0, the boundary tau*, real, complex and unstable points, three l each."""
+    alpha, x0, m, b, kappa = 0.7, 10.0, 2.0, 20.0, 1.3
+    ls = [0.9, 1.0, 1.1]
+    taus = [0.0, optimal_delay(3.5, kappa=kappa)] + list(np.linspace(0.002, 0.6, 300))
+    pts = rate_curve(alpha, x0, m, b, ls, taus, kappa=kappa)
+    assert [(p.l, p.tau) for p in pts] == [(l, t) for l in ls for t in taus]
+    seen = set()
+    for p in pts:
+        beta = beta_star(alpha, x0, m, b, p.l)
+        try:
+            res = rate_of_convergence(beta, p.tau, kappa=kappa)
+        except UnstableRegimeError:
+            assert p.branch == "unstable" and math.isnan(p.rate)
+            seen.add("unstable")
+            continue
+        assert p.rate.hex() == res.dominant.hex() and p.branch == res.branch
+        seen.add("zero" if p.tau == 0.0 else p.branch)
+    assert seen == {"zero", "boundary", "real", "complex", "unstable"}
+
+
+def test_rate_curve_matches_lambert_w():
+    pts = rate_curve(0.7, 10.0, 2.0, 20.0, [0.8, 1.0, 1.2], np.linspace(0.001, 0.5, 400))
+    for p in pts:
+        c = 0.7 * 100.0 / 20.0**p.l * p.tau
+        if p.branch == "unstable":
+            assert c >= math.pi / 2
+            continue
+        ref = -lambertw(-c, 0).real / p.tau
+        assert abs(p.rate - ref) <= 1e-12 * max(ref, 1e-3 / p.tau)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_arguments_are_rejected(bad):
+    with pytest.raises(InvalidConfigError, match="finite"):
+        rate_of_convergence(2.0, bad)
+    with pytest.raises(InvalidConfigError, match="finite"):
+        rate_of_convergence(bad, 0.3)
+    with pytest.raises(InvalidConfigError, match="finite"):
+        rate_of_convergence(2.0, 0.3, kappa=bad)
+    with pytest.raises(InvalidConfigError, match="finite"):
+        rate_curve(bad, 10.0, 2.0, 20.0, [1.0], [0.1])
+    with pytest.raises(InvalidConfigError, match=r"finite.*got 3\.5, " + str(bad)):
+        rate_curve(0.7, 10.0, 2.0, 20.0, [1.0], [0.1, bad, 0.2])
+    with pytest.raises(InvalidConfigError, match="finite"):
+        rate_curve(0.7, 10.0, 2.0, 20.0, [1.0], [0.1], kappa=bad)
+
+
+def _fail_at(monkeypatch, products):
+    """Make the principal-branch solve return W_1, off the principal branch, at these products."""
+    original = spectral._principal_uexpu
+    targets = -np.array(products)
+    monkeypatch.setattr(
+        spectral, "_principal_uexpu", lambda p: np.where(np.isin(p, targets), lambertw(p, 1), original(p))
+    )
+
+
+def test_rate_curve_solve_error_names_the_first_failing_point(monkeypatch):
+    alpha, x0, m, b, kappa = 0.7, 10.0, 2.0, 20.0, 1.0
+    ls, taus = [0.9, 1.0, 1.1], [0.05, 0.1, 0.2]
+    # (l=1.1, tau=0.05) precedes (l=1.0, tau=0.2) tau-major, but not l-major.
+    late, first = (1.1, 0.05), (1.0, 0.2)
+    _fail_at(monkeypatch, [kappa * beta_star(alpha, x0, m, b, l) * t for l, t in (late, first)])
+    with pytest.raises(RootSolveError, match=r"principal Lambert-W branch for l=1\.0, beta\*=3\.5, tau=0\.2, kappa=1\.0$"):
+        rate_curve(alpha, x0, m, b, ls, taus, kappa=kappa)
+
+
+def test_rate_of_convergence_solve_error_names_the_callers_point(monkeypatch):
+    _fail_at(monkeypatch, [2.0 * 0.3])
+    with pytest.raises(RootSolveError, match=r"for beta\*=2\.0, tau=0\.3, kappa=1\.0$"):
+        rate_of_convergence(2.0, 0.3)

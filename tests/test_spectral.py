@@ -33,7 +33,7 @@ from ccfmlab.spectral import (
 )
 
 from conftest import four_vehicle_platoon, numeric_crossing_speed, single_follower
-from oracles import _certify_rightmost, winding_zero_count
+from oracles import _certify_rightmost, scalar_dominant_root, scalar_principal_uexpu, winding_zero_count
 
 E_INV = 1.0 / math.e
 HALF_PI = math.pi / 2.0
@@ -200,7 +200,7 @@ def test_winding_certificate_finds_nothing_right_of_the_dominant_root(tau):
 @pytest.mark.parametrize("c, branch", [(0.2, -1), (0.35, -1), (0.2, 1), (1.0, 1), (3.0, 1)])
 def test_dominant_root_rejects_a_non_principal_branch(monkeypatch, c, branch):
     # W_{-1} is real and below -1 for c < 1/e; W_1 has |Im| > pi.
-    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: complex(lambertw(p, branch)))
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: lambertw(p, branch))
     with pytest.raises(RootSolveError, match="principal Lambert-W branch"):
         dominant_root(c / 0.4, 0.4)
 
@@ -208,8 +208,78 @@ def test_dominant_root_rejects_a_non_principal_branch(monkeypatch, c, branch):
 def test_dominant_root_accepts_the_conjugate_branch_beyond_1_over_e(monkeypatch):
     # For c > 1/e, W_{-1} is the conjugate of W_0: the same root pair.
     expected = dominant_root(1.0 / 0.4, 0.4).lam
-    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: complex(lambertw(p, -1)))
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: lambertw(p, -1))
     assert dominant_root(1.0 / 0.4, 0.4).lam == pytest.approx(expected, rel=1e-15)
+
+
+def _dense_products():
+    """Products c = -p over every seed zone and its edges, ascending."""
+    branch = E_INV
+    edges = [0.75 * E_INV, 1.25 * E_INV]  # |1 + e*p| = 0.25: the series zone's edges
+    near = [branch + k * np.finfo(float).eps for k in range(-64, 65, 8)]
+    return np.unique(np.concatenate([
+        [0.0, branch, 3620.6855332622367 * 1e-4],
+        np.linspace(1e-6, 3.0, 1500),
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+        near,
+        np.geomspace(3.0, 1e6, 60),
+    ]))
+
+
+def test_array_solver_matches_the_scalar_oracle_and_lambert_w():
+    c = _dense_products()
+    u = spectral._principal_uexpu(-c)
+    oracle = np.array([scalar_principal_uexpu(-x) for x in c])
+    ref = lambertw(-c, 0)
+    ref = np.where(ref.imag < 0, ref.conj(), ref)
+    assert np.all(u.imag >= 0.0)
+    assert u[c == 0.0][0] == 0.0 and u[c == E_INV][0] == -1.0
+    # W_0 has a square-root singularity at -1/e, so within 1e-9 of it a last
+    # bit of the seed moves u by up to sqrt(eps); there the solver and the
+    # oracle agree to 1e-8, and within 64 eps the double root -1 is returned.
+    away = np.abs(1.0 - math.e * c) > 1e-9
+    scale = np.maximum(1.0, np.abs(oracle))
+    assert np.max(np.abs(u - oracle)[away] / scale[away]) <= 1e-14
+    assert np.max(np.abs(u - ref)[away] / scale[away]) <= 1e-14
+    assert np.max(np.abs(u - oracle)[~away]) <= 1e-8
+    assert np.nanmax(np.abs(u - ref)[~away]) <= 1e-6
+
+
+def test_array_solver_gives_every_member_the_bits_it_has_alone():
+    c = _dense_products()
+    batch = spectral._principal_uexpu(-c)
+    alone = np.array([spectral._principal_uexpu(np.array([-x]))[0] for x in c])
+    assert np.array_equal(batch.view(float), alone.view(float))
+
+
+def test_dominant_root_matches_the_scalar_oracle():
+    rng = np.random.default_rng(11)
+    products = [c for c in _dense_products() if 0.0 < c < 3.0 and abs(1.0 - math.e * c) > 1e-9]
+    cases = [(c / tau, tau, 1.0) for tau in (1e-4, 0.3, 2.0) for c in products]
+    cases += [(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.5, 2.0))) for _ in range(300)]
+    worst = 0.0
+    for beta, tau, kappa in cases:
+        lam, _ = scalar_dominant_root(beta, tau, kappa)
+        root = dominant_root(beta, tau, kappa)
+        worst = max(worst, abs(root.lam - lam) / max(1.0, abs(lam)))
+        assert root.residual <= 1e-12 * max(1.0, abs(root.lam))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_are_rejected(bad):
+    for args in ((bad, 0.3), (2.0, bad), (2.0, 0.3, bad)):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            classify_pair(*args)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            dominant_root(*args)
+
+
+def test_root_solve_error_names_the_callers_point(monkeypatch):
+    # W_1 is a root of the same equation, off the principal branch.
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: lambertw(p, 1))
+    with pytest.raises(RootSolveError, match=r"branch for beta\*=2\.0, tau=0\.3, kappa=1\.5$"):
+        dominant_root(2.0, 0.3, kappa=1.5)
 
 
 @given(
