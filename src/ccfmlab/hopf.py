@@ -15,32 +15,39 @@ exists past the critical gain (supercritical), and beta2 = 2*Re c1 < 0 means
 it is orbitally stable.  The emerging cycle amplitude in the critical pair's
 relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).
 
-Construction notes.  The infinitesimal-generator measure places the delayed
-point masses -kappa*beta*_i at (i, i) and +kappa*beta*_i at (i+1, i), and
-spreads the headway coupling of the y-rows as a uniform density kappa d(theta)
-over [-tau_max, 0]; the y-components of the eigenvector therefore carry the
-factor Theta = (1 - exp(-i*omega0*tau_max))/(i*omega0).  The adjoint row
-vector has exactly zero y-components (the y-columns of the characteristic
-matrix are diagonal), which kills the uniform-density term of the inner
-product.  Both null vectors are extracted from an SVD of the characteristic
-matrix and normalized so the critical component of q equals one and
-<p, q> = 1.  The second-order correction vectors e and f solve the operator
-systems (2*i*omega0*I - L(2*i*omega0)) e = F20 and -L(0) f = F11; the y-rows
-of the latter are overdetermined, leaving an irreducible defect kappa*tau_max*f_i
-that is reported as a diagnostic rather than asserted away.
+Construction notes.  The generator's measure is the vector field's: delayed
+point masses -kappa*beta*_i at (i, i) and +kappa*beta*_i at (i+1, i), and, for
+y_i' = kappa*v_i(t), a point mass kappa at theta = 0 in the y-rows.  Both null
+vectors of the characteristic matrix M(i*omega0) come from its SVD.  q is
+scaled so its critical component is one; the adjoint p has exactly zero
+y-components (the y-columns of M are diagonal) and is scaled so that
+<p, q> = pbar.M'(i*omega0).q = 1.
+
+The expansion coefficients are Taylor coefficients of the one vector field,
+after Hassard, Kazarinoff & Wan (1981): g(z, zbar) = pbar.F(z q + zbar qbar + w).
+``model.VectorField`` is evaluated on a ring of real states z = rho*exp(i*psi):
+each z is paired with -z, which splits odd from even orders; the harmonics in
+psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
+over radii that are powers of two removes the higher orders.  F20 and F11 are
+the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
+F21 is the rho^3 part of harmonic 1 once w20 and w11 are added.  A linear
+field gives exact zeros.  The correction vectors e and f solve
+(2*i*omega0*I - L(2*i*omega0)) e = F20 and -L(0) f = F11.  The y-rows of the
+latter read kappa*f_i = 0, which f cannot meet while F11 drives the v-rows:
+that defect kappa*f_i is the resonance of the line of equilibria (v, y) = (0, c),
+and it is reported as a diagnostic rather than asserted away.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
-from .model import EquilibriumCoefficients, PlatoonConfig
+from .model import EquilibriumCoefficients, PlatoonConfig, VectorField
 from .spectral import hopf_point, transversality
 
 __all__ = [
@@ -58,29 +65,20 @@ __all__ = [
 ]
 
 
-def _theta_factor(s: complex, tau_max: float) -> complex:
-    """Integral of exp(s*theta) over [-tau_max, 0]: (1 - exp(-s*tau_max))/s."""
-    if abs(s) < 1e-14:
-        return complex(tau_max)
-    return (1.0 - cmath.exp(-s * tau_max)) / s
-
-
-def _lin_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex, tau_max: float) -> np.ndarray:
+def _lin_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
     """Action L(s) of the generator measure on the exponential exp(s*theta)*q."""
     n = beta.size
+    mass = kappa * beta * np.exp(-s * taus)
+    i = np.arange(n)
     L = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        L[i, i] = -kappa * beta[i] * cmath.exp(-s * taus[i])
-        if i + 1 < n:
-            L[i + 1, i] = kappa * beta[i] * cmath.exp(-s * taus[i])
-    theta = _theta_factor(s, tau_max)
-    for i in range(n):
-        L[n + i, i] = kappa * theta
+    L[i, i] = -mass
+    L[i[1:], i[:-1]] = mass[:-1]
+    L[n + i, i] = kappa
     return L
 
 
-def _char_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex, tau_max: float) -> np.ndarray:
-    return s * np.eye(2 * beta.size, dtype=complex) - _lin_matrix(beta, taus, kappa, s, tau_max)
+def _char_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
+    return s * np.eye(2 * beta.size, dtype=complex) - _lin_matrix(beta, taus, kappa, s)
 
 
 @dataclass
@@ -97,8 +95,6 @@ class CriticalEigendata:
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
     B: complex  # scale applied to the raw adjoint vector
-    theta: complex  # uniform-density integral at i*omega0
-    zetas: tuple[complex, complex, complex, complex]
     inner_raw: complex  # <p_raw, q> before scaling
     residual_q: float
     residual_p: float
@@ -113,7 +109,7 @@ def _pick_pair(pc: PlatoonConfig, eq: EquilibriumCoefficients) -> int:
 
 
 def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> CriticalEigendata:
-    """Eigenvectors, inner-product normalization and bookkeeping at criticality.
+    """Eigenvectors and inner-product normalization at criticality.
 
     The analysis is evaluated at the critical gain of the selected pair
     (default: the pair with the largest beta**tau, which turns critical at the
@@ -130,10 +126,9 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         raise InvalidConfigError(f"pair {pair} has zero delay; it has no Hopf point")
     hp = hopf_point(float(eq.beta[pair - 1]), tau_p, n=n_branch)
     omega0, kappa = hp.omega0, hp.kappa_cr
-    tau_max = float(np.max(eq.taus))
     s = 1j * omega0
 
-    M = _char_matrix(eq.beta, eq.taus, kappa, s, tau_max)
+    M = _char_matrix(eq.beta, eq.taus, kappa, s)
     U, sing, Vh = np.linalg.svd(M)
     if sing[-1] > 1e-8 * sing[0]:
         raise NumericalError(
@@ -159,24 +154,14 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     residual_q = float(np.max(np.abs(M @ q)) / np.max(np.abs(q)))
     residual_p = float(np.max(np.abs(p_raw.conj() @ M)) / np.max(np.abs(p_raw)))
 
-    # Bilinear pairing <p, q> = pbar . M'(i*omega0) . q; with zero adjoint
-    # y-components only the identity and the point masses survive.
-    pbar = p_raw.conj()
-    zeta4 = complex(np.dot(pbar, q))
-    zeta1 = 0.0 + 0.0j  # uniform-density term, killed by pbar_y = 0
-    zeta2 = 0.0 + 0.0j
-    for i in range(1, n):  # pairs 1..N-1 (1-based)
-        mass = kappa * eq.beta[i - 1] * eq.taus[i - 1] * cmath.exp(-s * eq.taus[i - 1]) * q[i - 1]
-        zeta2 += mass * (pbar[i] - pbar[i - 1])
-    zeta3 = (
-        kappa * eq.beta[n - 1] * eq.taus[n - 1] * cmath.exp(-s * eq.taus[n - 1]) * q[n - 1] * (-pbar[n - 1])
-    )
-    inner_raw = zeta4 + zeta1 + zeta2 + zeta3
+    # Bilinear pairing <p, q> = pbar . M'(i*omega0) . q.
+    Mp = _char_matrix_derivative(eq.beta, eq.taus, kappa, s)
+    inner_raw = complex(p_raw.conj() @ Mp @ q)
     if abs(inner_raw) < 1e-12:
         raise NumericalError("adjoint and right eigenvectors are numerically orthogonal")
     B = (1.0 / inner_raw).conjugate()
     p = B * p_raw
-    check = complex(np.dot(p.conj(), _char_matrix_derivative(eq.beta, eq.taus, kappa, s) @ q))
+    check = complex(p.conj() @ Mp @ q)
     if abs(check - 1.0) > 1e-10:
         raise NumericalError(f"inner-product normalization failed: <p, q> = {check!r}")
 
@@ -185,14 +170,12 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         n_branch=n_branch,
         omega0=omega0,
         kappa=kappa,
-        tau_max=tau_max,
+        tau_max=float(np.max(eq.taus)),
         beta=np.asarray(eq.beta, dtype=float),
         taus=np.asarray(eq.taus, dtype=float),
         q=q,
         p=p,
         B=B,
-        theta=_theta_factor(s, tau_max),
-        zetas=(zeta1, zeta2, zeta3, zeta4),
         inner_raw=inner_raw,
         residual_q=residual_q,
         residual_p=residual_p,
@@ -202,22 +185,86 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
 def _char_matrix_derivative(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
     """d/ds of the characteristic matrix; the pairing <p,q> equals pbar.M'(s).q.
 
-    The uniform-density derivative in the y-rows is omitted: it is always
-    multiplied by the adjoint's zero y-components.
+    The y-rows' point mass at theta = 0 does not depend on s, so those rows
+    are the identity's.
     """
     n = beta.size
+    mass = kappa * beta * taus * np.exp(-s * taus)
+    i = np.arange(n)
     Mp = np.eye(2 * n, dtype=complex)
-    for i in range(n):
-        mass = kappa * beta[i] * taus[i] * cmath.exp(-s * taus[i])
-        Mp[i, i] -= mass
-        if i + 1 < n:
-            Mp[i + 1, i] += mass
+    Mp[i, i] -= mass
+    Mp[i[1:], i[:-1]] = mass[:-1]
     return Mp
 
 
 # ---------------------------------------------------------------------------
 # Expansion coefficients
 # ---------------------------------------------------------------------------
+
+# The ring: angles psi_j in [0, pi), each state paired with its negative, at
+# the radii 2**-6 .. 2**-9 times R = min(x0, b)/max|q|, which keeps the
+# speed and headway deviations small against x0 and b.
+_RING_PSI = np.pi * np.arange(3) / 3
+_RING_RADII = 2.0 ** -np.arange(6, 10)
+# Row j reads the r**(2j) coefficient off a polynomial in r**2 sampled at the radii.
+_RING_FIT = np.linalg.inv(np.vander(_RING_RADII**2, increasing=True))
+# exp(-i*n*psi_j)/(2A) for n = 0, 1, 2: harmonic n over the whole ring of a part of n's parity.
+_RING_PHASES = np.exp(-1j * np.arange(3)[:, None] * _RING_PSI) / (2 * _RING_PSI.size)
+# Weights on the even part, (2, K*A): F20 = 2*(harmonic 2)/rho**2 and
+# F11 = (harmonic 0)/rho**2, each at rho -> 0.
+_EVEN_FIT = _RING_FIT[0] / _RING_RADII**2
+_QUADRATIC_WEIGHTS = np.array(
+    [2.0 * np.outer(_EVEN_FIT, _RING_PHASES[2]).ravel(), np.outer(_EVEN_FIT, _RING_PHASES[0]).ravel()]
+)
+# Weights on the differences odd_k/r_k - odd_0/r_0, k >= 1, of the odd part:
+# F21 = 2*(harmonic 1)/rho**3 at rho -> 0.  The r**2 fit row sums to zero, so
+# it may take differences, which keep a linear field's zero exact.
+_CUBIC_WEIGHTS = 2.0 * np.outer(_RING_FIT[1, 1:], _RING_PHASES[1]).reshape(-1)
+
+
+class _Ring:
+    """The one vector field on a ring of states along the critical mode.
+
+    The states are x = z*q*exp(i*omega0*theta) + c.c., plus
+    w20 z^2/2 + w11 z zbar + c.c. for the cubic order, at
+    z = R*r_k*exp(i*psi_j) for the K radii r_k and the A angles psi_j, each
+    paired with -z.  theta runs over 0 and each pair's -tau_i: the field reads
+    the state now and each pair's delayed row.
+    """
+
+    def __init__(self, pc: PlatoonConfig, eig: CriticalEigendata):
+        self.field = VectorField(pc.with_kappa(eig.kappa))
+        self.n = pc.n
+        self.thetas = np.concatenate(([0.0], -eig.taus))
+        self.scale = min(pc.leader.v_eq, float(self.field.b.min())) / float(np.max(np.abs(eig.q)))
+        self.turn = np.exp(1j * _RING_PSI)[:, None, None]
+        qt = eig.q * np.exp(1j * eig.omega0 * self.thetas)[:, None]  # (N+1, 2N)
+        lin = self.scale * 2.0 * (self.turn * qt).real
+        # (K, 2, A, N+1, 2N); the radii are powers of two, so the scaling is exact.
+        self.lin = np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]
+
+    def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The odd and even parts F(x(z)) -/+ F(x(-z)) of the field, (K, A, 2N) each."""
+        n = self.n
+        rows = x.reshape(-1, n + 1, 2 * n)
+        out, failures = self.field(math.inf, rows[:, 0], rows[:, 1:])
+        if failures:
+            raise NumericalError(f"the normal-form ring left the model's domain: {failures[0]}")
+        out = out.reshape(x.shape[:3] + (2 * n,))
+        return out[:, 0] - out[:, 1], out[:, 0] + out[:, 1]
+
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
+        """F20 and F11 (v-rows): the rho**2 parts of harmonics 2 and 0 along q."""
+        even = self._parts(self.lin)[1][..., : self.n]
+        F20, F11 = _QUADRATIC_WEIGHTS @ even.reshape(-1, self.n) / self.scale**2
+        return F20, F11
+
+    def cubic(self, corr: "ManifoldCorrections") -> np.ndarray:
+        """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11 are added."""
+        w = (self.turn**2 * corr.w20(self.thetas)).real + corr.w11(self.thetas).real
+        r2 = (_RING_RADII**2)[:, None, None, None, None]
+        odd = self._parts(self.lin + (self.scale**2 * w) * r2)[0][..., : self.n] * (1.0 / _RING_RADII)[:, None, None]
+        return _CUBIC_WEIGHTS @ (odd[1:] - odd[0]).reshape(-1, self.n) / self.scale**3
 
 
 @dataclass
@@ -228,42 +275,23 @@ class GCoefficients:
     g02: complex
     g11: complex
     g21: complex | None
-    F20: np.ndarray  # per-pair quadratic coefficients (v-rows), length N
-    F02: np.ndarray
+    F20: np.ndarray  # per-pair quadratic coefficients (v-rows), length N; F02 is F20.conj()
     F11: np.ndarray
     F21: np.ndarray | None
 
 
-def _quadratic_coefficients(pc: PlatoonConfig, eig: CriticalEigendata) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair quadratic coefficients F20, F02, F11 of the critical expansion.
-
-    Each pair couples two delayed interaction terms; the leading factor of the
-    speed-expansion accumulates the pair position, giving the (i-2)/(i-1)
-    weighted terms for pairs beyond the first.
-    """
-    n = pc.n
-    m, l = pc.m, pc.l
-    x0 = pc.leader.v_eq
-    kappa = eig.kappa
-    beta = eig.beta
-    taus = eig.taus
-    b = [veh.b for veh in pc.vehicles]
-    w0 = eig.omega0
-    F20 = np.zeros(n, dtype=complex)
-    F11 = np.zeros(n, dtype=complex)
-    for i in range(1, n + 1):
-        Ei = cmath.exp(-2j * w0 * taus[i - 1])
-        F20[i - 1] = 4.0 * (m / x0 + l / b[i - 1]) * beta[i - 1] * Ei + 4.0 * (m / x0) * beta[i - 1] * (i - 1) * Ei
-        F11[i - 1] = 2.0 * (m / x0 + l / b[i - 1]) * beta[i - 1]
-        if i >= 2:
-            Ep = cmath.exp(-2j * w0 * taus[i - 2])
-            F20[i - 1] -= (
-                4.0 * (m / x0 + l / b[i - 2]) * beta[i - 2] * Ep + 4.0 * (m / x0) * beta[i - 2] * (i - 2) * Ep
-            )
-            F11[i - 1] -= 2.0 * (m / x0 + l / b[i - 2]) * beta[i - 2]
-    F20 *= kappa
-    F11 *= kappa
-    return F20, F20.conj(), F11
+def _project(eig: CriticalEigendata, F20: np.ndarray, F11: np.ndarray, F21: np.ndarray | None = None) -> GCoefficients:
+    """g_x = pbar(0) . F_x over the v-rows (the adjoint's y-components are zero)."""
+    pbar_v = eig.p.conj()[: F20.size]
+    return GCoefficients(
+        g20=complex(pbar_v @ F20),
+        g02=complex(pbar_v @ F20.conj()),
+        g11=complex(pbar_v @ F11),
+        g21=None if F21 is None else complex(pbar_v @ F21),
+        F20=F20,
+        F11=F11,
+        F21=F21,
+    )
 
 
 def g_coefficients(
@@ -274,69 +302,9 @@ def g_coefficients(
     Without corrections only the quadratic coefficients are available; pass
     the ManifoldCorrections to fill in g21 (which needs w20 and w11).
     """
-    F20, F02, F11 = _quadratic_coefficients(pc, eig)
-    pbar_v = eig.p.conj()[: pc.n]
-    g20 = complex(np.dot(pbar_v, F20))
-    g02 = complex(np.dot(pbar_v, F02))
-    g11 = complex(np.dot(pbar_v, F11))
-    F21 = None
-    g21 = None
-    if corrections is not None:
-        F21 = _cubic_coefficients(pc, eig, corrections)
-        g21 = complex(np.dot(pbar_v, F21))
-    return GCoefficients(g20=g20, g02=g02, g11=g11, g21=g21, F20=F20, F02=F02, F11=F11, F21=F21)
-
-
-def _cubic_coefficients(pc: PlatoonConfig, eig: CriticalEigendata, corr: "ManifoldCorrections") -> np.ndarray:
-    """Per-pair cubic coefficients F21, mixing w-corrections and direct cubics."""
-    n = pc.n
-    m, l = pc.m, pc.l
-    x0 = pc.leader.v_eq
-    kappa = eig.kappa
-    beta = eig.beta
-    taus = eig.taus
-    b = [veh.b for veh in pc.vehicles]
-    w0 = eig.omega0
-    distinct = sorted(set(float(t) for t in taus))
-    w20_at = dict(zip(distinct, corr.w20(-np.array(distinct))))
-    w11_at = dict(zip(distinct, corr.w11(-np.array(distinct))))
-
-    def block(idx: int, pos: int) -> complex:
-        """Contribution of the interaction of pair idx, occupying position pos.
-
-        idx is the 1-based pair whose delayed term is being expanded; pos is
-        idx-1 for the predecessor term of pair i = idx+1 and idx-1 as well for
-        the pair's own term -- the caller passes pos = idx - 1 directly as the
-        accumulated-speed weight.
-        """
-        tau = float(taus[idx - 1])
-        Ef = cmath.exp(1j * w0 * tau)
-        Eb = cmath.exp(-1j * w0 * tau)
-        w20d = w20_at[tau]
-        w11d = w11_at[tau]
-        bracket = w20d[idx - 1] * Ef + 2.0 * w11d[idx - 1] * Eb
-        term = 2.0 * (m / x0 + l / b[idx - 1]) * beta[idx - 1] * bracket
-        wsum = 0.0 + 0.0j
-        for nn in range(1, pos + 1):
-            wsum += (w20d[nn - 1] + w20d[idx - 1]) * Ef + 2.0 * (w11d[nn - 1] + w11d[idx - 1]) * Eb
-        term += (m / x0) * beta[idx - 1] * wsum
-        cubic = (
-            m * (m - 1.0) / (2.0 * x0 * x0)
-            + m * (m - 1.0) * pos * pos / (x0 * x0)
-            + 2.0 * m * (m - 1.0) * pos / (3.0 * x0 * x0)
-            + l * m * pos / (3.0 * b[idx - 1] * x0)
-            + l * m / (3.0 * b[idx - 1] * x0)
-        )
-        term -= 2.0 * Eb * beta[idx - 1] * cubic
-        return term
-
-    F21 = np.zeros(n, dtype=complex)
-    for i in range(1, n + 1):
-        val = block(i, i - 1)
-        if i >= 2:
-            val -= block(i - 1, i - 2)
-        F21[i - 1] = kappa * val
-    return F21
+    ring = _Ring(pc, eig)
+    F21 = None if corrections is None else ring.cubic(corrections)
+    return _project(eig, *ring.quadratic(), F21)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +318,7 @@ class WResiduals:
 
     Interior residuals and the full theta = 0 residual of w20 should be at
     machine level.  The y-rows of the w11 boundary equation are structurally
-    overdetermined; their defect (kappa*tau_max*f_i) is reported here as a
+    overdetermined; their defect (kappa*f_i) is reported here as a
     diagnostic and is not an error.
     """
 
@@ -418,9 +386,7 @@ def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoeffici
         e[i] = (g.F20[i] + prev_mass * prev) / (s2 + mass_i)
         prev = e[i]
         prev_mass = mass_i
-    theta2 = _theta_factor(s2, eig.tau_max)
-    for i in range(n):
-        e[n + i] = kappa * e[i] * theta2 / s2
+    e[n:] = kappa * e[:n] / s2
     f = np.zeros(2 * n, dtype=complex)
     prev = 0.0 + 0.0j
     for i in range(n):
@@ -452,23 +418,23 @@ def _w_residuals(
         - (g.g02.conjugate() / (3j * w0)) * qb * (-1j * w0) / ew
         + corr.e * 2j * w0 * np.exp(2j * w0 * theta)[:, None]
     )
-    rhs20 = 2j * w0 * corr.w20(theta) + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
+    w20 = corr.w20(theta)  # the last sample is theta = 0
+    rhs20 = 2j * w0 * w20 + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
     d11 = (g.g11 / (1j * w0)) * q0 * (1j * w0) * ew - (g.g11.conjugate() / (1j * w0)) * qb * (-1j * w0) / ew
     rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
     interior20 = float(np.max(np.abs(d20 - rhs20)))
     interior11 = float(np.max(np.abs(d11 - rhs11)))
 
     # Boundary theta = 0: generator action on each exponential piece.
-    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0, tau_max)
-    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0, tau_max)
+    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0)
+    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0)
     F20_full = np.zeros(2 * n, dtype=complex)
     F20_full[:n] = g.F20
     F11_full = np.zeros(2 * n, dtype=complex)
     F11_full[:n] = g.F11
-    w20_0 = corr.w20(0.0)
     A_w20 = -(g.g20 / (1j * w0)) * (1j * w0) * q0 - (g.g02.conjugate() / (3j * w0)) * (-1j * w0) * qb + L2 @ corr.e
     H20_0 = -g.g20 * q0 - g.g02.conjugate() * qb + F20_full
-    res20 = 2j * w0 * w20_0 - A_w20 - H20_0
+    res20 = 2j * w0 * w20[-1] - A_w20 - H20_0
     A_w11 = (g.g11 / (1j * w0)) * (1j * w0) * q0 - (g.g11.conjugate() / (1j * w0)) * (-1j * w0) * qb + L0 @ corr.f
     H11_0 = -g.g11 * q0 - g.g11.conjugate() * qb + F11_full
     res11 = -A_w11 - H11_0
@@ -524,15 +490,17 @@ class HopfReport:
             "beta2": self.beta2,
             "type": self.kind,
             "orbit": self.orbit,
+            **asdict(self.corrections.residuals),
         }
 
 
 def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> HopfReport:
     """Run the full normal-form pipeline at the critical gain of one pair."""
     eig = critical_eigendata(pc, pair=pair, n_branch=n_branch)
-    g_quad = g_coefficients(pc, eig)
-    corr = manifold_corrections(pc, eig, g_quad)
-    g_full = g_coefficients(pc, eig, corrections=corr)
+    ring = _Ring(pc, eig)
+    F20, F11 = ring.quadratic()
+    corr = manifold_corrections(pc, eig, _project(eig, F20, F11))
+    g_full = _project(eig, F20, F11, ring.cubic(corr))
     c1 = first_lyapunov(g_full, eig.omega0)
     bstar = float(eig.beta[eig.pair - 1])
     tau_p = float(eig.taus[eig.pair - 1])

@@ -27,10 +27,17 @@ numbers by independent means and share no solver code with it:
   as the masked array solve ``spectral._rightmost``, which is held to it;
 * ``loop_w_residuals`` evaluates the interior w-residuals of the Hopf
   pipeline one theta sample at a time, against which the (11, 2N) broadcast
-  in ``hopf._w_residuals`` is checked.
+  in ``hopf._w_residuals`` is checked;
+* ``scalar_taylor_coefficients`` is the closed form of F20, F11 and F21 for
+  one follower at l = 0, and ``sympy_taylor_coefficients`` takes them from
+  sympy's derivatives of the model's flux for any N, m and l.  The
+  normal-form coefficients that ``hopf`` reads off ``model.VectorField`` on
+  a ring of states are checked against both.
 """
 
 import cmath
+import functools
+import itertools
 import math
 from typing import Callable
 
@@ -583,8 +590,8 @@ def loop_w_residuals(pc, eig, g, corr) -> WResiduals:
         rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
         interior11 = max(interior11, float(np.max(np.abs(d11 - rhs11))))
 
-    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0, tau_max)
-    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0, tau_max)
+    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0)
+    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0)
     F20_full = np.zeros(2 * n, dtype=complex)
     F20_full[:n] = g.F20
     F11_full = np.zeros(2 * n, dtype=complex)
@@ -603,3 +610,101 @@ def loop_w_residuals(pc, eig, g, corr) -> WResiduals:
         w11_boundary_v=float(np.max(np.abs(res11[:n]))),
         w11_boundary_y=float(np.max(np.abs(res11[n:]))),
     )
+
+
+# ---------------------------------------------------------------------------
+# Normal-form Taylor coefficients
+# ---------------------------------------------------------------------------
+
+
+def scalar_taylor_coefficients(pc, eig, corr=None):
+    """F20, F11 and F21 of one follower at l = 0 in closed form.
+
+    The model reduces to v' = -kappa*g(v(t - tau)) with
+    g(u) = beta*(u - (m/x0) u^2 + m(m-1) u^3/(2 x0^2) + ...).  With q_v = 1,
+    u(-tau) = z e^{-i w tau} + c.c. + w(-tau), and the z^2/2, z zbar, z^2 zbar/2
+    conventions this gives the three coefficients below.  F21 is None
+    without the corrections.
+    """
+    if pc.n != 1 or pc.l != 0.0 or abs(eig.q[0] - 1.0) > 1e-14:
+        raise InvalidConfigError("the closed form covers one follower at l = 0 with q_v = 1")
+    kb = eig.kappa * eig.beta[0]
+    tau = eig.taus[0]
+    m, x0 = pc.m, pc.leader.v_eq
+    back = cmath.exp(-1j * eig.omega0 * tau)
+    F20 = 2.0 * kb * (m / x0) * back * back
+    F11 = 2.0 * kb * (m / x0)
+    if corr is None:
+        return F20, F11, None
+    w20 = corr.w20(-tau)[0]
+    w11 = corr.w11(-tau)[0]
+    F21 = -3.0 * kb * m * (m - 1.0) / x0**2 * back + 2.0 * kb * (m / x0) * (w20 / back + 2.0 * w11 * back)
+    return F20, F11, F21
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_flux_forms(m: float, l: float):
+    """The second and third derivatives at rest of the flux alpha (x0 - s - v)^m (b + y)^-l v in (s, y, v).
+
+    sympy differentiates once per pair of exponents, which enter as exact
+    rationals; the result is a function of (alpha, x0, b) returning the
+    (3, 3) and (3, 3, 3) tensors.
+    """
+    import sympy
+
+    alpha, x0, b = params = sympy.symbols("alpha x0 b", positive=True)
+    s, y, v = args = sympy.symbols("s y v")
+    flux = alpha * (x0 - s - v) ** sympy.Rational(m) * (b + y) ** -sympy.Rational(l) * v
+    at_rest = {a: 0 for a in args}
+    d2 = [[0] * 3 for _ in range(3)]
+    d3 = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        expr = sympy.diff(flux, args[i], args[j])
+        d2[i][j] = d2[j][i] = expr.xreplace(at_rest)
+        for k in range(j, 3):
+            val = sympy.diff(expr, args[k]).xreplace(at_rest)
+            for a, c, e in set(itertools.permutations((i, j, k))):
+                d3[a][c][e] = val
+    evaluate = sympy.lambdify(params, (d2, d3), "math")
+    return lambda *values: tuple(np.array(t, dtype=float) for t in evaluate(*values))
+
+
+def sympy_taylor_coefficients(pc, eig, corr=None):
+    """F20, F11 and F21 (v-rows) from derivatives of the model equations taken by sympy.
+
+    Pair i's flux alpha_i (x0 - s - v)^m (b_i + y)^-l v depends on its
+    delayed row at -tau_i through s = v_1 + ... + v_{i-1}, y = y_i and
+    v = v_i.  With B and C its second and third derivative forms at
+    equilibrium in (s, y, v), F20 = B(q, q), F11 = B(q, qbar) and
+    F21 = C(q, q, qbar) + 2 B(q, w11) + B(qbar, w20), each v-row being kappa
+    times the predecessor's form minus the pair's own.  Non-integer and
+    negative m are covered.  Call it from tests that first
+    ``pytest.importorskip("sympy")``.
+    """
+    n = pc.n
+    w0 = eig.omega0
+    forms = _sympy_flux_forms(pc.m, pc.l)
+
+    def delayed(vec, i):
+        """Pair i's (s, y, v) of the function theta -> vec(theta) at -tau_i (0-based i)."""
+        row = vec(-float(eig.taus[i]))
+        return np.array([row[:i].sum(), row[n + i], row[i]])
+
+    def q(theta):
+        return eig.q * cmath.exp(1j * w0 * theta)
+
+    def qbar(theta):
+        return np.conj(q(theta))
+
+    fluxes = np.zeros((3, n), dtype=complex)
+    for i, veh in enumerate(pc.vehicles):
+        d2, d3 = forms(veh.alpha, pc.leader.v_eq, veh.b)
+        qi, qbi = delayed(q, i), delayed(qbar, i)
+        fluxes[0, i] = qi @ d2 @ qi
+        fluxes[1, i] = qi @ d2 @ qbi
+        if corr is not None:
+            w20, w11 = delayed(corr.w20, i), delayed(corr.w11, i)
+            fluxes[2, i] = np.einsum("abc,a,b,c", d3, qi, qi, qbi) + 2.0 * qi @ d2 @ w11 + qbi @ d2 @ w20
+    F = -eig.kappa * fluxes
+    F[:, 1:] += eig.kappa * fluxes[:, :-1]
+    return F[0], F[1], F[2] if corr is not None else None

@@ -273,6 +273,7 @@ def test_hopf_json_schema(tmp_path, single_path):
     assert set(data) == {
         "pair", "omega0", "kappa_cr", "alpha_prime", "c1_re", "c1_im",
         "mu2", "beta2", "type", "orbit",
+        "w20_interior", "w20_boundary", "w11_interior", "w11_boundary_v", "w11_boundary_y",
     }
     assert data["pair"] == 1
     assert data["omega0"] == pytest.approx(3.5, rel=1e-12)

@@ -4,9 +4,11 @@ For the single-follower threshold configuration almost every stage has a
 closed-form value that can be derived by hand (the critical pair satisfies
 kappa*beta* = omega0 and exp(-i*omega0*tau) = -i, which collapses the
 algebra), so those stages are pinned exactly.  Later stages are pinned as
-full-precision regression anchors, and convention-independent identities
-(mu2 * alpha' = -Re c1, beta2 = 2 Re c1, operator residuals) guard the
-pipeline as a whole.
+full-precision anchors computed with the Taylor coefficients of the sympy
+oracle, and convention-independent identities (mu2 * alpha' = -Re c1,
+beta2 = 2 Re c1, operator residuals) guard the pipeline as a whole.  The
+coefficients themselves are checked against the closed form at l = 0 and
+against sympy's derivatives of the model's flux.
 """
 
 import cmath
@@ -17,6 +19,10 @@ import pytest
 
 from ccfmlab.errors import NumericalError
 from ccfmlab.hopf import (
+    _RING_FIT,
+    _RING_PHASES,
+    _RING_RADII,
+    _Ring,
     _w_residuals,
     critical_eigendata,
     first_lyapunov,
@@ -34,7 +40,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
-from oracles import loop_w_residuals
+from oracles import loop_w_residuals, scalar_taylor_coefficients, sympy_taylor_coefficients
 
 TAU = math.pi / 7.0
 PAIRING = 1.0 + 1j * math.pi / 2.0  # <p_raw, q> for the threshold config
@@ -51,9 +57,10 @@ def test_eigendata_exact_hand_values(critical_config):
     assert eig.omega0 == pytest.approx(3.5, rel=1e-14)
     assert eig.kappa == pytest.approx(1.0, rel=1e-14)
 
-    # right eigenvector: v-component pinned to 1, y-component -(4/49)(1+i)
+    # right eigenvector: v-component pinned to 1; y' = kappa*v is a point mass
+    # at theta = 0, so the y-component is kappa/(i*omega0) = -(2/7)i
     assert eig.q[0] == pytest.approx(1.0 + 0.0j, abs=1e-14)
-    assert eig.q[1] == pytest.approx(-(4.0 / 49.0) * (1.0 + 1.0j), abs=1e-13)
+    assert eig.q[1] == pytest.approx(-(2.0 / 7.0) * 1.0j, abs=1e-13)
 
     # adjoint: y-components exactly zero, v-component conj(1/<p_raw, q>)
     assert eig.p[1] == 0.0
@@ -64,11 +71,6 @@ def test_eigendata_exact_hand_values(critical_config):
     # pairing closed by hand: d/ds[s + beta*exp(-s tau)] at i*omega0 is
     # 1 + i*pi/2, and conj(p_v) times that times q_v must give 1
     assert eig.p[0].conjugate() * PAIRING * eig.q[0] == pytest.approx(1.0, abs=1e-12)
-
-    z1, z2, z3, z4 = eig.zetas
-    assert abs(z1) == 0.0 and abs(z2) <= 1e-13
-    assert z3 == pytest.approx(1j * math.pi / 2.0, abs=1e-13)
-    assert z4 == pytest.approx(1.0 + 0.0j, abs=1e-13)
 
     assert eig.residual_q <= 1e-12
     assert eig.residual_p <= 1e-12
@@ -116,29 +118,57 @@ def test_two_simultaneously_critical_pairs_rejected():
 def test_quadratic_forcing_exact_values(critical_config):
     eig = critical_eigendata(critical_config)
     g = g_coefficients(critical_config, eig)
-    # F20 = -kappa*beta* * 4*(m/x0 + l/b) with E-phases collapsing to -1
-    assert g.F20[0] == pytest.approx(-3.5 + 0.0j, abs=1e-12)
-    assert g.F11[0] == pytest.approx(1.75 + 0.0j, abs=1e-12)
-    assert np.allclose(g.F02, np.conj(g.F20), atol=1e-14)
+    # The flux alpha*(x0 - v)^2*v/(b + y) has d2/dv2 = -4*alpha*x0/b = -1.4 and
+    # d2/dvdy = -alpha*x0^2/b^2 = -0.175 at rest.  With q(-tau) = (-i, -2/7),
+    # F20 = -B(q, q) = -1.4 + 0.1i and F11 = -B(q, qbar) = 1.4.
+    assert g.F20[0] == pytest.approx(-1.4 + 0.1j, abs=1e-12)
+    assert g.F11[0] == pytest.approx(1.4 + 0.0j, abs=1e-12)
 
-    assert g.g20 == pytest.approx(-3.5 / PAIRING, abs=1e-12)
-    assert g.g11 == pytest.approx(1.75 / PAIRING, abs=1e-12)
-    # F20 is real here, so g02 coincides with g20
-    assert g.g02 == pytest.approx(g.g20, abs=1e-12)
+    assert g.g20 == pytest.approx((-1.4 + 0.1j) / PAIRING, abs=1e-12)
+    assert g.g11 == pytest.approx(1.4 / PAIRING, abs=1e-12)
+    # g02 projects F02 = conj(F20)
+    assert g.g02 == pytest.approx((-1.4 - 0.1j) / PAIRING, abs=1e-12)
     assert g.g21 is None  # cubic stage needs the manifold corrections
+
+
+def test_taylor_coefficients_match_the_closed_form():
+    # One follower at l = 0 with beta* = 3.5, over m and the delay.
+    for m in (-1.0, 0.5, 1.0, 1.5, 2.0):
+        for tau in (0.2, TAU, 0.9):
+            vehicles = (VehicleParams(alpha=3.5 / 10.0**m, tau=tau, b=20.0),)
+            pc = PlatoonConfig(vehicles=vehicles, m=m, l=0.0, leader=LeaderProfile(v_eq=10.0))
+            rep = hopf_report(pc)
+            F20, F11, F21 = scalar_taylor_coefficients(pc, rep.eig, rep.corrections)
+            assert rep.g.F20[0] == pytest.approx(F20, rel=1e-10), (m, tau)
+            assert rep.g.F11[0] == pytest.approx(F11, rel=1e-10), (m, tau)
+            assert rep.g.F21[0] == pytest.approx(F21, rel=1e-9), (m, tau)
+
+
+def test_taylor_coefficients_match_sympy(critical_config):
+    pytest.importorskip("sympy")
+    rng = np.random.default_rng(8)
+    configs = [critical_config, single_follower(l=0.0), four_vehicle_platoon()]
+    configs += [_random_platoon(rng, 1 + k % 3, *EXPONENTS[k % len(EXPONENTS)]) for k in range(12)]
+    for pc in configs:
+        rep = hopf_report(pc)
+        F20, F11, F21 = sympy_taylor_coefficients(pc, rep.eig, rep.corrections)
+        for got, want in ((rep.g.F20, F20), (rep.g.F11, F11), (rep.g.F21, F21)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (pc.n, pc.m, pc.l)
+        # g02 is the projection of F02 = conj(F20)
+        assert rep.g.g02 == pytest.approx(complex(rep.eig.p[: pc.n].conj() @ F20.conj()), rel=1e-9)
 
 
 def test_manifold_corrections_exact_values(critical_config):
     eig = critical_eigendata(critical_config)
     g = g_coefficients(critical_config, eig)
     corr = manifold_corrections(critical_config, eig, g)
-    # e_v = F20 / (2i*omega0 + beta*exp(-2i*omega0*tau)) = -3.5/(7i - 3.5)
-    assert corr.e[0] == pytest.approx(0.2 + 0.4j, abs=1e-12)
-    assert corr.e[1] == pytest.approx(
-        -0.008163265306122445 - 0.016326530612244896j, abs=1e-13
-    )
-    # f_v = F11 / (kappa*beta*) = 1.75/3.5; free y-component fixed at zero
-    assert corr.f[0] == pytest.approx(0.5 + 0.0j, abs=1e-13)
+    # e_v = F20 / (2i*omega0 + beta*exp(-2i*omega0*tau)) = (-1.4 + 0.1i)/(7i - 3.5),
+    # and e_y = kappa*e_v/(2i*omega0) = e_v/(7i)
+    e_v = (-1.4 + 0.1j) / (-3.5 + 7.0j)
+    assert corr.e[0] == pytest.approx(e_v, abs=1e-12)
+    assert corr.e[1] == pytest.approx(e_v / 7.0j, abs=1e-13)
+    # f_v = F11 / (kappa*beta*) = 1.4/3.5; free y-component fixed at zero
+    assert corr.f[0] == pytest.approx(0.4 + 0.0j, abs=1e-13)
     assert corr.f[1] == 0.0
 
     res = corr.residuals
@@ -146,8 +176,8 @@ def test_manifold_corrections_exact_values(critical_config):
     assert res.w20_boundary <= 1e-8
     assert res.w11_interior <= 1e-12
     assert res.w11_boundary_v <= 1e-8
-    # structural defect of the overdetermined y-row: kappa*tau_max*f_v
-    assert res.w11_boundary_y == pytest.approx(math.pi / 14.0, rel=1e-10)
+    # structural defect of the overdetermined y-row: kappa*f_v
+    assert res.w11_boundary_y == pytest.approx(0.4, rel=1e-10)
 
 
 def _random_platoon(rng, n, m, l):
@@ -165,18 +195,38 @@ def _random_platoon(rng, n, m, l):
     return PlatoonConfig(vehicles, m, l, LeaderProfile(x0, 10.0))
 
 
-def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
+EXPONENTS = ((2.0, 1.0), (1.0, 1.0), (0.5, 0.5), (-1.0, 1.5), (2.0, 0.0), (1.5, 2.0))
+
+
+def _platoon_set(critical_config):
+    """The threshold single follower, the four-vehicle platoon and 48 random platoons of 1-8 vehicles."""
     rng = np.random.default_rng(5)
-    exponents = ((2.0, 1.0), (1.0, 1.0), (0.5, 0.5), (-1.0, 1.5), (2.0, 0.0), (1.5, 2.0))
     configs = [critical_config, four_vehicle_platoon()]
-    configs += [_random_platoon(rng, 1 + k % 8, *exponents[k % len(exponents)]) for k in range(48)]
-    for pc in configs:
+    return configs + [_random_platoon(rng, 1 + k % 8, *EXPONENTS[k % len(EXPONENTS)]) for k in range(48)]
+
+
+def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
+    for pc in _platoon_set(critical_config):
         rep = hopf_report(pc)
         got = _w_residuals(pc, rep.eig, rep.g, rep.corrections)
         want = loop_w_residuals(pc, rep.eig, rep.g, rep.corrections)
         assert got == rep.corrections.residuals
         for name, value in vars(want).items():
             assert abs(getattr(got, name) - value) <= 1e-13, (pc.n, name)
+
+
+def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
+    # The order-rho part of harmonic 1 on the ring is the field's linear part
+    # applied to q*exp(i*omega0*theta): it must be i*omega0*q in every row,
+    # the y-rows included, where y' = kappa*v(t) reads q at theta = 0 only.
+    for pc in _platoon_set(critical_config):
+        eig = critical_eigendata(pc)
+        ring = _Ring(pc, eig)
+        odd = ring._parts(ring.lin)[0]
+        h1 = (odd * _RING_PHASES[1, :, None]).sum(axis=1) / _RING_RADII[:, None]
+        linear = _RING_FIT[0] @ h1 / ring.scale
+        want = 1j * eig.omega0 * eig.q
+        assert np.max(np.abs(linear - want)) <= 1e-12 * np.max(np.abs(want)), pc.n
 
 
 def test_w_functions_take_an_array_of_thetas():
@@ -193,9 +243,9 @@ def test_w_functions_frozen_samples(critical_config):
     rep = hopf_report(critical_config)
     corr = rep.corrections
     assert corr.w20(-TAU)[0] == pytest.approx(
-        -0.3922669594280006 + 0.20402446726705364j, rel=1e-10
+        -0.15107751327785587 + 0.09281741431905002j, rel=1e-10
     )
-    assert corr.w11(-TAU)[0] == pytest.approx(0.21159956085799914 + 0.0j, rel=1e-10)
+    assert corr.w11(-TAU)[0] == pytest.approx(0.1692796486863991 + 0.0j, rel=1e-10)
     assert corr.w11(-TAU)[0].imag == pytest.approx(0.0, abs=1e-13)
 
 
@@ -203,10 +253,10 @@ def test_cubic_stage_frozen_regression(critical_config):
     rep = hopf_report(critical_config)
     g = rep.g
     assert g.F21[0] == pytest.approx(
-        -0.35704281771734386 - 1.3337323086686648j, rel=1e-10
+        -0.12886341586620353 - 0.512212866248998j, rel=1e-10
     )
     assert g.g21 == pytest.approx(
-        -0.7071765158375153 - 0.22290203519548293j, rel=1e-10
+        -0.26920609347268765 - 0.08934492347129677j, rel=1e-10
     )
 
 
@@ -222,10 +272,10 @@ def test_single_follower_report_reference_values(critical_config):
     assert rep.kappa_cr == pytest.approx(1.0, rel=1e-14)
     assert rep.alpha_prime == pytest.approx(1.5855642265760157, rel=1e-12)
     assert rep.c1 == pytest.approx(
-        -0.5822269675349427 - 0.4252405303675153j, rel=1e-10
+        -0.205326417562575 - 0.19383116035589487j, rel=1e-10
     )
-    assert rep.mu2 == pytest.approx(0.3672049090009092, rel=1e-10)
-    assert rep.beta2 == pytest.approx(-1.1644539350698855, rel=1e-10)
+    assert rep.mu2 == pytest.approx(0.12949738277456727, rel=1e-10)
+    assert rep.beta2 == pytest.approx(-0.41065283512515, rel=1e-10)
     assert rep.kind == "supercritical"
     assert rep.orbit == "stable"
 
@@ -256,7 +306,7 @@ def test_higher_branch_report(critical_config):
     assert rep.kappa_cr == pytest.approx(5.0, rel=1e-13)
     assert rep.kind == "supercritical"
     assert rep.c1 == pytest.approx(
-        -0.6181239965589609 - 0.2549899913415702j, rel=1e-9
+        -0.3155711034025603 - 0.10329606394894222j, rel=1e-9
     )
     assert rep.mu2 * rep.alpha_prime == pytest.approx(-rep.c1.real, rel=1e-12)
 
@@ -292,8 +342,10 @@ def test_report_dict_schema(critical_config):
     assert set(d) == {
         "pair", "omega0", "kappa_cr", "alpha_prime", "c1_re", "c1_im",
         "mu2", "beta2", "type", "orbit",
+        "w20_interior", "w20_boundary", "w11_interior", "w11_boundary_v", "w11_boundary_y",
     }
     assert d["type"] == "supercritical" and d["orbit"] == "stable"
+    assert d["w11_boundary_y"] == pytest.approx(0.4, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +358,19 @@ def test_predicted_amplitude_values(critical_config):
     assert predicted_amplitude(rep, 1.0) is None
     assert predicted_amplitude(rep, 0.99) is None
     assert predicted_amplitude(rep, 1.02) == pytest.approx(
-        0.46675690804415704, rel=1e-10
+        0.7859854344071583, rel=1e-10
     )
     a_small = predicted_amplitude(rep, 1.005)
     a_big = predicted_amplitude(rep, 1.02)
     assert 0.0 < a_small < a_big
+
+
+def test_predicted_amplitude_matches_converged_rk4_tails():
+    # Tail amplitudes of 900 s rk4 runs at h = 0.01 on the l = 0 single
+    # follower (acceptance #8), step-converged to the digits given.
+    rep = hopf_report(single_follower(l=0.0))
+    for kappa, measured in ((1.0025, 0.281), (1.005, 0.399), (1.01, 0.563), (1.02, 0.794)):
+        assert predicted_amplitude(rep, kappa) == pytest.approx(measured, rel=0.01), kappa
 
 
 def test_post_threshold_sweep_is_reproducible_and_ordered():
