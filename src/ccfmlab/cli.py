@@ -42,6 +42,8 @@ def _parse_float_list(text: str, flag: str, allow_empty: bool = False) -> list[f
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise InvalidConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidConfigError(f"{flag} expects finite numbers, got {text!r}")
     if not values and not allow_empty:
         raise InvalidConfigError(f"{flag} must contain at least one value")
     return values
@@ -139,7 +141,6 @@ def _cmd_stability_chart(args) -> int:
         m_min + k * (m_max - m_min) / (args.m_points - 1) for k in range(args.m_points)
     ]
     m_grid = [m for m in m_grid if abs(m) > 1e-9]  # the boundary is undefined at m = 0
-    out = _ensure_outdir(args.out)
     rows = []
     for l in l_values:
         for m in m_grid:
@@ -150,6 +151,7 @@ def _cmd_stability_chart(args) -> int:
             except OverflowError:
                 x0_boundary = float("inf")
             rows.append(("neg" if m < 0 else "pos", l, m, x0_boundary))
+    out = _ensure_outdir(args.out)
     with open(os.path.join(out, "stability-chart.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("panel,l,m,x0dot_boundary\n")
         for panel, l, m, x0b in rows:

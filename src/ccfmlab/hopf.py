@@ -31,16 +31,17 @@ psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
 over radii that are powers of two removes the higher orders.  F20 and F11 are
 the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
 F21 is the rho^3 part of harmonic 1 once w20 and w11 are added.  A linear
-field gives exact zeros.  The correction vectors e and f solve
-(2*i*omega0*I - L(2*i*omega0)) e = F20 and -L(0) f = F11.  The y-rows of the
-latter read kappa*f_i = 0, which f cannot meet while F11 drives the v-rows:
-that defect kappa*f_i is the resonance of the line of equilibria (v, y) = (0, c),
-and it is reported as a diagnostic rather than asserted away.
+field gives exact zeros.  The correction vectors are solves on the same
+generator: e solves M(2*i*omega0) e = (F20, 0), and f's v-rows solve
+-L(0)[:N, :N] f_v = F11 with f_y = 0.  Their residuals are the health
+numbers reported.  The y-rows of -L(0) f = (F11, 0) read kappa*f_i = 0, which
+f cannot meet while F11 drives the v-rows: that defect kappa*f_i is the
+resonance of the line of equilibria (v, y) = (0, c), and it is reported as a
+diagnostic rather than asserted away.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -89,7 +90,6 @@ class CriticalEigendata:
     n_branch: int
     omega0: float
     kappa: float
-    tau_max: float
     beta: np.ndarray
     taus: np.ndarray
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
@@ -170,7 +170,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         n_branch=n_branch,
         omega0=omega0,
         kappa=kappa,
-        tau_max=float(np.max(eq.taus)),
         beta=np.asarray(eq.beta, dtype=float),
         taus=np.asarray(eq.taus, dtype=float),
         q=q,
@@ -314,17 +313,14 @@ def g_coefficients(
 
 @dataclass
 class WResiduals:
-    """Operator-equation residuals of the w-corrections.
+    """Residuals of the two linear solves behind the w-corrections.
 
-    Interior residuals and the full theta = 0 residual of w20 should be at
-    machine level.  The y-rows of the w11 boundary equation are structurally
-    overdetermined; their defect (kappa*f_i) is reported here as a
-    diagnostic and is not an error.
+    ``w20_boundary`` and ``w11_boundary_v`` should be at machine level.  The
+    y-rows of the w11 system are structurally overdetermined; their defect
+    (kappa*f_i) is reported here as a diagnostic and is not an error.
     """
 
-    w20_interior: float
     w20_boundary: float
-    w11_interior: float
     w11_boundary_v: float
     w11_boundary_y: float
 
@@ -339,7 +335,7 @@ class ManifoldCorrections:
     g02: complex
     g11: complex
     eig: CriticalEigendata
-    residuals: WResiduals | None = None
+    residuals: WResiduals
 
     def w20(self, theta: float | np.ndarray) -> np.ndarray:
         """w20 at theta; an array of K thetas gives a (K, 2N) array."""
@@ -367,84 +363,25 @@ class ManifoldCorrections:
 def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
     """Solve the second-order operator systems for e and f and build w20, w11.
 
-    e solves (2*i*omega0*I - L(2*i*omega0)) e = F20-tilde, whose v-rows give a
-    forward recursion with denominators 2*i*omega0 + kappa*beta*_i*exp(-2*i*
-    omega0*tau_i); f solves -L(0) f = F11-tilde with free y-components set to
-    zero.
+    e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve -L(0) f = (F11, 0),
+    whose free y-components are set to zero.  The residuals are those of the
+    two full 2N systems.
     """
     n = pc.n
-    kappa = eig.kappa
-    beta = eig.beta
-    taus = eig.taus
-    w0 = eig.omega0
-    s2 = 2j * w0
-    e = np.zeros(2 * n, dtype=complex)
-    prev = 0.0 + 0.0j
-    prev_mass = 0.0 + 0.0j
-    for i in range(n):
-        mass_i = kappa * beta[i] * cmath.exp(-s2 * taus[i])
-        e[i] = (g.F20[i] + prev_mass * prev) / (s2 + mass_i)
-        prev = e[i]
-        prev_mass = mass_i
-    e[n:] = kappa * e[:n] / s2
+    F20 = np.concatenate((g.F20, np.zeros(n)))
+    F11 = np.concatenate((g.F11, np.zeros(n)))
+    M2 = _char_matrix(eig.beta, eig.taus, eig.kappa, 2j * eig.omega0)
+    L0 = _lin_matrix(eig.beta, eig.taus, eig.kappa, 0.0)
+    e = np.linalg.solve(M2, F20)
     f = np.zeros(2 * n, dtype=complex)
-    prev = 0.0 + 0.0j
-    for i in range(n):
-        numer = g.F11[i] + (kappa * beta[i - 1] * prev if i > 0 else 0.0)
-        f[i] = numer / (kappa * beta[i])
-        prev = f[i]
-    corr = ManifoldCorrections(e=e, f=f, g20=g.g20, g02=g.g02, g11=g.g11, eig=eig)
-    corr.residuals = _w_residuals(pc, eig, g, corr)
-    return corr
-
-
-def _w_residuals(
-    pc: PlatoonConfig, eig: CriticalEigendata, g: GCoefficients, corr: ManifoldCorrections
-) -> WResiduals:
-    """Check the w-operator equations on the interior grid and at theta = 0."""
-    n = pc.n
-    w0 = eig.omega0
-    kappa = eig.kappa
-    q0 = eig.q
-    qb = q0.conj()
-    tau_max = eig.tau_max
-
-    # Interior: dw/dtheta must match the expansion ODEs at 11 sample points,
-    # one row of the (11, 2N) arrays each.
-    theta = np.linspace(-tau_max, 0.0, 11)
-    ew = np.exp(1j * w0 * theta)[:, None]
-    d20 = (
-        -(g.g20 / (1j * w0)) * q0 * (1j * w0) * ew
-        - (g.g02.conjugate() / (3j * w0)) * qb * (-1j * w0) / ew
-        + corr.e * 2j * w0 * np.exp(2j * w0 * theta)[:, None]
+    f[:n] = np.linalg.solve(-L0[:n, :n], g.F11)
+    res11 = np.abs(-L0 @ f - F11)
+    residuals = WResiduals(
+        w20_boundary=float(np.max(np.abs(M2 @ e - F20))),
+        w11_boundary_v=float(np.max(res11[:n])),
+        w11_boundary_y=float(np.max(res11[n:])),
     )
-    w20 = corr.w20(theta)  # the last sample is theta = 0
-    rhs20 = 2j * w0 * w20 + g.g20 * q0 * ew + g.g02.conjugate() * qb / ew
-    d11 = (g.g11 / (1j * w0)) * q0 * (1j * w0) * ew - (g.g11.conjugate() / (1j * w0)) * qb * (-1j * w0) / ew
-    rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
-    interior20 = float(np.max(np.abs(d20 - rhs20)))
-    interior11 = float(np.max(np.abs(d11 - rhs11)))
-
-    # Boundary theta = 0: generator action on each exponential piece.
-    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0)
-    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0)
-    F20_full = np.zeros(2 * n, dtype=complex)
-    F20_full[:n] = g.F20
-    F11_full = np.zeros(2 * n, dtype=complex)
-    F11_full[:n] = g.F11
-    A_w20 = -(g.g20 / (1j * w0)) * (1j * w0) * q0 - (g.g02.conjugate() / (3j * w0)) * (-1j * w0) * qb + L2 @ corr.e
-    H20_0 = -g.g20 * q0 - g.g02.conjugate() * qb + F20_full
-    res20 = 2j * w0 * w20[-1] - A_w20 - H20_0
-    A_w11 = (g.g11 / (1j * w0)) * (1j * w0) * q0 - (g.g11.conjugate() / (1j * w0)) * (-1j * w0) * qb + L0 @ corr.f
-    H11_0 = -g.g11 * q0 - g.g11.conjugate() * qb + F11_full
-    res11 = -A_w11 - H11_0
-    return WResiduals(
-        w20_interior=interior20,
-        w20_boundary=float(np.max(np.abs(res20))),
-        w11_interior=interior11,
-        w11_boundary_v=float(np.max(np.abs(res11[:n]))),
-        w11_boundary_y=float(np.max(np.abs(res11[n:]))),
-    )
+    return ManifoldCorrections(e=e, f=f, g20=g.g20, g02=g.g02, g11=g.g11, eig=eig, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

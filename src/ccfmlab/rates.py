@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnstableRegimeError
+from .errors import UnstableRegimeError
 from .model import beta_star as _beta_star
-from .spectral import _require_pair, _rightmost
+from .spectral import _require_pair, _require_positive, _rightmost
 
 __all__ = [
     "RateResult",
@@ -143,20 +143,17 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
 
 def optimal_delay(beta_star: float, kappa: float = 1.0) -> float:
     """Delay maximizing the decay rate: tau* = 1/(kappa*beta**e)."""
-    if beta_star <= 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0 and kappa > 0, got {beta_star}, {kappa}")
+    _require_positive("beta* and kappa", beta_star, kappa)
     return 1.0 / (kappa * beta_star * math.e)
 
 
 def peak_rate(beta_star: float, kappa: float = 1.0) -> float:
     """Best achievable decay rate over all delays: kappa*beta**e, attained at tau*."""
-    if beta_star <= 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0 and kappa > 0, got {beta_star}, {kappa}")
+    _require_positive("beta* and kappa", beta_star, kappa)
     return kappa * beta_star * math.e
 
 
-@dataclass(frozen=True)
-class RateCurvePoint:
+class RateCurvePoint(NamedTuple):
     l: float
     tau: float
     rate: float  # nan when the pair is unstable at this delay
@@ -195,4 +192,4 @@ def rate_curve(
     rate, code = _decay_rates(a, np.tile(tau_arr, len(l_values)), describe)
     labels = [_LABELS[k] for k in code.tolist()]
     grid = ((l, tau) for l in l_values for tau in taus)
-    return [RateCurvePoint(l=l, tau=tau, rate=r, branch=br) for (l, tau), r, br in zip(grid, rate.tolist(), labels)]
+    return [RateCurvePoint(l, tau, r, br) for (l, tau), r, br in zip(grid, rate.tolist(), labels)]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -105,6 +106,18 @@ def _require_pair(beta_star, tau, kappa) -> None:
         i = np.unravel_index(np.argmin(ok), ok.shape)
         b, t, k = (float(np.broadcast_to(x, ok.shape)[i]) for x in (b, t, k))
         raise InvalidConfigError(f"need finite beta* > 0, tau >= 0, kappa > 0; got {b}, {t}, {k}")
+
+
+def _require_positive(what: str, *values: float) -> None:
+    """Raise InvalidConfigError unless every value is finite and > 0; ``what`` names them."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise InvalidConfigError(f"need finite {what} > 0, got {', '.join(map(str, values))}")
+
+
+def _require_branch(n: int) -> None:
+    """Raise InvalidConfigError unless n is an even integer >= 0."""
+    if not isinstance(n, numbers.Integral) or n < 0 or n % 2 == 1:
+        raise InvalidConfigError(f"branch index n must be an even integer >= 0, got {n!r}")
 
 
 def classify_pair(beta_star: float, tau: float, kappa: float = 1.0, pair: int | None = None) -> StabilityVerdict:
@@ -347,10 +360,8 @@ def hopf_point(beta_star: float, tau: float, n: int = 0) -> HopfPoint:
     Odd n would require a negative gain, which has no meaning here, and is
     rejected.
     """
-    if beta_star <= 0 or tau <= 0:
-        raise InvalidConfigError(f"need beta* > 0 and tau > 0, got {beta_star}, {tau}")
-    if n < 0 or n % 2 == 1:
-        raise InvalidConfigError(f"branch index n must be even and >= 0, got {n}")
+    _require_positive("beta* and tau", beta_star, tau)
+    _require_branch(n)
     omega0 = (2 * n + 1) * _HALF_PI / tau
     kappa_cr = (2 * n + 1) * _HALF_PI / (beta_star * tau)
     residual = abs(1j * omega0 + kappa_cr * beta_star * cmath.exp(-1j * omega0 * tau))
@@ -359,10 +370,8 @@ def hopf_point(beta_star: float, tau: float, n: int = 0) -> HopfPoint:
 
 def critical_delay(beta_star: float, kappa: float = 1.0, n: int = 0) -> float:
     """Delay at which branch n crosses the imaginary axis for the given gain."""
-    if beta_star <= 0 or kappa <= 0:
-        raise InvalidConfigError(f"need beta* > 0 and kappa > 0, got {beta_star}, {kappa}")
-    if n < 0 or n % 2 == 1:
-        raise InvalidConfigError(f"branch index n must be even and >= 0, got {n}")
+    _require_positive("beta* and kappa", beta_star, kappa)
+    _require_branch(n)
     return (2 * n + 1) * _HALF_PI / (kappa * beta_star)
 
 
@@ -403,8 +412,9 @@ def stability_region_margin(x0dot: float, m: float, b: float, l: float, c: float
     c = alpha*tau aggregates sensitivity and delay; the pair is (marginally)
     oscillatory-unstable once x0dot**m / b**l reaches pi/(2c).
     """
-    if x0dot <= 0 or b <= 0 or c <= 0:
-        raise InvalidConfigError(f"need x0dot > 0, b > 0, c > 0; got {x0dot}, {b}, {c}")
+    _require_positive("x0dot, b and c", x0dot, b, c)
+    if not (math.isfinite(m) and math.isfinite(l)):
+        raise InvalidConfigError(f"need finite m and l, got {m}, {l}")
     lhs = x0dot**m / b**l
     threshold = _HALF_PI / c
     return RegionCheck(lhs=lhs, threshold=threshold, stable=lhs < threshold, margin=threshold - lhs)

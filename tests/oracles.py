@@ -25,9 +25,15 @@ numbers by independent means and share no solver code with it:
 * ``scalar_dominant_root`` is the principal-branch Newton solve one point at
   a time, in ``cmath``: the same seeds, stop rule, lambda-polish and checks
   as the masked array solve ``spectral._rightmost``, which is held to it;
-* ``loop_w_residuals`` evaluates the interior w-residuals of the Hopf
-  pipeline one theta sample at a time, against which the (11, 2N) broadcast
-  in ``hopf._w_residuals`` is checked;
+* ``recursive_corrections`` solves for the Hopf correction vectors e and f
+  by forward recursion down the bidiagonal platoon coupling, against which
+  ``hopf.manifold_corrections`` (linear solves on the characteristic
+  matrix) is checked;
+* ``loop_w_residuals`` evaluates the w-operator equations one theta sample
+  at a time: dw/dtheta against the theta-ODE of the closed forms w20(theta),
+  w11(theta) on the interior, and the generator applied piece by piece to
+  each exponential at theta = 0, whose boundary values the report's
+  solve residuals must equal;
 * ``scalar_taylor_coefficients`` is the closed form of F20, F11 and F21 for
   one follower at l = 0, and ``sympy_taylor_coefficients`` takes them from
   sympy's derivatives of the model's flux for any N, m and l.  The
@@ -39,7 +45,7 @@ import cmath
 import functools
 import itertools
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from ccfmlab.errors import (
     NumericalError,
     RootSolveError,
 )
-from ccfmlab.hopf import WResiduals, _lin_matrix
+from ccfmlab.hopf import _lin_matrix
 from ccfmlab.integrate import Trajectory
 from ccfmlab.model import PlatoonState, VectorField, _integer_exponent
 
@@ -562,18 +568,64 @@ def _retire(failures: dict, errors: dict, arrays) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hopf w-residuals, one theta sample at a time
+# Hopf corrections by recursion, and w-residuals one theta sample at a time
 # ---------------------------------------------------------------------------
 
 
-def loop_w_residuals(pc, eig, g, corr) -> WResiduals:
-    """The w-operator residuals with the interior checked in a loop over theta."""
+def recursive_corrections(eig, g) -> tuple[np.ndarray, np.ndarray]:
+    """e and f by forward recursion down the platoon.
+
+    The v-rows of (2*i*omega0*I - L(2*i*omega0)) e = F20 give a forward
+    recursion with denominators 2*i*omega0 + kappa*beta*_i*exp(-2*i*omega0*
+    tau_i), and the y-rows e_y = kappa*e_v/(2*i*omega0).  The v-rows of
+    -L(0) f = F11 give f_i = (F11_i + kappa*beta*_{i-1} f_{i-1})/(kappa*beta*_i),
+    with the free y-components set to zero.
+    """
+    n = eig.beta.size
+    kappa = eig.kappa
+    beta = eig.beta
+    taus = eig.taus
+    s2 = 2j * eig.omega0
+    e = np.zeros(2 * n, dtype=complex)
+    prev = 0.0 + 0.0j
+    prev_mass = 0.0 + 0.0j
+    for i in range(n):
+        mass_i = kappa * beta[i] * cmath.exp(-s2 * taus[i])
+        e[i] = (g.F20[i] + prev_mass * prev) / (s2 + mass_i)
+        prev = e[i]
+        prev_mass = mass_i
+    e[n:] = kappa * e[:n] / s2
+    f = np.zeros(2 * n, dtype=complex)
+    prev = 0.0 + 0.0j
+    for i in range(n):
+        numer = g.F11[i] + (kappa * beta[i - 1] * prev if i > 0 else 0.0)
+        f[i] = numer / (kappa * beta[i])
+        prev = f[i]
+    return e, f
+
+
+class LoopWResiduals(NamedTuple):
+    """Interior and theta = 0 residuals of the w-operator equations."""
+
+    w20_interior: float
+    w20_boundary: float
+    w11_interior: float
+    w11_boundary_v: float
+    w11_boundary_y: float
+
+
+def loop_w_residuals(pc, eig, g, corr) -> LoopWResiduals:
+    """The w-operator residuals with the interior checked in a loop over theta.
+
+    The interior samples 11 thetas over [-tau_max, 0]; the boundary applies
+    the generator to each exponential piece of w20 and w11 at theta = 0.
+    """
     n = pc.n
     w0 = eig.omega0
     kappa = eig.kappa
     q0 = eig.q
     qb = q0.conj()
-    tau_max = eig.tau_max
+    tau_max = float(np.max(eig.taus))
 
     interior20 = 0.0
     interior11 = 0.0
@@ -603,7 +655,7 @@ def loop_w_residuals(pc, eig, g, corr) -> WResiduals:
     A_w11 = (g.g11 / (1j * w0)) * (1j * w0) * q0 - (g.g11.conjugate() / (1j * w0)) * (-1j * w0) * qb + L0 @ corr.f
     H11_0 = -g.g11 * q0 - g.g11.conjugate() * qb + F11_full
     res11 = -A_w11 - H11_0
-    return WResiduals(
+    return LoopWResiduals(
         w20_interior=interior20,
         w20_boundary=float(np.max(np.abs(res20))),
         w11_interior=interior11,

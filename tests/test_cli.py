@@ -162,6 +162,16 @@ def test_stability_chart_bad_range_exit_code(tmp_path):
     assert main(["stability-chart", "--out", str(out), "--c", "0.3", "--m-range", "2,1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--c", "nan"], ["--c", "0.3", "--b", "inf"], ["--c", "0.3", "--l-set", "nan"], ["--c", "0.3", "--m-range=-inf,2"]],
+)
+def test_stability_chart_rejects_non_finite_values(tmp_path, capsys, flags):
+    assert main(["stability-chart", "--out", str(tmp_path / "o")] + flags) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # rate
 # ---------------------------------------------------------------------------
@@ -273,7 +283,7 @@ def test_hopf_json_schema(tmp_path, single_path):
     assert set(data) == {
         "pair", "omega0", "kappa_cr", "alpha_prime", "c1_re", "c1_im",
         "mu2", "beta2", "type", "orbit",
-        "w20_interior", "w20_boundary", "w11_interior", "w11_boundary_v", "w11_boundary_y",
+        "w20_boundary", "w11_boundary_v", "w11_boundary_y",
     }
     assert data["pair"] == 1
     assert data["omega0"] == pytest.approx(3.5, rel=1e-12)

@@ -23,7 +23,6 @@ from ccfmlab.hopf import (
     _RING_PHASES,
     _RING_RADII,
     _Ring,
-    _w_residuals,
     critical_eigendata,
     first_lyapunov,
     g_coefficients,
@@ -40,7 +39,12 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
-from oracles import loop_w_residuals, scalar_taylor_coefficients, sympy_taylor_coefficients
+from oracles import (
+    loop_w_residuals,
+    recursive_corrections,
+    scalar_taylor_coefficients,
+    sympy_taylor_coefficients,
+)
 
 TAU = math.pi / 7.0
 PAIRING = 1.0 + 1j * math.pi / 2.0  # <p_raw, q> for the threshold config
@@ -172,9 +176,7 @@ def test_manifold_corrections_exact_values(critical_config):
     assert corr.f[1] == 0.0
 
     res = corr.residuals
-    assert res.w20_interior <= 1e-12
     assert res.w20_boundary <= 1e-8
-    assert res.w11_interior <= 1e-12
     assert res.w11_boundary_v <= 1e-8
     # structural defect of the overdetermined y-row: kappa*f_v
     assert res.w11_boundary_y == pytest.approx(0.4, rel=1e-10)
@@ -205,14 +207,24 @@ def _platoon_set(critical_config):
     return configs + [_random_platoon(rng, 1 + k % 8, *EXPONENTS[k % len(EXPONENTS)]) for k in range(48)]
 
 
-def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
+def test_corrections_match_the_recursion(critical_config):
     for pc in _platoon_set(critical_config):
         rep = hopf_report(pc)
-        got = _w_residuals(pc, rep.eig, rep.g, rep.corrections)
+        e, f = recursive_corrections(rep.eig, rep.g)
+        for got, want in ((rep.corrections.e, e), (rep.corrections.f, f)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), pc.n
+
+
+def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
+    # The closed forms w20(theta), w11(theta) meet their theta-ODE term by
+    # term, and at theta = 0 the generator's action on each exponential piece
+    # leaves exactly the residuals of the two solves for e and f.
+    for pc in _platoon_set(critical_config):
+        rep = hopf_report(pc)
         want = loop_w_residuals(pc, rep.eig, rep.g, rep.corrections)
-        assert got == rep.corrections.residuals
-        for name, value in vars(want).items():
-            assert abs(getattr(got, name) - value) <= 1e-13, (pc.n, name)
+        assert want.w20_interior <= 1e-13 and want.w11_interior <= 1e-13, pc.n
+        for name, value in vars(rep.corrections.residuals).items():
+            assert abs(value - getattr(want, name)) <= 1e-13, (pc.n, name)
 
 
 def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
@@ -342,7 +354,7 @@ def test_report_dict_schema(critical_config):
     assert set(d) == {
         "pair", "omega0", "kappa_cr", "alpha_prime", "c1_re", "c1_im",
         "mu2", "beta2", "type", "orbit",
-        "w20_interior", "w20_boundary", "w11_interior", "w11_boundary_v", "w11_boundary_y",
+        "w20_boundary", "w11_boundary_v", "w11_boundary_y",
     }
     assert d["type"] == "supercritical" and d["orbit"] == "stable"
     assert d["w11_boundary_y"] == pytest.approx(0.4, rel=1e-10)

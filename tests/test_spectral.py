@@ -18,6 +18,7 @@ from scipy.special import lambertw
 from ccfmlab import spectral
 from ccfmlab.errors import InvalidConfigError, RootSolveError
 from ccfmlab.model import EquilibriumCoefficients
+from ccfmlab.rates import optimal_delay, peak_rate
 from ccfmlab.spectral import (
     Regime,
     classify_pair,
@@ -342,10 +343,33 @@ def test_hopf_point_reference_values():
     assert hp2.kappa_cr == pytest.approx(5.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [-2, 1, 3])
+@pytest.mark.parametrize("n", [-2, 1, 3, 2.5])
 def test_hopf_point_rejects_odd_or_negative_branches(n):
     with pytest.raises(InvalidConfigError):
         hopf_point(3.5, 0.4, n=n)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (hopf_point, (math.nan, 1.0)),
+        (hopf_point, (1.0, math.inf)),
+        (critical_gain, (math.inf, 1.0)),
+        (critical_delay, (math.nan,)),
+        (critical_delay, (1.0, math.inf)),
+        (transversality, (math.nan, 1.0)),
+        (optimal_delay, (math.nan,)),
+        (peak_rate, (math.inf,)),
+        (stability_region_margin, (math.nan, 1.0, 20.0, 1.0, 0.5)),
+        (stability_region_margin, (1.0, math.nan, 20.0, 1.0, 0.5)),
+        (stability_region_margin, (1.0, 1.0, math.inf, 1.0, 0.5)),
+        (stability_region_margin, (1.0, 1.0, 20.0, -math.inf, 0.5)),
+        (stability_region_margin, (1.0, 1.0, 20.0, 1.0, math.nan)),
+    ],
+)
+def test_closed_form_helpers_reject_non_finite_arguments(helper, args):
+    with pytest.raises(InvalidConfigError, match="finite"):
+        helper(*args)
 
 
 @given(beta=st.floats(0.2, 8.0), tau=st.floats(0.05, 2.0), n=st.sampled_from([0, 2, 4]))
