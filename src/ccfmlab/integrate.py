@@ -25,13 +25,13 @@ is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
 block of K steps with K about tau_min/h, every stage's delayed instant lies at
 or before the block's first node, so one field call on one gather of stored
 history gives every stage's v-derivative.  Sequential sums of those give v
-at every stage and node, and a second field call at those states gives
-y' = kappa*v.  The sums add in the order of a step-by-step loop, so a block
-is bit-identical to taking its steps one at a time.  Where a stage's rows
-need the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
-block where a member fails, the steps are taken one at a time, one field
-call per stage, which keeps the order of failure events: earliest step,
-then stage, then the blow-up check.
+at every stage and node, and the field's headway rows give y' = kappa*v of
+those, with no second call.  The sums add in the order of a step-by-step
+loop, so a block is bit-identical to taking its steps one at a time.  Where
+a stage's rows need the stage before it (a zero delay, or tau_min < 2h under
+rk4), and in a block where a member fails, the steps are taken one at a
+time, one field call per stage, which keeps the order of failure events:
+earliest step, then stage, then the blow-up check.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
 # evaluates no other).  rk4's k2 and k3 read the same rows, at c = 1/2.
 _FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
 _RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
-_RK4_ROWS = [0, 1, 1, 2]  # k1..k4 in the block's rows of k1, k2 = k3 and k4
 _BLOWUP_LIMIT = 1e12
 _BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
 _CSV_ROWS = 32  # rows formatted per write; 256 were no faster and took 0.5 MiB more at the peak
@@ -196,7 +195,8 @@ class _MethodOfSteps:
     Both routes give every stage the same delayed rows, times and float
     operations, so they agree bit for bit.  A block evaluates all its stages'
     velocity derivatives in one field call, which it can because they read
-    only nodes that precede the block; a step evaluates one stage per call.
+    only nodes that precede the block, and their headway derivatives as
+    kappa*v; a step evaluates one stage per call.
     """
 
     def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
@@ -281,12 +281,12 @@ class _MethodOfSteps:
             _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
 
     def block(self, k0: int, count: int) -> bool:
-        """Advance steps k0 .. k0 + count - 1 with two field calls.
+        """Advance steps k0 .. k0 + count - 1 with one field call.
 
-        The first evaluates the velocity derivatives of every stage, which
+        The call evaluates the velocity derivatives of every stage, which
         read stored history only; sequential sums of them give v at every
-        stage and node.  The second evaluates the stages at those states, for
-        y' = kappa*v and each node's derivative.  Returns False if a member
+        stage and node, and the field's headway rows give y' = kappa*v of
+        each stage and each node's derivative.  Returns False if a member
         newly fails or blows up in the block: the caller then takes its steps
         one at a time, in the order of events of a step, overwriting what
         the block wrote.
@@ -301,33 +301,31 @@ class _MethodOfSteps:
         if self.rk4:
             rows[:, :, 1:] = delayed
         times = (np.arange(k0, k0 + count) * h)[:, None] + self.lags
-        dv, failures = field(times.ravel(), np.zeros(rows.shape[:3] + (2 * n,)), rows)
+        out, failures = field(times.ravel(), np.zeros(rows.shape[:3] + (2 * n,)), rows)
         if any(b not in errors for b in failures):
             return False
+        dv = out[..., :n]
         span = self.states[:, k0 : k0 + count + 1]
         v, y = span[..., :n], span[..., n:]
-        stage = np.zeros((batch, count, 4 if self.rk4 else 1, 2 * n))  # the field reads v of a state only
         if self.rk4:
-            d1, d2, d4 = dv[:, :, 0, :n], dv[:, :, 1, :n], dv[:, :, 2, :n]  # k3's is d2: k2's rows and time
+            d1, d2, d4 = dv[:, :, 0], dv[:, :, 1], dv[:, :, 2]  # k3's is d2: k2's rows and time
             v[:, 1:] = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d2 + d4)
             np.add.accumulate(v, axis=1, out=v)
-            stage[..., :n] = v[:, :-1, None]
-            stage[:, :, 1, :n] += (h * 0.5) * d1
-            stage[:, :, 2, :n] += (h * 0.5) * d2
-            stage[:, :, 3, :n] += (h * 1.0) * d2
-            rows, times = rows[:, :, _RK4_ROWS], times[:, _RK4_ROWS]
-        else:
-            v[:, 1:] = dv[:, :, 0, :n] * h
-            np.add.accumulate(v, axis=1, out=v)
-            stage[:, :, 0, :n] = v[:, :-1]
-        out, _ = field(times.ravel(), stage, rows)  # the first call's rows and times: no new failure
-        dy = out[..., n:]
-        if self.rk4:
+            stage = np.repeat(v[:, :-1, None], 4, axis=2)  # v of k1..k4
+            stage[:, :, 1] += (h * 0.5) * d1
+            stage[:, :, 2] += (h * 0.5) * d2
+            stage[:, :, 3] += (h * 1.0) * d2
+            dy = field.headway_rows(stage)
             y[:, 1:] = (h / 6.0) * (dy[:, :, 0] + 2.0 * dy[:, :, 1] + 2.0 * dy[:, :, 2] + dy[:, :, 3])
         else:
+            v[:, 1:] = dv[:, :, 0] * h
+            np.add.accumulate(v, axis=1, out=v)
+            dy = field.headway_rows(v[:, :-1, None])
             y[:, 1:] = dy[:, :, 0] * h
         np.add.accumulate(y, axis=1, out=y)
-        self.derivs[:, k0 : k0 + count] = out[:, :, 0]
+        node = self.derivs[:, k0 : k0 + count]
+        node[..., :n] = dv[:, :, 0]
+        node[..., n:] = dy[:, :, 0]
         if not abs(span[:, 1:]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(span[:, 1:]).max(axis=(1, 2)) <= _BLOWUP_LIMIT)).tolist()
             if any(b not in errors for b in blown):

@@ -142,6 +142,8 @@ class PlatoonState:
             raise InvalidConfigError(
                 f"v and y must be 1-d arrays of equal length, got {self.v.shape} and {self.y.shape}"
             )
+        if not (np.isfinite(self.v).all() and np.isfinite(self.y).all()):
+            raise InvalidConfigError(f"v and y must be finite, got v = {self.v} and y = {self.y}")
 
     @property
     def n(self) -> int:
@@ -216,6 +218,9 @@ class VectorField:
     ``delayed``, ``t`` is a scalar or an (R,) array of one time per row, and
     the (B, R, 2N) result equals R calls, one per row, bit for bit.  A
     member's error is then that of its first failing row.
+
+    Only the y-rows read the current state, and :meth:`headway_rows` gives
+    them alone, for a caller that already has the v-rows.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
@@ -271,9 +276,12 @@ class VectorField:
         dv = -flux
         if n > 1:
             dv[..., 1:] += flux[..., :-1]
-        out = np.concatenate((dv, state[..., :n]), axis=2)
-        out *= self.kappa
-        return out.reshape(shape), failures
+        dv *= self.kappa
+        return np.concatenate((dv, self.headway_rows(state[..., :n])), axis=2).reshape(shape), failures
+
+    def headway_rows(self, v: np.ndarray) -> np.ndarray:
+        """The y-rows of the derivative, y_i' = kappa*v_i, of (B, ..., N) speeds: the rows ``__call__`` returns."""
+        return v * self.kappa.reshape((self.batch,) + (1,) * (v.ndim - 1))
 
     def _lead(self, times: np.ndarray) -> np.ndarray:
         """The leader's speed at the delayed instants of each time, (R, N), or (N,) when it has settled at all."""

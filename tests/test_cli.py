@@ -94,6 +94,14 @@ def test_simulate_blow_up_exit_code(tmp_path, single_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [["--perturb-v", "nan"], ["--perturb-y", "inf"]])
+def test_simulate_rejects_a_non_finite_perturbation(tmp_path, config_path, capsys, flags):
+    """A configuration error (exit 2), not a blow-up of the integration (exit 3)."""
+    assert main(["simulate", "--config", config_path, "--out", str(tmp_path / "o"), "--tmax", "10"] + flags) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

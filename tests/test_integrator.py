@@ -111,6 +111,7 @@ def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
 def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     """A constant field moves one step by h times that constant."""
     monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: (np.full(state.shape, 3.0), {}))
+    monkeypatch.setattr(VectorField, "headway_rows", lambda self, v: np.full(v.shape, 3.0))
     pc = four_vehicle_platoon()
     traj = simulate(pc, SimConfig(step=0.01, horizon=0.01, method=method), _perturb(4))
     expected = np.concatenate([np.full(4, 0.1), np.zeros(4)]) + 0.01 * 3.0
@@ -252,6 +253,24 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
     assert not got_errors and not want_errors
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # the CSV writes -0 and 0 apart
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_a_block_makes_one_field_call(monkeypatch, method):
+    """Every block evaluates its stages' v-derivatives in one call; y' = kappa*v comes from the headway rows."""
+    calls = []
+    field_call = VectorField.__call__
+    monkeypatch.setattr(VectorField, "__call__", lambda self, *args: calls.append(1) or field_call(self, *args))
+    field = VectorField(four_vehicle_platoon())
+    init = _perturb(field.n).as_vector()
+    steps = 100  # 1 s at h = 0.01
+    size = _MethodOfSteps(field, 0.01, method, init, steps).block_size()
+    assert size >= 2
+    calls.clear()
+    got, errors = _run(field, 0.01, method, init, steps)
+    assert not errors and len(calls) == math.ceil(steps / size)
+    want, _ = step_loop_run(field, 0.01, method, init, steps)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])

@@ -107,6 +107,9 @@ def test_platoon_state_vector_roundtrip():
         PlatoonState(v=np.zeros(2), y=np.zeros(3))
     with pytest.raises(InvalidConfigError):
         PlatoonState.from_vector(np.zeros(5))  # odd length
+    for v, y in (([0.1, np.nan], [0.0, 0.0]), ([0.1, 0.1], [np.inf, 0.0]), ([-np.inf], [0.0])):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            PlatoonState(v=np.array(v), y=np.array(y))
 
 
 def test_uniform_perturbation_defaults():
@@ -280,6 +283,22 @@ def test_field_with_one_time_per_row_equals_one_call_per_row():
             assert type(got) is type(exp) and str(got) == str(exp) and (got.t, got.pair, got.value) == (exp.t, exp.pair, exp.value)
     scalar, _ = field(50.0, state, delayed)  # one scalar time serves every row
     assert np.array_equal(scalar[:, -1], out[:, -1])
+
+
+def test_headway_rows_are_the_fields_y_rows():
+    """The headway rows of (B, R, N) speeds equal the y-rows of a (B, R) call, bit for bit, for any further axes."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
+    field = VectorField(*pcs)
+    rng = np.random.default_rng(5)
+    state = rng.normal(size=(3, 6, 8)) * 0.1
+    delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
+    out, failures = field(np.linspace(0.0, 5.0, 6), state, delayed)
+    assert not failures
+    rows = field.headway_rows(state[..., :4])
+    assert rows.shape == (3, 6, 4) and np.array_equal(rows, out[..., 4:])
+    assert np.array_equal(np.signbit(rows), np.signbit(out[..., 4:]))
+    stages = field.headway_rows(state[..., :4].reshape(3, 2, 3, 4))  # a block's (B, K, S, N) stages
+    assert np.array_equal(stages.reshape(3, 6, 4), out[..., 4:])
 
 
 def test_field_rejects_batches_that_do_not_share_the_delays():
