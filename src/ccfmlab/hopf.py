@@ -15,17 +15,16 @@ exists past the critical gain (supercritical), and beta2 = 2*Re c1 < 0 means
 it is orbitally stable.  The emerging cycle amplitude in the critical pair's
 relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).
 
-Construction notes.  The generator's measure is the vector field's: delayed
-point masses -kappa*beta*_i at (i, i) and +kappa*beta*_i at (i+1, i), and, for
-y_i' = kappa*v_i(t), a point mass kappa at theta = 0 in the y-rows.  Both null
-vectors of the characteristic matrix M(i*omega0) come from its SVD.  q is
-scaled so its critical component is one; the adjoint p has exactly zero
-y-components (the y-columns of M are diagonal) and is scaled so that
-<p, q> = pbar.M'(i*omega0).q = 1.
+Construction notes.  The generator's point masses are read off
+``model.VectorField`` at rest (``PointMasses``), so only the field knows how
+the pairs are coupled.  Both null vectors of M(i*omega0) = i*omega0*I - L(i*omega0)
+come from its SVD.  q is scaled so its critical component is one.  No mass
+sits in a y-column, so the adjoint p has exactly zero y-components; it is
+scaled so that <p, q> = pbar.M'(i*omega0).q = 1.
 
-The expansion coefficients are Taylor coefficients of the one vector field,
+The expansion coefficients are Taylor coefficients of the same field,
 after Hassard, Kazarinoff & Wan (1981): g(z, zbar) = pbar.F(z q + zbar qbar + w).
-``model.VectorField`` is evaluated on a ring of real states z = rho*exp(i*psi):
+The field is evaluated on a ring of real states z = rho*exp(i*psi):
 each z is paired with -z, which splits odd from even orders; the harmonics in
 psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
 over radii that are powers of two removes the higher orders.  F20 and F11 are
@@ -33,8 +32,8 @@ the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
 F21 is the rho^3 part of harmonic 1 once w20 and w11 are added.  A linear
 field gives exact zeros.  The correction vectors are solves on the same
 generator: e solves M(2*i*omega0) e = (F20, 0), and f's v-rows solve
--L(0)[:N, :N] f_v = F11 with f_y = 0.  Their residuals are the health
-numbers reported.  The y-rows of -L(0) f = (F11, 0) read kappa*f_i = 0, which
+M(0)[:N, :N] f_v = F11 with f_y = 0.  Their residuals are the health
+numbers reported.  The y-rows of M(0) f = (F11, 0) read kappa*f_i = 0, which
 f cannot meet while F11 drives the v-rows: that defect kappa*f_i is the
 resonance of the line of equilibria (v, y) = (0, c), and it is reported as a
 diagnostic rather than asserted away.
@@ -52,6 +51,7 @@ from .model import EquilibriumCoefficients, PlatoonConfig, VectorField
 from .spectral import hopf_point, transversality
 
 __all__ = [
+    "PointMasses",
     "CriticalEigendata",
     "GCoefficients",
     "ManifoldCorrections",
@@ -66,20 +66,46 @@ __all__ = [
 ]
 
 
-def _lin_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
-    """Action L(s) of the generator measure on the exponential exp(s*theta)*q."""
-    n = beta.size
-    mass = kappa * beta * np.exp(-s * taus)
-    i = np.arange(n)
-    L = np.zeros((2 * n, 2 * n), dtype=complex)
-    L[i, i] = -mass
-    L[i[1:], i[:-1]] = mass[:-1]
-    L[n + i, i] = kappa
-    return L
+class PointMasses:
+    """The linearised generator: the nonzero point masses of a batch-of-one ``VectorField`` at rest.
 
+    Mass k carries state column ``col[k]`` at theta = -``lag[k]`` into row
+    ``row[k]``; lag 0 is the current row, lag tau_i pair i's delayed row.
+    """
 
-def _char_matrix(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
-    return s * np.eye(2 * beta.size, dtype=complex) - _lin_matrix(beta, taus, kappa, s)
+    def __init__(self, field: VectorField):
+        n = field.n
+        self.size = 2 * n
+        slots = (n + 1) * self.size
+        # The field is 0 at rest, so F(h*e)/h cancels nothing.  h lies below
+        # half an ulp of x0 and b, so the speed bases and headways round to
+        # their rest values and the quotient holds the linear part alone.
+        h = 2.0**-60 * min(field.leader.v_eq, float(field.b.min()))
+        steps = h * np.eye(slots).reshape(slots, n + 1, self.size)
+        out, failures = field(math.inf, steps[:, 0], steps[:, 1:])
+        if failures:
+            raise NumericalError(f"the linearisation left the model's domain: {failures[0]}")
+        # (slot, column, row): slot 0 is the current row, slot i pair i's delayed row.
+        jac = (out / h).reshape(n + 1, self.size, self.size)
+        slot, self.col, self.row = np.nonzero(jac)
+        self.mass = jac[slot, self.col, self.row]
+        self.lag = np.concatenate(([0.0], field.tau))[slot]
+
+    def lin(self, s: complex) -> np.ndarray:
+        """L(s): the generator's action on exp(s*theta)*u is L(s) u."""
+        L = np.zeros((self.size, self.size), dtype=complex)
+        np.add.at(L, (self.row, self.col), self.mass * np.exp(-s * self.lag))
+        return L
+
+    def char(self, s: complex) -> np.ndarray:
+        """The characteristic matrix M(s) = s*I - L(s)."""
+        return s * np.eye(self.size, dtype=complex) - self.lin(s)
+
+    def char_derivative(self, s: complex) -> np.ndarray:
+        """M'(s) = I + sum of lag*mass*exp(-s*lag); the pairing <p, q> is pbar.M'(i*omega0).q."""
+        Mp = np.eye(self.size, dtype=complex)
+        np.add.at(Mp, (self.row, self.col), self.lag * self.mass * np.exp(-s * self.lag))
+        return Mp
 
 
 @dataclass
@@ -92,6 +118,8 @@ class CriticalEigendata:
     kappa: float
     beta: np.ndarray
     taus: np.ndarray
+    field: VectorField  # the model at kappa
+    masses: PointMasses  # its linearisation at rest
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
     B: complex  # scale applied to the raw adjoint vector
@@ -128,7 +156,9 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     omega0, kappa = hp.omega0, hp.kappa_cr
     s = 1j * omega0
 
-    M = _char_matrix(eq.beta, eq.taus, kappa, s)
+    field = VectorField(pc.with_kappa(kappa))
+    masses = PointMasses(field)
+    M = masses.char(s)
     U, sing, Vh = np.linalg.svd(M)
     if sing[-1] > 1e-8 * sing[0]:
         raise NumericalError(
@@ -142,8 +172,9 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         raise NumericalError("critical eigenvector has no weight on the critical pair")
     q = q / q[pair - 1]
     p_raw = U[:, -1]  # null vector of M^H, i.e. adjoint direction
-    # The y-columns of M are diagonal (i*omega0), so the adjoint's y-components
-    # must vanish; enforce exactly after checking they are numerically zero.
+    # At rest y enters the flux only through a gain times v = 0, so no mass
+    # sits in a y-column and the adjoint's y-components must vanish; enforce
+    # exactly after checking they are numerically zero.
     if np.max(np.abs(p_raw[n:])) > 1e-8 * np.max(np.abs(p_raw)):
         raise NumericalError("adjoint eigenvector has non-zero y-components")
     p_raw = p_raw.copy()
@@ -155,7 +186,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     residual_p = float(np.max(np.abs(p_raw.conj() @ M)) / np.max(np.abs(p_raw)))
 
     # Bilinear pairing <p, q> = pbar . M'(i*omega0) . q.
-    Mp = _char_matrix_derivative(eq.beta, eq.taus, kappa, s)
+    Mp = masses.char_derivative(s)
     inner_raw = complex(p_raw.conj() @ Mp @ q)
     if abs(inner_raw) < 1e-12:
         raise NumericalError("adjoint and right eigenvectors are numerically orthogonal")
@@ -172,6 +203,8 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         kappa=kappa,
         beta=np.asarray(eq.beta, dtype=float),
         taus=np.asarray(eq.taus, dtype=float),
+        field=field,
+        masses=masses,
         q=q,
         p=p,
         B=B,
@@ -179,21 +212,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         residual_q=residual_q,
         residual_p=residual_p,
     )
-
-
-def _char_matrix_derivative(beta: np.ndarray, taus: np.ndarray, kappa: float, s: complex) -> np.ndarray:
-    """d/ds of the characteristic matrix; the pairing <p,q> equals pbar.M'(s).q.
-
-    The y-rows' point mass at theta = 0 does not depend on s, so those rows
-    are the identity's.
-    """
-    n = beta.size
-    mass = kappa * beta * taus * np.exp(-s * taus)
-    i = np.arange(n)
-    Mp = np.eye(2 * n, dtype=complex)
-    Mp[i, i] -= mass
-    Mp[i[1:], i[:-1]] = mass[:-1]
-    return Mp
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,7 @@ class _Ring:
     """
 
     def __init__(self, pc: PlatoonConfig, eig: CriticalEigendata):
-        self.field = VectorField(pc.with_kappa(eig.kappa))
+        self.field = eig.field
         self.n = pc.n
         self.thetas = np.concatenate(([0.0], -eig.taus))
         self.scale = min(pc.leader.v_eq, float(self.field.b.min())) / float(np.max(np.abs(eig.q)))
@@ -363,19 +381,19 @@ class ManifoldCorrections:
 def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
     """Solve the second-order operator systems for e and f and build w20, w11.
 
-    e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve -L(0) f = (F11, 0),
+    e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve M(0) f = (F11, 0),
     whose free y-components are set to zero.  The residuals are those of the
     two full 2N systems.
     """
     n = pc.n
     F20 = np.concatenate((g.F20, np.zeros(n)))
     F11 = np.concatenate((g.F11, np.zeros(n)))
-    M2 = _char_matrix(eig.beta, eig.taus, eig.kappa, 2j * eig.omega0)
-    L0 = _lin_matrix(eig.beta, eig.taus, eig.kappa, 0.0)
+    M2 = eig.masses.char(2j * eig.omega0)
+    M0 = eig.masses.char(0.0)
     e = np.linalg.solve(M2, F20)
     f = np.zeros(2 * n, dtype=complex)
-    f[:n] = np.linalg.solve(-L0[:n, :n], g.F11)
-    res11 = np.abs(-L0 @ f - F11)
+    f[:n] = np.linalg.solve(M0[:n, :n], g.F11)
+    res11 = np.abs(M0 @ f - F11)
     residuals = WResiduals(
         w20_boundary=float(np.max(np.abs(M2 @ e - F20))),
         w11_boundary_v=float(np.max(res11[:n])),
@@ -474,6 +492,8 @@ def predicted_amplitude(report: HopfReport, kappa: float) -> float | None:
     Returns None when no cycle is predicted at this gain (below the critical
     gain for a supercritical bifurcation, or a degenerate case).
     """
+    if not math.isfinite(kappa):
+        raise InvalidConfigError(f"need a finite kappa, got {kappa}")
     if report.kind != "supercritical":
         return None
     excess = kappa - report.kappa_cr

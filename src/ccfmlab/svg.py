@@ -1,7 +1,7 @@
 """Minimal deterministic SVG line charts (no plotting dependencies).
 
 Produces self-contained SVG documents with axes, nice-number ticks, polyline
-series, optional vertical markers and shaded bands, and a simple legend.
+series, optional vertical markers, and a simple legend.
 Output is byte-deterministic for identical inputs: floats are formatted with
 a fixed precision and nothing depends on time, locale, or ambient state.
 """
@@ -55,7 +55,6 @@ class Series:
     y: list[float]
     label: str = ""
     color: str | None = None
-    dashed: bool = False
 
 
 @dataclass
@@ -67,12 +66,10 @@ class LineChart:
     height: int = 480
     series: list[Series] = field(default_factory=list)
     vlines: list[tuple[float, str]] = field(default_factory=list)  # (x, label)
-    hlines: list[tuple[float, str]] = field(default_factory=list)
-    bands: list[tuple[float, float, str]] = field(default_factory=list)  # (x0, x1, color)
 
-    def add(self, x, y, label: str = "", dashed: bool = False) -> None:
+    def add(self, x, y, label: str = "") -> None:
         color = _PALETTE[len([s for s in self.series]) % len(_PALETTE)]
-        self.series.append(Series(list(map(float, x)), list(map(float, y)), label, color, dashed))
+        self.series.append(Series(list(map(float, x)), list(map(float, y)), label, color))
 
     def _limits(self) -> tuple[float, float, float, float]:
         xs: list[float] = []
@@ -84,8 +81,6 @@ class LineChart:
                     ys.append(yv)
         for xv, _ in self.vlines:
             xs.append(xv)
-        for yv, _ in self.hlines:
-            ys.append(yv)
         if not xs:
             xs = [0.0, 1.0]
         if not ys:
@@ -118,13 +113,6 @@ class LineChart:
         )
         parts.append(f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>')
         style = "font-family:Helvetica,Arial,sans-serif"
-        for bx0, bx1, color in self.bands:
-            bx0c, bx1c = max(bx0, x0), min(bx1, x1)
-            if bx1c > bx0c:
-                parts.append(
-                    f'<rect x="{_fmt(sx(bx0c))}" y="{mt}" width="{_fmt(sx(bx1c) - sx(bx0c))}" '
-                    f'height="{ph}" fill="{color}" opacity="0.12"/>'
-                )
         for t in _nice_ticks(x0, x1):
             parts.append(
                 f'<line x1="{_fmt(sx(t))}" y1="{mt}" x2="{_fmt(sx(t))}" y2="{mt + ph}" '
@@ -156,19 +144,8 @@ class LineChart:
                     f'<text x="{_fmt(sx(xv) + 4)}" y="{mt + 14}" font-size="11" '
                     f'fill="#555555" style="{style}">{label}</text>'
                 )
-        for yv, label in self.hlines:
-            parts.append(
-                f'<line x1="{ml}" y1="{_fmt(sy(yv))}" x2="{ml + pw}" y2="{_fmt(sy(yv))}" '
-                'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-            )
-            if label:
-                parts.append(
-                    f'<text x="{ml + pw - 4}" y="{_fmt(sy(yv) - 4)}" text-anchor="end" font-size="11" '
-                    f'fill="#555555" style="{style}">{label}</text>'
-                )
         for s in self.series:
             color = s.color or _PALETTE[0]
-            dash = ' stroke-dasharray="7,4"' if s.dashed else ""
             # Break polylines at non-finite points so gaps stay gaps.
             run: list[str] = []
             chunks: list[list[str]] = []
@@ -187,7 +164,7 @@ class LineChart:
                 else:
                     parts.append(
                         f'<polyline points="{" ".join(chunk)}" fill="none" stroke="{color}" '
-                        f'stroke-width="1.6"{dash}/>'
+                        'stroke-width="1.6"/>'
                     )
         if self.title:
             parts.append(
@@ -216,10 +193,9 @@ class LineChart:
             )
             for k, s in enumerate(labeled):
                 yk = ly + 16 * k + 8
-                dash = ' stroke-dasharray="7,4"' if s.dashed else ""
                 parts.append(
                     f'<line x1="{lx}" y1="{yk - 4}" x2="{lx + 22}" y2="{yk - 4}" '
-                    f'stroke="{s.color}" stroke-width="1.6"{dash}/>'
+                    f'stroke="{s.color}" stroke-width="1.6"/>'
                 )
                 parts.append(
                     f'<text x="{lx + 28}" y="{yk}" font-size="11" fill="#222222" style="{style}">{s.label}</text>'

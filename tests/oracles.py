@@ -25,6 +25,14 @@ numbers by independent means and share no solver code with it:
 * ``scalar_dominant_root`` is the principal-branch Newton solve one point at
   a time, in ``cmath``: the same seeds, stop rule, lambda-polish and checks
   as the masked array solve ``spectral._rightmost``, which is held to it;
+* ``hand_generator`` types the linearised generator's L(s) and M'(s) by
+  hand from beta*, against which ``hopf.PointMasses`` (read off the vector
+  field at rest) is checked;
+* ``pseudospectral_eigenvalues`` discretises the generator on Chebyshev
+  nodes and takes the eigenvalues of the resulting matrix, against which
+  the per-pair Lambert-W roots of ``spectral.dominant_root`` and the N
+  zeros of the line of equilibria are checked: the platoon's spectrum
+  decouples into its pairs';
 * ``recursive_corrections`` solves for the Hopf correction vectors e and f
   by forward recursion down the bidiagonal platoon coupling, against which
   ``hopf.manifold_corrections`` (linear solves on the characteristic
@@ -56,7 +64,6 @@ from ccfmlab.errors import (
     NumericalError,
     RootSolveError,
 )
-from ccfmlab.hopf import _lin_matrix
 from ccfmlab.integrate import Trajectory
 from ccfmlab.model import PlatoonState, VectorField, _integer_exponent
 
@@ -568,6 +575,71 @@ def _retire(failures: dict, errors: dict, arrays) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The linearised generator by hand, and its spectrum by pseudospectral collocation
+# ---------------------------------------------------------------------------
+
+
+def hand_generator(beta, taus, kappa, s) -> tuple[np.ndarray, np.ndarray]:
+    """L(s) and M'(s) of the generator at rest, typed by hand from beta*.
+
+    Pair i's flux is kappa*beta*_i v_i(t - tau_i): a point mass -kappa*beta*_i
+    at (i, i) and +kappa*beta*_i at (i+1, i), both at theta = -tau_i.  The
+    y-rows y_i' = kappa*v_i(t) hold a point mass kappa at theta = 0, which
+    does not depend on s.  M(s) = s*I - L(s), so M'(s) = I + sum of
+    tau*mass*exp(-s*tau).
+    """
+    n = beta.size
+    i = np.arange(n)
+    L = np.zeros((2 * n, 2 * n), dtype=complex)
+    mass = kappa * beta * np.exp(-s * taus)
+    L[i, i] = -mass
+    L[i[1:], i[:-1]] = mass[:-1]
+    L[n + i, i] = kappa
+    Mp = np.eye(2 * n, dtype=complex)
+    Mp[i, i] -= taus * mass
+    Mp[i[1:], i[:-1]] = (taus * mass)[:-1]
+    return L, Mp
+
+
+def pseudospectral_eigenvalues(masses, degree: int = 40) -> np.ndarray:
+    """Eigenvalues of the generator discretised on degree + 1 Chebyshev nodes.
+
+    After Breda, Maset & Vermiglio, "Pseudospectral differencing methods for
+    characteristic roots of delay differential equations" (SIAM J. Sci.
+    Comput. 27, 2005).  A state is a function on [-tau_max, 0], held by its
+    values at the nodes theta_0 = 0 > theta_1 > ... > theta_M = -tau_max.
+    Rows 1..M differentiate the interpolant; row 0 applies the measure, each
+    point mass (``masses.row``, ``.col``, ``.lag``, ``.mass``, with
+    ``.size`` state columns) reading the interpolant at -lag through its
+    Lagrange weights.  The rightmost eigenvalues converge spectrally in
+    the degree to characteristic roots.
+    """
+    d = masses.size
+    tau_max = float(np.max(masses.lag))
+    if tau_max <= 0.0:
+        raise InvalidConfigError("the pseudospectral generator needs a positive delay")
+    k = np.arange(degree + 1)
+    ends = (k == 0) | (k == degree)
+    x = np.cos(np.pi * k / degree)  # x = 1 + 2*theta/tau_max
+    c = np.where(ends, 2.0, 1.0) * (-1.0) ** k
+    dx = x[:, None] - x[None, :]
+    D = np.outer(c, 1.0 / c) / (dx + np.eye(degree + 1))
+    D -= np.diag(D.sum(axis=1))
+    A = np.zeros(((degree + 1) * d, (degree + 1) * d))
+    A[d:] = np.kron(D[1:] * (2.0 / tau_max), np.eye(d))
+    weights = np.where(ends, 0.5, 1.0) * (-1.0) ** k  # barycentric weights of the Chebyshev points
+    for row, col, lag, mass in zip(masses.row, masses.col, masses.lag, masses.mass):
+        gap = (1.0 - 2.0 * lag / tau_max) - x
+        if np.any(gap == 0.0):
+            ell = (gap == 0.0).astype(float)
+        else:
+            ell = weights / gap
+            ell /= ell.sum()
+        A[row, col::d] += mass * ell
+    return np.linalg.eigvals(A)
+
+
+# ---------------------------------------------------------------------------
 # Hopf corrections by recursion, and w-residuals one theta sample at a time
 # ---------------------------------------------------------------------------
 
@@ -642,8 +714,8 @@ def loop_w_residuals(pc, eig, g, corr) -> LoopWResiduals:
         rhs11 = g.g11 * q0 * ew + g.g11.conjugate() * qb / ew
         interior11 = max(interior11, float(np.max(np.abs(d11 - rhs11))))
 
-    L2 = _lin_matrix(eig.beta, eig.taus, kappa, 2j * w0)
-    L0 = _lin_matrix(eig.beta, eig.taus, kappa, 0.0)
+    L2 = hand_generator(eig.beta, eig.taus, kappa, 2j * w0)[0]
+    L0 = hand_generator(eig.beta, eig.taus, kappa, 0.0)[0]
     F20_full = np.zeros(2 * n, dtype=complex)
     F20_full[:n] = g.F20
     F11_full = np.zeros(2 * n, dtype=complex)

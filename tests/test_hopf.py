@@ -12,16 +12,18 @@ against sympy's derivatives of the model's flux.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ccfmlab.errors import NumericalError
+from ccfmlab.errors import InvalidConfigError, NumericalError
 from ccfmlab.hopf import (
     _RING_FIT,
     _RING_PHASES,
     _RING_RADII,
+    PointMasses,
     _Ring,
     critical_eigendata,
     first_lyapunov,
@@ -32,15 +34,20 @@ from ccfmlab.hopf import (
 )
 from ccfmlab.integrate import SimConfig, amplitude_envelope, simulate_batch
 from ccfmlab.model import (
+    EquilibriumCoefficients,
     LeaderProfile,
     PlatoonConfig,
     PlatoonState,
+    VectorField,
     VehicleParams,
 )
+from ccfmlab.spectral import dominant_root
 
 from conftest import four_vehicle_platoon, single_follower
 from oracles import (
+    hand_generator,
     loop_w_residuals,
+    pseudospectral_eigenvalues,
     recursive_corrections,
     scalar_taylor_coefficients,
     sympy_taylor_coefficients,
@@ -201,10 +208,63 @@ EXPONENTS = ((2.0, 1.0), (1.0, 1.0), (0.5, 0.5), (-1.0, 1.5), (2.0, 0.0), (1.5, 
 
 
 def _platoon_set(critical_config):
-    """The threshold single follower, the four-vehicle platoon and 48 random platoons of 1-8 vehicles."""
+    """The threshold single follower, the four-vehicle platoon, once more with a zero-delay second
+    pair, and 48 random platoons of 1-8 vehicles."""
     rng = np.random.default_rng(5)
-    configs = [critical_config, four_vehicle_platoon()]
+    configs = [critical_config, four_vehicle_platoon(), four_vehicle_platoon(taus=(0.5, 0.0, 0.4488, 0.3))]
     return configs + [_random_platoon(rng, 1 + k % 8, *EXPONENTS[k % len(EXPONENTS)]) for k in range(48)]
+
+
+def test_point_masses_match_the_hand_generator(critical_config):
+    for pc in _platoon_set(critical_config):
+        eig = critical_eigendata(pc)
+        s = 1j * eig.omega0
+        checks = [(eig.masses.lin(x), hand_generator(eig.beta, eig.taus, eig.kappa, x)[0]) for x in (0.0, s, 2 * s)]
+        checks.append((eig.masses.char_derivative(s), hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
+        for got, want in checks:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), pc.n
+
+
+def _pair_roots(pc):
+    """Each pair's dominant root, from the principal Lambert-W branch."""
+    eq = EquilibriumCoefficients.from_config(pc)
+    return [dominant_root(b, t, pc.kappa).lam for b, t in zip(eq.beta, eq.taus)]
+
+
+def _roots_apart(pc):
+    """No two pair roots or conjugates within 10% of each other, and no product within 0.05 of 1/e."""
+    roots = _pair_roots(pc)
+    points = roots + [lam.conjugate() for lam in roots if lam.imag != 0.0]
+    near = any(abs(a - b) <= 0.1 * max(abs(a), abs(b)) for a, b in itertools.combinations(points, 2))
+    products = EquilibriumCoefficients.from_config(pc).products
+    return not near and np.min(np.abs(products - 1.0 / math.e)) > 0.05
+
+
+def test_pseudospectral_spectrum_is_the_union_of_the_pair_roots(critical_config):
+    # The delayed platoon's generator is block triangular: its spectrum is
+    # each pair's roots of lambda + kappa*beta*_i*exp(-lambda*tau_i) = 0 and
+    # N zeros, the line of equilibria (v, y) = (0, c).  Where two roots
+    # nearly meet (two pairs' roots, a root and its conjugate, or a pair's two
+    # real roots near product 1/e), the coupled matrix's eigenvalue is
+    # ill-conditioned and collocation loses digits (8.8e-10 at a gap of 2%),
+    # so such draws are replaced.
+    rng = np.random.default_rng(12)
+    configs = [critical_config, four_vehicle_platoon(taus=(0.5, 0.0, 0.4488, 0.3))]
+    while len(configs) < 10:
+        n = len(configs) - 1
+        pc = _random_platoon(rng, n, *EXPONENTS[n % len(EXPONENTS)])
+        if _roots_apart(pc):
+            configs.append(pc)
+    for pc in configs:
+        spectrum = pseudospectral_eigenvalues(PointMasses(VectorField(pc)))
+        roots = _pair_roots(pc)
+        for lam in roots + [lam.conjugate() for lam in roots]:
+            assert np.min(np.abs(spectrum - lam)) <= 1e-10 * abs(lam), (pc.n, lam)
+        zero = np.abs(spectrum) < 1e-8
+        assert np.count_nonzero(zero) == pc.n
+        rightmost = max(lam.real for lam in roots)
+        rest = spectrum[~zero]
+        assert np.all(rest.real - rightmost <= 1e-9 * np.abs(rest)), pc.n
 
 
 def test_corrections_match_the_recursion(critical_config):
@@ -375,6 +435,9 @@ def test_predicted_amplitude_values(critical_config):
     a_small = predicted_amplitude(rep, 1.005)
     a_big = predicted_amplitude(rep, 1.02)
     assert 0.0 < a_small < a_big
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            predicted_amplitude(rep, kappa)
 
 
 def test_predicted_amplitude_matches_converged_rk4_tails():
