@@ -22,7 +22,16 @@ import numpy as np
 
 from .errors import CcfmError, InvalidConfigError, NumericalError
 from .hopf import hopf_report
-from .integrate import SimConfig, amplitude_envelope, settling_time, simulate, simulate_batch, write_trajectory_csv
+from .integrate import (
+    SimConfig,
+    amplitude_envelope,
+    check_epsilon,
+    settling_time,
+    simulate,
+    simulate_batch,
+    tail_window,
+    write_trajectory_csv,
+)
 from .model import (
     EquilibriumCoefficients,
     PlatoonConfig,
@@ -215,7 +224,9 @@ def _cmd_bifurcation(args) -> int:
         kappa_min + k * (kappa_max - kappa_min) / (args.points - 1)
         for k in range(args.points)
     ]
-    trajs = simulate_batch([pc.with_kappa(kappa) for kappa in kappas], _sim_config(args), _perturbation(pc, args))
+    sc = _sim_config(args)
+    tail_window(sc.grid(), args.tail)  # reject a bad window before integrating
+    trajs = simulate_batch([pc.with_kappa(kappa) for kappa in kappas], sc, _perturbation(pc, args))
     results = [(kappa, amplitude_envelope(tr, tail_fraction=args.tail).v.tolist()) for kappa, tr in zip(kappas, trajs)]
     out = _ensure_outdir(args.out)
     with open(os.path.join(out, "bifurcation.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -248,6 +259,7 @@ def _cmd_hopf(args) -> int:
 
 def _cmd_settling(args) -> int:
     pc = load_config(args.config)
+    check_epsilon(args.epsilon)  # before integrating
     traj = simulate(pc, _sim_config(args), _perturbation(pc, args))
     report = settling_time(traj, epsilon=args.epsilon)
     out = _ensure_outdir(args.out)

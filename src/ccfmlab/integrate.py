@@ -23,15 +23,17 @@ steps belong to the scheme.
 The steps are taken in blocks (a block method of steps).  Only y' = kappa*v
 is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
 block of K steps with K about tau_min/h, every stage's delayed instant lies at
-or before the block's first node, so one field call on one gather of stored
-history gives every stage's v-derivative.  Sequential sums of those give v
-at every stage and node, and the field's headway rows give y' = kappa*v of
-those, with no second call.  The sums add in the order of a step-by-step
-loop, so a block is bit-identical to taking its steps one at a time.  Where
-a stage's rows need the stage before it (a zero delay, or tau_min < 2h under
-rk4), and in a block where a member fails, the steps are taken one at a
-time, one field call per stage, which keeps the order of failure events:
-earliest step, then stage, then the blow-up check.
+or before the block's first node, so one call of the field's velocity rows
+(``VectorField.velocity_rows``) on one gather of stored history gives every
+stage's v-derivative.  Sequential sums of those give v at every stage and
+node, and the field's headway rows give y' = kappa*v of those.  A block's
+times, gather nodes and weights are slices of tables built once per run.
+The sums add in the order of a step-by-step loop, so a block is
+bit-identical to taking its steps one at a time.  Where a stage's rows need
+the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
+block where a member fails, the steps are taken one at a time, one field
+call per stage, which keeps the order of failure events: earliest step,
+then stage, then the blow-up check.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
     "simulate_batch",
     "settling_time",
     "amplitude_envelope",
+    "tail_window",
+    "check_epsilon",
     "write_trajectory_csv",
 ]
 
@@ -81,6 +85,15 @@ class SimConfig:
             raise InvalidConfigError(f"horizon must be at least one step, got {self.horizon}")
         if self.method not in _FRACTIONS:
             raise InvalidConfigError(f"method must be one of {tuple(_FRACTIONS)}, got {self.method!r}")
+
+    @property
+    def steps(self) -> int:
+        """Steps to the horizon, rounded up to a whole step."""
+        return int(math.ceil(self.horizon / self.step - 1e-9))
+
+    def grid(self) -> np.ndarray:
+        """The output times t_k = k*step, k = 0 .. steps."""
+        return np.arange(self.steps + 1) * self.step
 
 
 @dataclass
@@ -137,11 +150,10 @@ def simulate_batch(
             f"step {h:g} exceeds the smallest positive delay {min(positive_taus):g}; "
             "the method of steps requires step <= min positive tau"
         )
-    steps = int(math.ceil(sc.horizon / h - 1e-9))
-    states, errors = _run(field, h, sc.method, perturbation.as_vector(), steps)
+    states, errors = _run(field, h, sc.method, perturbation.as_vector(), sc.steps)
     if errors:
         raise errors[min(errors)]
-    t_grid = np.arange(steps + 1) * h
+    t_grid = sc.grid()
     return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
 
 
@@ -194,9 +206,9 @@ class _MethodOfSteps:
 
     Both routes give every stage the same delayed rows, times and float
     operations, so they agree bit for bit.  A block evaluates all its stages'
-    velocity derivatives in one field call, which it can because they read
-    only nodes that precede the block, and their headway derivatives as
-    kappa*v; a step evaluates one stage per call.
+    velocity derivatives in one ``velocity_rows`` call, which it can because
+    they read only nodes that precede the block, and their headway
+    derivatives as kappa*v; a step evaluates the whole field once per stage.
     """
 
     def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
@@ -207,12 +219,19 @@ class _MethodOfSteps:
         self.states, self.derivs = self.hist[:, 0], self.hist[:, 1]
         self.states[:, 0] = init
         taus = field.tau.tolist()
-        self.offsets, self.weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
+        self.offsets, weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
         self.pre = -int(self.offsets.min())  # steps whose lookups reach into t < 0
         self.zero = [i for i, tau in enumerate(taus) if tau == 0.0]
         self.rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
-        # The times of a block's distinct rows from k*h: k1 and, under rk4, k2 = k3 and k4.
+        # Per run, so that a block slices them: the step times, the times of a
+        # step's distinct rows from it (k1 and, under rk4, k2 = k3 and k4), and
+        # the nodes and weights of a block's steps, counted from its first.
+        self.grid = np.arange(steps + 1) * h
         self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
+        self.stage_steps = np.array([[h * 0.5], [h * 0.5], [h * 1.0]])  # h*c of rk4's k2, k3 and k4
+        size = max(self.block_size(), 1)
+        self.nodes = self.offsets[:, None] + np.arange(size)[:, None]
+        self.weights = np.repeat(weights[:, None], size, axis=1)
         self.errors: dict = {}
 
     def block_size(self) -> int:
@@ -230,14 +249,14 @@ class _MethodOfSteps:
             return 0
         newest = int(self.offsets[1 if self.rk4 else 0].max())  # relative to the reading step
         size = 1 - newest - self.rk4
-        per_step = self.hist.itemsize * self.field.batch * self.weights.size  # bytes gathered per step
+        per_step = self.hist[:, :, 0].nbytes * self.offsets.size  # bytes gathered per step: a node row per offset
         return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
 
     def _gather(self, k0: int, count: int) -> np.ndarray:
         """The (B, count, S, N, 2N) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
         n, batch = self.field.n, self.field.batch
-        nodes = self.offsets[:, None] + np.arange(k0, k0 + count)[:, None]
-        w = self.weights[:, None]
+        nodes = self.nodes[:, :count] + k0
+        w = self.weights[:, :count]
         if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0
             early = nodes[0] < 0
             nodes = np.where(early, 0, nodes)
@@ -281,7 +300,7 @@ class _MethodOfSteps:
             _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
 
     def block(self, k0: int, count: int) -> bool:
-        """Advance steps k0 .. k0 + count - 1 with one field call.
+        """Advance steps k0 .. k0 + count - 1 with one ``velocity_rows`` call.
 
         The call evaluates the velocity derivatives of every stage, which
         read stored history only; sequential sums of them give v at every
@@ -300,21 +319,21 @@ class _MethodOfSteps:
         rows[:, 1:, 0] = last[:, :-1]
         if self.rk4:
             rows[:, :, 1:] = delayed
-        times = (np.arange(k0, k0 + count) * h)[:, None] + self.lags
-        out, failures = field(times.ravel(), np.zeros(rows.shape[:3] + (2 * n,)), rows)
+        times = self.grid[k0 : k0 + count, None] + self.lags
+        dv, failures = field.velocity_rows(times.ravel(), rows.reshape(batch, -1, n, 2 * n))
         if any(b not in errors for b in failures):
             return False
-        dv = out[..., :n]
+        dv = dv.reshape(rows.shape[:4])
         span = self.states[:, k0 : k0 + count + 1]
         v, y = span[..., :n], span[..., n:]
         if self.rk4:
             d1, d2, d4 = dv[:, :, 0], dv[:, :, 1], dv[:, :, 2]  # k3's is d2: k2's rows and time
-            v[:, 1:] = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d2 + d4)
+            twice = 2.0 * d2
+            v[:, 1:] = (h / 6.0) * (d1 + twice + twice + d4)
             np.add.accumulate(v, axis=1, out=v)
-            stage = np.repeat(v[:, :-1, None], 4, axis=2)  # v of k1..k4
-            stage[:, :, 1] += (h * 0.5) * d1
-            stage[:, :, 2] += (h * 0.5) * d2
-            stage[:, :, 3] += (h * 1.0) * d2
+            v0 = v[:, :-1, None]
+            # v of k1..k4: k2, k3 and k4 add h*c times the v-derivative of k1, k2 and k3 (d2).
+            stage = np.concatenate((v0, v0 + dv[:, :, (0, 1, 1)] * self.stage_steps), axis=2)
             dy = field.headway_rows(stage)
             y[:, 1:] = (h / 6.0) * (dy[:, :, 0] + 2.0 * dy[:, :, 1] + 2.0 * dy[:, :, 2] + dy[:, :, 3])
         else:
@@ -357,6 +376,12 @@ class SettlingReport:
     overall: float | None
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Reject a settling threshold that is not positive (NaN included), as :func:`settling_time` does."""
+    if not epsilon > 0:
+        raise InvalidConfigError(f"epsilon must be positive, got {epsilon}")
+
+
 def settling_time(traj: Trajectory, epsilon: float = 0.05) -> SettlingReport:
     """First time after which max(|v_i|, |y_i|) stays within epsilon, per pair.
 
@@ -364,8 +389,7 @@ def settling_time(traj: Trajectory, epsilon: float = 0.05) -> SettlingReport:
     is not settled at the earlier excursion.  The overall time is the maximum
     over pairs, or None if any pair never settles.
     """
-    if not epsilon > 0:
-        raise InvalidConfigError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     n = traj.n
     metric = np.maximum(np.abs(traj.v), np.abs(traj.y))  # (T, n)
     times: list[float | None] = []
@@ -403,19 +427,27 @@ def amplitude_envelope(traj: Trajectory, tail_fraction: float = 0.25) -> Envelop
     estimates the cycle amplitude provided the tail spans at least a few
     periods.
     """
-    if not 0 < tail_fraction <= 1:
-        raise InvalidConfigError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    t_end = float(traj.t[-1])
-    t_start = t_end - tail_fraction * (t_end - float(traj.t[0]))
-    k0 = int(np.searchsorted(traj.t, t_start - 1e-12))
+    k0 = tail_window(traj.t, tail_fraction)
     window = traj.states[k0:]
-    if window.shape[0] < 10:
-        raise InvalidConfigError(
-            f"amplitude window has only {window.shape[0]} samples; need at least 10"
-        )
     amps = 0.5 * (window.max(axis=0) - window.min(axis=0))
     n = traj.n
-    return EnvelopeReport(v=amps[:n], y=amps[n:], t_start=float(traj.t[k0]), t_end=t_end)
+    return EnvelopeReport(v=amps[:n], y=amps[n:], t_start=float(traj.t[k0]), t_end=float(traj.t[-1]))
+
+
+def tail_window(t: np.ndarray, tail_fraction: float) -> int:
+    """The first index of the final tail_fraction of the time grid t, whose window must hold at least 10 samples.
+
+    A trajectory's grid is its :meth:`SimConfig.grid`, so the window rule can
+    be checked before integrating.
+    """
+    if not 0 < tail_fraction <= 1:
+        raise InvalidConfigError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    t_end = float(t[-1])
+    t_start = t_end - tail_fraction * (t_end - float(t[0]))
+    k0 = int(np.searchsorted(t, t_start - 1e-12))
+    if t.size - k0 < 10:
+        raise InvalidConfigError(f"amplitude window has only {t.size - k0} samples; need at least 10")
+    return k0
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

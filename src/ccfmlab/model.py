@@ -219,8 +219,10 @@ class VectorField:
     the (B, R, 2N) result equals R calls, one per row, bit for bit.  A
     member's error is then that of its first failing row.
 
-    Only the y-rows read the current state, and :meth:`headway_rows` gives
-    them alone, for a caller that already has the v-rows.
+    The field is its velocity rows, :meth:`velocity_rows`, which read the
+    delayed rows alone and carry every domain check, plus its headway rows,
+    :meth:`headway_rows`, y_i' = kappa*v_i of the current state; a caller
+    may ask for either alone.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
@@ -250,8 +252,17 @@ class VectorField:
     def __call__(self, t: float | np.ndarray, state: np.ndarray, delayed: np.ndarray):
         n = self.n
         shape = state.shape
-        state = state.reshape(self.batch, -1, 2 * n)
-        delayed = delayed.reshape(self.batch, -1, n, 2 * n)
+        dv, failures = self.velocity_rows(t, delayed.reshape(self.batch, -1, n, 2 * n))
+        v = state.reshape(self.batch, -1, 2 * n)[..., :n]
+        return np.concatenate((dv, self.headway_rows(v)), axis=2).reshape(shape), failures
+
+    def velocity_rows(self, t: float | np.ndarray, delayed: np.ndarray):
+        """The v-rows of the derivative, (B, R, N), and the failures, from (B, R, N, 2N) delayed rows alone.
+
+        ``t`` is a scalar or an (R,) array of one time per row; these are
+        the rows and failures ``__call__`` returns.
+        """
+        n = self.n
         times = np.asarray(t, dtype=float).reshape(-1)
         # Pair i reads v_1..v_i, v_i and y_i of its own delayed row: the
         # diagonals of the (N, N) blocks.
@@ -277,7 +288,7 @@ class VectorField:
         if n > 1:
             dv[..., 1:] += flux[..., :-1]
         dv *= self.kappa
-        return np.concatenate((dv, self.headway_rows(state[..., :n])), axis=2).reshape(shape), failures
+        return dv, failures
 
     def headway_rows(self, v: np.ndarray) -> np.ndarray:
         """The y-rows of the derivative, y_i' = kappa*v_i, of (B, ..., N) speeds: the rows ``__call__`` returns."""

@@ -334,3 +334,35 @@ def test_settling_rejects_bad_epsilon(tmp_path, config_path):
         ["settling", "--config", config_path, "--out", str(out), "--epsilon", "-1"]
     )
     assert code == 2
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrated before checking the post-processing arguments")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bifurcation", "--tail", "0"],
+        ["bifurcation", "--tail", "1.5"],
+        ["bifurcation", "--tail", "nan"],
+        ["bifurcation", "--tail", "0.01", "--tmax", "5", "--ts", "0.01"],  # a window of 6 samples
+        ["settling", "--epsilon", "0"],
+        ["settling", "--epsilon", "nan"],
+    ],
+    ids=["tail-0", "tail-above-1", "tail-nan", "tail-window-too-short", "epsilon-0", "epsilon-nan"],
+)
+def test_post_processing_arguments_are_rejected_before_integrating(tmp_path, config_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr("ccfmlab.cli.simulate", _no_integration)
+    monkeypatch.setattr("ccfmlab.cli.simulate_batch", _no_integration)
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", config_path, "--out", str(out)] + argv[1:]) == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_shortest_tail_window_still_runs(tmp_path, single_path):
+    """The window rule is the envelope's: 10 samples at --tail 0.02 over 4.5 s at h = 0.01 are enough."""
+    out = tmp_path / "o"
+    argv = ["bifurcation", "--config", single_path, "--out", str(out), "--points", "2", "--tmax", "4.5", "--tail", "0.02"]
+    assert main(argv) == 0 and (out / "bifurcation.csv").exists()

@@ -111,6 +111,7 @@ def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
 def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     """A constant field moves one step by h times that constant."""
     monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: (np.full(state.shape, 3.0), {}))
+    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, t, rows: (np.full(rows.shape[:-1], 3.0), {}))
     monkeypatch.setattr(VectorField, "headway_rows", lambda self, v: np.full(v.shape, 3.0))
     pc = four_vehicle_platoon()
     traj = simulate(pc, SimConfig(step=0.01, horizon=0.01, method=method), _perturb(4))
@@ -257,10 +258,11 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_a_block_makes_one_field_call(monkeypatch, method):
-    """Every block evaluates its stages' v-derivatives in one call; y' = kappa*v comes from the headway rows."""
-    calls = []
-    field_call = VectorField.__call__
-    monkeypatch.setattr(VectorField, "__call__", lambda self, *args: calls.append(1) or field_call(self, *args))
+    """Every block evaluates its stages' v-derivatives in one velocity_rows call; y' = kappa*v comes from the headway rows."""
+    calls, whole = [], []
+    velocity_rows, field_call = VectorField.velocity_rows, VectorField.__call__
+    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, *args: calls.append(1) or velocity_rows(self, *args))
+    monkeypatch.setattr(VectorField, "__call__", lambda self, *args: whole.append(1) or field_call(self, *args))
     field = VectorField(four_vehicle_platoon())
     init = _perturb(field.n).as_vector()
     steps = 100  # 1 s at h = 0.01
@@ -268,7 +270,7 @@ def test_a_block_makes_one_field_call(monkeypatch, method):
     assert size >= 2
     calls.clear()
     got, errors = _run(field, 0.01, method, init, steps)
-    assert not errors and len(calls) == math.ceil(steps / size)
+    assert not errors and len(calls) == math.ceil(steps / size) and not whole
     want, _ = step_loop_run(field, 0.01, method, init, steps)
     assert np.array_equal(got, want)
 

@@ -301,6 +301,37 @@ def test_headway_rows_are_the_fields_y_rows():
     assert np.array_equal(stages.reshape(3, 6, 4), out[..., 4:])
 
 
+def test_velocity_rows_are_the_fields_v_rows():
+    """velocity_rows gives the v-rows and the failures of a call, bit for bit, on (B, R) rows and a block's (B, K*S) rows."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
+    field = VectorField(*pcs)
+    rng = np.random.default_rng(7)
+    times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, 50.0])  # rest, ramp and settled leader
+    state = rng.normal(size=(3, 6, 8)) * 0.1
+    delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
+    delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
+    out, failures = field(times, state, delayed)
+    rows, row_failures = field.velocity_rows(times, delayed)
+    assert not failures and not row_failures
+    assert rows.shape == (3, 6, 4) and np.array_equal(rows, out[..., :4])
+    assert np.array_equal(np.signbit(rows), np.signbit(out[..., :4]))
+    block = delayed.reshape(3, 2, 3, 4, 8)  # a block's (B, K, S, N, 2N) rows, as the block passes them
+    stage_times = times.reshape(2, 3)
+    rows, _ = field.velocity_rows(stage_times.ravel(), block.reshape(3, -1, 4, 8))
+    assert np.array_equal(rows.reshape(3, 2, 3, 4), out[..., :4].reshape(3, 2, 3, 4))
+    delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3), then at row 5 (pair 1)
+    delayed[1, 5, 0, 4] = -21.0
+    delayed[2, 2, 1, 5] = -20.0  # member 2 leaves the domain at row 2, pair 2: a headway of exactly 0
+    out, failures = field(times, state, delayed)
+    rows, row_failures = field.velocity_rows(times, delayed)
+    assert list(failures) == list(row_failures) == [1, 2]
+    for b, got in row_failures.items():
+        want = failures[b]
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (got.t, got.pair, got.value) == (want.t, want.pair, want.value)
+    assert np.array_equal(rows, out[..., :4])
+
+
 def test_field_rejects_batches_that_do_not_share_the_delays():
     pc = four_vehicle_platoon()
     VectorField(pc, pc.with_kappa(2.0))  # kappa may differ
