@@ -13,6 +13,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -280,7 +281,9 @@ def _cmd_settling(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ccfm",
         description="Analysis and simulation of delayed car-following platoons.",
@@ -348,8 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidConfigError as exc:

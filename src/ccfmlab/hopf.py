@@ -16,27 +16,31 @@ it is orbitally stable.  The emerging cycle amplitude in the critical pair's
 relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).
 
 Construction notes.  The generator's point masses are read off
-``model.VectorField`` at rest (``PointMasses``), so only the field knows how
-the pairs are coupled.  Both null vectors of M(i*omega0) = i*omega0*I - L(i*omega0)
-come from its SVD.  q is scaled so its critical component is one.  No mass
-sits in a y-column, so the adjoint p has exactly zero y-components; it is
-scaled so that <p, q> = pbar.M'(i*omega0).q = 1.
+``model.VectorField`` at rest (``PointMasses``) by ``rest_quotients``, one
+call that probes the even and the odd delay slots in two sweeps, so only the
+field knows how the pairs are coupled.  M(i*omega0), M(2*i*omega0), M(0) and
+M'(i*omega0) come from one scatter of the masses.  Both null vectors of
+M(i*omega0) = i*omega0*I - L(i*omega0) come from its SVD.  q is scaled so its
+critical component is one.  No mass sits in a y-column, so the adjoint p has
+exactly zero y-components; it is scaled so that <p, q> = pbar.M'(i*omega0).q = 1.
 
 The expansion coefficients are Taylor coefficients of the same field,
 after Hassard, Kazarinoff & Wan (1981): g(z, zbar) = pbar.F(z q + zbar qbar + w).
-The field is evaluated on a ring of real states z = rho*exp(i*psi):
+They live in the field's v-rows, which read the delayed rows alone, so those
+rows are evaluated, on a ring of real states z = rho*exp(i*psi):
 each z is paired with -z, which splits odd from even orders; the harmonics in
 psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
 over radii that are powers of two removes the higher orders.  F20 and F11 are
 the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
-F21 is the rho^3 part of harmonic 1 once w20 and w11 are added.  A linear
-field gives exact zeros.  The correction vectors are solves on the same
-generator: e solves M(2*i*omega0) e = (F20, 0), and f's v-rows solve
-M(0)[:N, :N] f_v = F11 with f_y = 0.  Their residuals are the health
-numbers reported.  The y-rows of M(0) f = (F11, 0) read kappa*f_i = 0, which
-f cannot meet while F11 drives the v-rows: that defect kappa*f_i is the
-resonance of the line of equilibria (v, y) = (0, c), and it is reported as a
-diagnostic rather than asserted away.
+F21 is the rho^3 part of harmonic 1 once w20 and w11 are added, whose three
+waves come from one exponential.  A linear field gives exact zeros.  So a
+report makes three field evaluations.  The correction vectors are solves on
+the same generator, both in one call: e solves M(2*i*omega0) e = (F20, 0), and
+f's v-rows solve M(0)[:N, :N] f_v = F11 with f_y = 0, pinned by identity
+y-rows.  Their residuals are the health numbers reported.  The y-rows of
+M(0) f = (F11, 0) read kappa*f_i = 0, which f cannot meet while F11 drives the
+v-rows: that defect kappa*f_i is the resonance of the line of equilibria
+(v, y) = (0, c), and it is reported as a diagnostic rather than asserted away.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
 from .model import EquilibriumCoefficients, PlatoonConfig, VectorField
-from .spectral import hopf_point, transversality
+from .spectral import _crossing_speed, hopf_point
 
 __all__ = [
     "PointMasses",
@@ -74,38 +78,41 @@ class PointMasses:
     """
 
     def __init__(self, field: VectorField):
-        n = field.n
-        self.size = 2 * n
-        slots = (n + 1) * self.size
+        self.size = 2 * field.n
         # The field is 0 at rest, so F(h*e)/h cancels nothing.  h lies below
         # half an ulp of x0 and b, so the speed bases and headways round to
         # their rest values and the quotient holds the linear part alone.
-        h = 2.0**-60 * min(field.leader.v_eq, float(field.b.min()))
-        steps = h * np.eye(slots).reshape(slots, n + 1, self.size)
-        out, failures = field(math.inf, steps[:, 0], steps[:, 1:])
+        h = 2.0**-60 * min(field.leader.v_eq, float(np.minimum.reduce(field.b, axis=None)))
+        (slot, self.col, self.row, self.mass), failures = field.rest_quotients(h)
         if failures:
             raise NumericalError(f"the linearisation left the model's domain: {failures[0]}")
-        # (slot, column, row): slot 0 is the current row, slot i pair i's delayed row.
-        jac = (out / h).reshape(n + 1, self.size, self.size)
-        slot, self.col, self.row = np.nonzero(jac)
-        self.mass = jac[slot, self.col, self.row]
         self.lag = np.concatenate(([0.0], field.tau))[slot]
 
-    def lin(self, s: complex) -> np.ndarray:
-        """L(s): the generator's action on exp(s*theta)*u is L(s) u."""
-        L = np.zeros((self.size, self.size), dtype=complex)
-        np.add.at(L, (self.row, self.col), self.mass * np.exp(-s * self.lag))
-        return L
+    def lin(self, s: complex | np.ndarray) -> np.ndarray:
+        """L(s): the generator's action on exp(s*theta)*u is L(s) u; a 1-d array of S values gives (S, 2N, 2N)."""
+        return self._scatter(self.mass * np.exp(-np.asarray(s)[..., None] * self.lag))
 
-    def char(self, s: complex) -> np.ndarray:
-        """The characteristic matrix M(s) = s*I - L(s)."""
-        return s * np.eye(self.size, dtype=complex) - self.lin(s)
+    def char(self, s: complex | np.ndarray) -> np.ndarray:
+        """The characteristic matrix M(s) = s*I - L(s); a 1-d array of S values gives (S, 2N, 2N)."""
+        s = np.asarray(s)
+        return s[..., None, None] * np.eye(self.size) - self.lin(s)
 
-    def char_derivative(self, s: complex) -> np.ndarray:
-        """M'(s) = I + sum of lag*mass*exp(-s*lag); the pairing <p, q> is pbar.M'(i*omega0).q."""
-        Mp = np.eye(self.size, dtype=complex)
-        np.add.at(Mp, (self.row, self.col), self.lag * self.mass * np.exp(-s * self.lag))
-        return Mp
+    def critical(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
+        """M(s), M(2s) and M(0), (3, 2N, 2N), and M'(s), from one scatter of the masses.
+
+        M'(s) = I + sum of lag*mass*exp(-s*lag); the pairing <p, q> is pbar.M'(i*omega0).q.
+        """
+        ss = np.array([s, 2 * s, 0.0])
+        waves = np.exp(np.multiply.outer(-ss, self.lag))
+        L = self._scatter(np.concatenate((self.mass * waves, (self.lag * self.mass * waves[0])[None])))
+        eye = np.eye(self.size)
+        return ss[:, None, None] * eye - L[:3], eye + L[3]
+
+    def _scatter(self, terms: np.ndarray) -> np.ndarray:
+        """Sum each (..., mass) row of terms into its (row, col) entry of a (..., 2N, 2N) matrix."""
+        out = np.zeros(terms.shape[:-1] + (self.size, self.size), dtype=complex)
+        np.add.at(out, (..., self.row, self.col), terms)
+        return out
 
 
 @dataclass
@@ -128,12 +135,18 @@ class CriticalEigendata:
     residual_p: float
 
 
-def _pick_pair(pc: PlatoonConfig, eq: EquilibriumCoefficients) -> int:
+def _peak(x: np.ndarray) -> np.floating:
+    """max |x| over a 1-d array."""
+    return np.maximum.reduce(np.abs(x))
+
+
+def _pick_pair(eq: EquilibriumCoefficients) -> int:
     """Default critical pair: the one whose Hopf gain is reached first."""
-    candidates = [(i + 1, eq.beta[i] * eq.taus[i]) for i in range(pc.n) if eq.taus[i] > 0]
-    if not candidates:
+    # A pair without delay has product 0, below that of any pair with one.
+    products = eq.products
+    if not products.max() > 0:
         raise InvalidConfigError("no pair has a positive delay; there is no Hopf point")
-    return max(candidates, key=lambda item: item[1])[0]
+    return int(products.argmax()) + 1
 
 
 def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> CriticalEigendata:
@@ -143,10 +156,15 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     (default: the pair with the largest beta**tau, which turns critical at the
     smallest gain), regardless of the gain stored in the config.
     """
+    return _eigendata(pc, pair, n_branch)[0]
+
+
+def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[CriticalEigendata, np.ndarray]:
+    """The eigendata, and M(2*i*omega0) and M(0) stacked, which the corrections solve on."""
     eq = EquilibriumCoefficients.from_config(pc)
     n = pc.n
     if pair is None:
-        pair = _pick_pair(pc, eq)
+        pair = _pick_pair(eq)
     if not 1 <= pair <= n:
         raise InvalidConfigError(f"pair must be in 1..{n}, got {pair}")
     tau_p = float(eq.taus[pair - 1])
@@ -154,12 +172,13 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         raise InvalidConfigError(f"pair {pair} has zero delay; it has no Hopf point")
     hp = hopf_point(float(eq.beta[pair - 1]), tau_p, n=n_branch)
     omega0, kappa = hp.omega0, hp.kappa_cr
-    s = 1j * omega0
 
     field = VectorField(pc.with_kappa(kappa))
     masses = PointMasses(field)
-    M = masses.char(s)
+    chars, Mp = masses.critical(1j * omega0)
+    M = chars[0]
     U, sing, Vh = np.linalg.svd(M)
+    sing = sing.tolist()
     if sing[-1] > 1e-8 * sing[0]:
         raise NumericalError(
             f"smallest singular value {sing[-1]:.3e} is not negligible; "
@@ -175,19 +194,20 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     # At rest y enters the flux only through a gain times v = 0, so no mass
     # sits in a y-column and the adjoint's y-components must vanish; enforce
     # exactly after checking they are numerically zero.
-    if np.max(np.abs(p_raw[n:])) > 1e-8 * np.max(np.abs(p_raw)):
+    size = np.abs(p_raw)
+    if np.maximum.reduce(size[n:]) > 1e-8 * np.maximum.reduce(size):
         raise NumericalError("adjoint eigenvector has non-zero y-components")
     p_raw = p_raw.copy()
     p_raw[n:] = 0.0
-    anchor = p_raw[np.argmax(np.abs(p_raw))]
+    anchor = p_raw[size[:n].argmax()]
     p_raw = p_raw * (abs(anchor) / anchor)
+    pbar_raw = p_raw.conj()
 
-    residual_q = float(np.max(np.abs(M @ q)) / np.max(np.abs(q)))
-    residual_p = float(np.max(np.abs(p_raw.conj() @ M)) / np.max(np.abs(p_raw)))
+    residual_q = float(_peak(M @ q) / _peak(q))
+    residual_p = float(_peak(pbar_raw @ M) / _peak(p_raw))
 
     # Bilinear pairing <p, q> = pbar . M'(i*omega0) . q.
-    Mp = masses.char_derivative(s)
-    inner_raw = complex(p_raw.conj() @ Mp @ q)
+    inner_raw = complex(pbar_raw @ Mp @ q)
     if abs(inner_raw) < 1e-12:
         raise NumericalError("adjoint and right eigenvectors are numerically orthogonal")
     B = (1.0 / inner_raw).conjugate()
@@ -196,7 +216,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     if abs(check - 1.0) > 1e-10:
         raise NumericalError(f"inner-product normalization failed: <p, q> = {check!r}")
 
-    return CriticalEigendata(
+    eig = CriticalEigendata(
         pair=pair,
         n_branch=n_branch,
         omega0=omega0,
@@ -212,6 +232,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         residual_q=residual_q,
         residual_p=residual_p,
     )
+    return eig, chars[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +258,21 @@ _QUADRATIC_WEIGHTS = np.array(
 # F21 = 2*(harmonic 1)/rho**3 at rho -> 0.  The r**2 fit row sums to zero, so
 # it may take differences, which keep a linear field's zero exact.
 _CUBIC_WEIGHTS = 2.0 * np.outer(_RING_FIT[1, 1:], _RING_PHASES[1]).reshape(-1)
+# exp(i*psi_j) and its square, (A, 1, 1); the radii with the sign of z and
+# of -z, (K, 2, 1, 1, 1); and the radii squared and inverted, to broadcast.
+_RING_TURN = np.exp(1j * _RING_PSI)[:, None, None]
+_RING_TURN2 = _RING_TURN**2
+_RING_SIGNED = np.multiply.outer(_RING_RADII, [1.0, -1.0])[..., None, None, None]
+_RING_R2 = (_RING_RADII**2)[:, None, None, None, None]
+_RING_INV_R = (1.0 / _RING_RADII)[:, None, None]
+# The rates of the three waves of w20 and w11, per unit omega0.
+_WAVE_RATES = np.array([1j, -1j, 2j])
+
+
+def _waves(omega0: float, theta: float | np.ndarray) -> np.ndarray:
+    """exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta), stacked, each with a trailing axis."""
+    th = np.asarray(theta, dtype=float)[..., None]
+    return np.exp((_WAVE_RATES * omega0).reshape((3,) + th.ndim * (1,)) * th)
 
 
 class _Ring:
@@ -245,42 +281,41 @@ class _Ring:
     The states are x = z*q*exp(i*omega0*theta) + c.c., plus
     w20 z^2/2 + w11 z zbar + c.c. for the cubic order, at
     z = R*r_k*exp(i*psi_j) for the K radii r_k and the A angles psi_j, each
-    paired with -z.  theta runs over 0 and each pair's -tau_i: the field reads
-    the state now and each pair's delayed row.
+    paired with -z.  theta runs over each pair's -tau_i: the expansion
+    coefficients live in the v-rows of the field, which read the delayed rows
+    alone, so the ring asks the field for those rows only.
     """
 
     def __init__(self, pc: PlatoonConfig, eig: CriticalEigendata):
         self.field = eig.field
         self.n = pc.n
-        self.thetas = np.concatenate(([0.0], -eig.taus))
-        self.scale = min(pc.leader.v_eq, float(self.field.b.min())) / float(np.max(np.abs(eig.q)))
-        self.turn = np.exp(1j * _RING_PSI)[:, None, None]
-        qt = eig.q * np.exp(1j * eig.omega0 * self.thetas)[:, None]  # (N+1, 2N)
-        lin = self.scale * 2.0 * (self.turn * qt).real
-        # (K, 2, A, N+1, 2N); the radii are powers of two, so the scaling is exact.
-        self.lin = np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]
+        self.scale = min(pc.leader.v_eq, *(veh.b for veh in pc.vehicles)) / float(_peak(eig.q))
+        self.waves = _waves(eig.omega0, -eig.taus)  # (3, N, 1)
+        lin = self.scale * 2.0 * (_RING_TURN * (eig.q * self.waves[0])).real
+        # (K, 2, A, N, 2N); the radii are powers of two, so the scaling is exact.
+        self.lin = lin * _RING_SIGNED
 
-    def _parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The odd and even parts F(x(z)) -/+ F(x(-z)) of the field, (K, A, 2N) each."""
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """The field's v-rows on the (K, 2, A, N, 2N) delayed rows x, (K, 2, A, N)."""
         n = self.n
-        rows = x.reshape(-1, n + 1, 2 * n)
-        out, failures = self.field(math.inf, rows[:, 0], rows[:, 1:])
+        out, failures = self.field.velocity_rows(math.inf, x.reshape(1, -1, n, 2 * n))
         if failures:
             raise NumericalError(f"the normal-form ring left the model's domain: {failures[0]}")
-        out = out.reshape(x.shape[:3] + (2 * n,))
-        return out[:, 0] - out[:, 1], out[:, 0] + out[:, 1]
+        return out.reshape(x.shape[:3] + (n,))
 
     def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """F20 and F11 (v-rows): the rho**2 parts of harmonics 2 and 0 along q."""
-        even = self._parts(self.lin)[1][..., : self.n]
+        rows = self._rows(self.lin)
+        even = rows[:, 0] + rows[:, 1]  # F(x(z)) + F(x(-z))
         F20, F11 = _QUADRATIC_WEIGHTS @ even.reshape(-1, self.n) / self.scale**2
         return F20, F11
 
     def cubic(self, corr: "ManifoldCorrections") -> np.ndarray:
         """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11 are added."""
-        w = (self.turn**2 * corr.w20(self.thetas)).real + corr.w11(self.thetas).real
-        r2 = (_RING_RADII**2)[:, None, None, None, None]
-        odd = self._parts(self.lin + (self.scale**2 * w) * r2)[0][..., : self.n] * (1.0 / _RING_RADII)[:, None, None]
+        w20, w11 = corr._w(self.waves)
+        w = (_RING_TURN2 * w20).real + w11.real
+        rows = self._rows(self.lin + (self.scale**2 * w) * _RING_R2)
+        odd = (rows[:, 0] - rows[:, 1]) * _RING_INV_R  # (F(x(z)) - F(x(-z)))/r
         return _CUBIC_WEIGHTS @ (odd[1:] - odd[0]).reshape(-1, self.n) / self.scale**3
 
 
@@ -357,25 +392,27 @@ class ManifoldCorrections:
 
     def w20(self, theta: float | np.ndarray) -> np.ndarray:
         """w20 at theta; an array of K thetas gives a (K, 2N) array."""
-        w0 = self.eig.omega0
-        q0 = self.eig.q
-        th = np.asarray(theta, dtype=float)[..., None]
-        return (
-            -(self.g20 / (1j * w0)) * q0 * np.exp(1j * w0 * th)
-            - (self.g02.conjugate() / (3j * w0)) * q0.conj() * np.exp(-1j * w0 * th)
-            + self.e * np.exp(2j * w0 * th)
-        )
+        return self._w(_waves(self.eig.omega0, theta))[0]
 
     def w11(self, theta: float | np.ndarray) -> np.ndarray:
         """w11 at theta; an array of K thetas gives a (K, 2N) array."""
+        return self._w(_waves(self.eig.omega0, theta))[1]
+
+    def _w(self, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w20 and w11 from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
         w0 = self.eig.omega0
         q0 = self.eig.q
-        th = np.asarray(theta, dtype=float)[..., None]
-        return (
-            (self.g11 / (1j * w0)) * q0 * np.exp(1j * w0 * th)
-            - (self.g11.conjugate() / (1j * w0)) * q0.conj() * np.exp(-1j * w0 * th)
-            + self.f
+        # The terms along q*exp(i*omega0*theta), less those along qbar*exp(-i*omega0*theta), of w20 and w11.
+        coef = np.array(
+            [
+                [-(self.g20 / (1j * w0)), self.g02.conjugate() / (3j * w0)],
+                [self.g11 / (1j * w0), self.g11.conjugate() / (1j * w0)],
+            ]
         )
+        modes = (coef[..., None] * np.array((q0, q0.conj()))).reshape((2, 2) + (1,) * (waves.ndim - 2) + q0.shape)
+        terms = modes * waves[:2]
+        w20, w11 = terms[:, 0] - terms[:, 1]
+        return w20 + self.e * waves[2], w11 + self.f
 
 
 def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
@@ -385,20 +422,26 @@ def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoeffici
     whose free y-components are set to zero.  The residuals are those of the
     two full 2N systems.
     """
-    n = pc.n
-    F20 = np.concatenate((g.F20, np.zeros(n)))
-    F11 = np.concatenate((g.F11, np.zeros(n)))
-    M2 = eig.masses.char(2j * eig.omega0)
-    M0 = eig.masses.char(0.0)
-    e = np.linalg.solve(M2, F20)
-    f = np.zeros(2 * n, dtype=complex)
-    f[:n] = np.linalg.solve(M0[:n, :n], g.F11)
-    res11 = np.abs(M0 @ f - F11)
-    residuals = WResiduals(
-        w20_boundary=float(np.max(np.abs(M2 @ e - F20))),
-        w11_boundary_v=float(np.max(res11[:n])),
-        w11_boundary_y=float(np.max(res11[n:])),
-    )
+    return _corrections(eig, g, eig.masses.char(np.array([2j * eig.omega0, 0.0])))
+
+
+def _corrections(eig: CriticalEigendata, g: GCoefficients, chars: np.ndarray) -> ManifoldCorrections:
+    """manifold_corrections on chars = M(2*i*omega0) and M(0), stacked.
+
+    Both systems are solved in one call: f's y-rows of M(0) are replaced by
+    the identity, with a zero right-hand side, which pins f_y = 0; nothing
+    couples them to the v-rows, as no mass sits in a y-column.
+    """
+    n = g.F20.size
+    systems = chars.copy()
+    systems[1, n:] = np.eye(n, 2 * n, n)
+    rhs = np.zeros((2, 2 * n, 1), dtype=complex)
+    rhs[0, :n, 0] = g.F20
+    rhs[1, :n, 0] = g.F11
+    x = np.linalg.solve(systems, rhs)
+    e, f = x[0, :, 0].copy(), x[1, :, 0].copy()  # own arrays: a report keeps the two vectors alone
+    # The largest |residual| of e's system, and of f's v-rows and y-rows.
+    residuals = WResiduals(*np.maximum.reduceat(np.abs(chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
     return ManifoldCorrections(e=e, f=f, g20=g.g20, g02=g.g02, g11=g.g11, eig=eig, residuals=residuals)
 
 
@@ -451,15 +494,16 @@ class HopfReport:
 
 def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> HopfReport:
     """Run the full normal-form pipeline at the critical gain of one pair."""
-    eig = critical_eigendata(pc, pair=pair, n_branch=n_branch)
+    eig, chars = _eigendata(pc, pair, n_branch)
     ring = _Ring(pc, eig)
-    F20, F11 = ring.quadratic()
-    corr = manifold_corrections(pc, eig, _project(eig, F20, F11))
-    g_full = _project(eig, F20, F11, ring.cubic(corr))
+    g_full = _project(eig, *ring.quadratic())
+    corr = _corrections(eig, g_full, chars)
+    g_full.F21 = ring.cubic(corr)
+    g_full.g21 = complex(eig.p[: pc.n].conj() @ g_full.F21)
     c1 = first_lyapunov(g_full, eig.omega0)
     bstar = float(eig.beta[eig.pair - 1])
     tau_p = float(eig.taus[eig.pair - 1])
-    aprime = transversality(bstar, tau_p, n=n_branch)
+    aprime = _crossing_speed(bstar, tau_p, eig.omega0, n_branch)
     scale = max(1.0, abs(g_full.g20), abs(g_full.g11), abs(c1))
     if abs(c1.real) <= 1e-12 * scale:
         kind = orbit = "degenerate"

@@ -87,7 +87,8 @@ class LeaderProfile:
 
     def settled_time(self, tol: float = 1e-9) -> float:
         """Time after which |x0dot(t) - v_eq| < tol * v_eq."""
-        _require(0 < tol < 1, f"tol must be in (0, 1), got {tol}")
+        if not 0 < tol < 1:
+            raise InvalidConfigError(f"tol must be in (0, 1), got {tol}")
         return -math.log(tol) / self.ramp
 
 
@@ -179,8 +180,10 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     Requires x0dot > 0 and b > 0 (the equilibrium has every vehicle cruising
     at the leader speed with headway deviation zero).
     """
-    _require(x0dot > 0, f"equilibrium speed must be > 0, got {x0dot}")
-    _require(b > 0, f"desired headway must be > 0, got {b}")
+    if not x0dot > 0:
+        raise InvalidConfigError(f"equilibrium speed must be > 0, got {x0dot}")
+    if not b > 0:
+        raise InvalidConfigError(f"desired headway must be > 0, got {b}")
     return alpha * x0dot**m / b**l
 
 
@@ -222,16 +225,18 @@ class VectorField:
     The field is its velocity rows, :meth:`velocity_rows`, which read the
     delayed rows alone and carry every domain check, plus its headway rows,
     :meth:`headway_rows`, y_i' = kappa*v_i of the current state; a caller
-    may ask for either alone.
+    may ask for either alone.  :meth:`rest_quotients` reads its linear part
+    at rest.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
         _require(len(pcs) >= 1, "a batch needs at least one config")
         pc = pcs[0]
-        for k, other in enumerate(pcs):
+        self.tau = pc.taus
+        for k, other in enumerate(pcs[1:], start=1):
             _require(
                 (other.n, other.m, other.l, other.leader) == (pc.n, pc.m, pc.l, pc.leader)
-                and np.array_equal(other.taus, pc.taus),
+                and np.array_equal(other.taus, self.tau),
                 f"batch config {k} differs from config 0 in N, the delays, m, l or the leader",
             )
         self.n = pc.n
@@ -239,15 +244,14 @@ class VectorField:
         self.m = pc.m
         self.l = pc.l
         self.m_int = _integer_exponent(pc.m)
-        self.tau = pc.taus
         self.leader = pc.leader
         # Per member, shaped to broadcast over the rows of a call.
         self.kappa = np.array([[[other.kappa]] for other in pcs])
-        self.alpha = np.array([[other.alphas] for other in pcs])
-        self.b = np.array([[other.headways] for other in pcs])
+        self.alpha = np.array([[[veh.alpha for veh in other.vehicles]] for other in pcs])
+        self.b = np.array([[[veh.b for veh in other.vehicles]] for other in pcs])
         # Below 2**-54, 1 - exp(-ramp*t) rounds to 1.0: from there the leader is at v_eq exactly.
-        self._settled = float(self.tau.max()) + pc.leader.settled_time(2.0**-55)
-        self._v_eq = np.full(pc.n, pc.leader.v_eq)
+        self._settled = max(veh.tau for veh in pc.vehicles) + pc.leader.settled_time(2.0**-55)
+        self._v_eq = np.array([pc.leader.v_eq] * pc.n)
 
     def __call__(self, t: float | np.ndarray, state: np.ndarray, delayed: np.ndarray):
         n = self.n
@@ -263,10 +267,11 @@ class VectorField:
         the rows and failures ``__call__`` returns.
         """
         n = self.n
-        times = np.asarray(t, dtype=float).reshape(-1)
         # Pair i reads v_1..v_i, v_i and y_i of its own delayed row: the
-        # diagonals of the (N, N) blocks.
-        speed = self._lead(times) - np.add.accumulate(delayed[..., :n], axis=3).diagonal(0, 2, 3)
+        # diagonals of the (N, N) blocks.  A sum of one term is that term.
+        own = delayed.diagonal(0, 2, 3)
+        sums = np.add.accumulate(delayed[..., :n], axis=3).diagonal(0, 2, 3) if n > 1 else own
+        speed = self._lead(t) - sums
         head = delayed[..., n:].diagonal(0, 2, 3) + self.b
         bad = head <= 0.0
         if self.m_int is None:
@@ -275,7 +280,7 @@ class VectorField:
             bad |= speed == 0.0
         failures = {}
         if np.count_nonzero(bad):
-            times = np.broadcast_to(times, bad.shape[1:2])
+            times = np.broadcast_to(np.asarray(t, dtype=float).reshape(-1), bad.shape[1:2])
             failed = np.flatnonzero(bad.any(axis=(1, 2))).tolist()
             failures = {b: self._error(times, b, speed, head, bad) for b in failed}
             speed = np.where(bad, 1.0, speed)  # so that no power of a base outside the domain warns
@@ -283,7 +288,7 @@ class VectorField:
         flux = self.alpha * speed ** (self.m if self.m_int is None else self.m_int)
         if self.l != 0.0:  # else head**l is exactly 1.0
             flux = flux / head**self.l
-        flux = flux * delayed.diagonal(0, 2, 3)
+        flux = flux * own
         dv = -flux
         if n > 1:
             dv[..., 1:] += flux[..., :-1]
@@ -294,10 +299,37 @@ class VectorField:
         """The y-rows of the derivative, y_i' = kappa*v_i, of (B, ..., N) speeds: the rows ``__call__`` returns."""
         return v * self.kappa.reshape((self.batch,) + (1,) * (v.ndim - 1))
 
-    def _lead(self, times: np.ndarray) -> np.ndarray:
+    def rest_quotients(self, h: float) -> tuple[tuple[np.ndarray, ...], dict]:
+        """The nonzero quotients F(h*e)/h of a batch of one at rest, and the failures.
+
+        e runs over the 2N columns of each slot: slot 0 is the current row,
+        slot i pair i's delayed row.  The quotients come as (slot, column,
+        row, value) arrays.  Pair i's flux reads pair i's delayed row alone and
+        enters the v-rows of pairs i and i+1, and the y-rows read the current
+        row alone.  So one call probes the even slots and the odd slots in two
+        sweeps, each probe moving one column of every slot of its sweep.  Each
+        row then sees one moved slot, and every quotient is the one a probe of
+        its slot alone gives, bit for bit.
+        """
+        n = self.n
+        size = 2 * n
+        steps = (np.eye(size) * h)[:, None]
+        probes = np.zeros((2, size, n + 1, size))  # [sweep, column, slot, column]
+        probes[0, :, 0::2] = steps
+        probes[1, :, 1::2] = steps
+        out, failures = self(math.inf, probes[:, :, 0], probes[:, :, 1:])
+        sweep, col, row = np.nonzero(out)
+        # v-row k reads slots k and k+1, one in each sweep; the y-rows read slot 0.
+        slot = (row < n) * (row + (row + sweep) % 2)
+        return (slot, col, row, out[sweep, col, row] / h), failures
+
+    def _lead(self, t: float | np.ndarray) -> np.ndarray:
         """The leader's speed at the delayed instants of each time, (R, N), or (N,) when it has settled at all."""
+        if isinstance(t, float) and t >= self._settled:
+            return self._v_eq
+        times = np.asarray(t, dtype=float).reshape(-1)
         ramp = times < self._settled
-        if not ramp.any():
+        if not np.count_nonzero(ramp):
             return self._v_eq
         lead = np.tile(self._v_eq, (times.size, 1))
         lead[ramp] = [[self.leader.velocity(x) for x in row] for row in (times[ramp, None] - self.tau).tolist()]

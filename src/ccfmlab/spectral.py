@@ -162,11 +162,15 @@ _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 172
 def _newton_uexpu(u: np.ndarray, p: np.ndarray, tol: float = 1e-15, maxit: int = 80) -> np.ndarray:
     """Newton iteration on f(u) = u*exp(u) - p, elementwise and in place.
 
-    An element stops once its step is within tol*(1 + |u|), or where f'
-    vanishes; only the elements still moving are computed, so each takes the
-    same steps in any batch.
+    An element stops once its step is within tol*(1 + |u|)/min(1, |1 + u0|),
+    u0 its seed, or where f' vanishes.  Near the branch point u = -1, f' =
+    exp(u)*(1 + u) is small and rounding leaves a step of a few eps/|1 + u|,
+    which a tolerance of tol*(1 + |u|) alone would not admit.  Only the
+    elements still moving are computed, so each takes the same steps in any
+    batch.
     """
     live, ul, pl = np.arange(u.size), u, p
+    near = np.minimum(1.0, np.abs(1.0 + u))
     for _ in range(maxit):
         if not live.size:
             break
@@ -174,14 +178,14 @@ def _newton_uexpu(u: np.ndarray, p: np.ndarray, tol: float = 1e-15, maxit: int =
         fp = eu * (1.0 + ul)
         if np.count_nonzero(fp) < fp.size:
             go = fp != 0
-            live, ul, pl, eu, fp = live[go], ul[go], pl[go], eu[go], fp[go]
+            live, ul, pl, eu, fp, near = live[go], ul[go], pl[go], eu[go], fp[go], near[go]
         du = (ul * eu - pl) / fp
         ul = ul - du
         u[live] = ul
-        done = np.abs(du) <= tol * (1.0 + np.abs(ul))
+        done = np.abs(du) * near <= tol * (1.0 + np.abs(ul))
         if np.count_nonzero(done):
             go = ~done
-            live, ul, pl = live[go], ul[go], pl[go]
+            live, ul, pl, near = live[go], ul[go], pl[go], near[go]
     return u
 
 
@@ -391,8 +395,12 @@ def transversality(beta_star: float, tau: float, n: int = 0) -> float:
 
     which is strictly positive: the root pair always crosses rightward.
     """
-    hp = hopf_point(beta_star, tau, n=n)
-    w2 = tau * tau * hp.omega0 * hp.omega0
+    return _crossing_speed(beta_star, tau, hopf_point(beta_star, tau, n=n).omega0, n)
+
+
+def _crossing_speed(beta_star: float, tau: float, omega0: float, n: int) -> float:
+    """transversality's closed form at the crossing frequency omega0 of branch n."""
+    w2 = tau * tau * omega0 * omega0
     return 2.0 * beta_star * w2 / ((2 * n + 1) * math.pi * (1.0 + w2))
 
 

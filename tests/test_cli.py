@@ -7,6 +7,10 @@ wires to the same function.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,3 +370,29 @@ def test_shortest_tail_window_still_runs(tmp_path, single_path):
     out = tmp_path / "o"
     argv = ["bifurcation", "--config", single_path, "--out", str(out), "--points", "2", "--tmax", "4.5", "--tail", "0.02"]
     assert main(argv) == 0 and (out / "bifurcation.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_a_failed_parse_leaves_the_next_command_as_in_a_fresh_process(tmp_path, config_path, capsys):
+    """main reuses one parser; after a parse that exits 2, a valid command
+    prints and writes what it does in a fresh interpreter."""
+    with pytest.raises(SystemExit) as failed:
+        main(["hopf", "--config", config_path, "--pair", "two"])
+    assert failed.value.code == 2
+    capsys.readouterr()
+    argv = ["hopf", "--config", config_path, "--pair", "2"]
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    here = capsys.readouterr()
+    script = "import sys; from ccfmlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "fresh")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert here.out and (here.out, here.err) == (fresh.stdout, fresh.stderr)
+    assert (tmp_path / "here" / "hopf.json").read_bytes() == (tmp_path / "fresh" / "hopf.json").read_bytes()

@@ -22,6 +22,7 @@ from ccfmlab.errors import InvalidConfigError, NumericalError
 from ccfmlab.hopf import (
     _RING_FIT,
     _RING_PHASES,
+    _RING_PSI,
     _RING_RADII,
     PointMasses,
     _Ring,
@@ -159,7 +160,7 @@ def test_taylor_coefficients_match_sympy(critical_config):
     pytest.importorskip("sympy")
     rng = np.random.default_rng(8)
     configs = [critical_config, single_follower(l=0.0), four_vehicle_platoon()]
-    configs += [_random_platoon(rng, 1 + k % 3, *EXPONENTS[k % len(EXPONENTS)]) for k in range(12)]
+    configs += [_random_platoon(rng, 1 + k % 8, *EXPONENTS[k % len(EXPONENTS)]) for k in range(24)]
     for pc in configs:
         rep = hopf_report(pc)
         F20, F11, F21 = sympy_taylor_coefficients(pc, rep.eig, rep.corrections)
@@ -220,7 +221,7 @@ def test_point_masses_match_the_hand_generator(critical_config):
         eig = critical_eigendata(pc)
         s = 1j * eig.omega0
         checks = [(eig.masses.lin(x), hand_generator(eig.beta, eig.taus, eig.kappa, x)[0]) for x in (0.0, s, 2 * s)]
-        checks.append((eig.masses.char_derivative(s), hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
+        checks.append((eig.masses.critical(s)[1], hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
         for got, want in checks:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), pc.n
 
@@ -291,14 +292,39 @@ def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
     # The order-rho part of harmonic 1 on the ring is the field's linear part
     # applied to q*exp(i*omega0*theta): it must be i*omega0*q in every row,
     # the y-rows included, where y' = kappa*v(t) reads q at theta = 0 only.
+    # The ring holds the delayed rows alone, so the current row is added here
+    # and the whole field is evaluated.
     for pc in _platoon_set(critical_config):
         eig = critical_eigendata(pc)
         ring = _Ring(pc, eig)
-        odd = ring._parts(ring.lin)[0]
+        n = pc.n
+        thetas = np.concatenate(([0.0], -eig.taus))  # now, then each pair's delayed row
+        qt = eig.q * np.exp(1j * eig.omega0 * thetas)[:, None]
+        lin = ring.scale * 2.0 * (np.exp(1j * _RING_PSI)[:, None, None] * qt).real
+        states = np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]  # (K, 2, A, N+1, 2N)
+        assert np.array_equal(states[..., 1:, :], ring.lin)
+        rows = states.reshape(-1, n + 1, 2 * n)
+        out, failures = eig.field(math.inf, rows[:, 0], rows[:, 1:])
+        assert not failures
+        out = out.reshape(states.shape[:3] + (2 * n,))
+        odd = out[:, 0] - out[:, 1]
         h1 = (odd * _RING_PHASES[1, :, None]).sum(axis=1) / _RING_RADII[:, None]
         linear = _RING_FIT[0] @ h1 / ring.scale
         want = 1j * eig.omega0 * eig.q
         assert np.max(np.abs(linear - want)) <= 1e-12 * np.max(np.abs(want)), pc.n
+
+
+def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
+    """One evaluation reads the point masses, and the ring makes one for the
+    quadratic and one for the cubic coefficients."""
+    want = [hopf_report(pc).to_dict() for pc in (critical_config, four_vehicle_platoon())]
+    calls = []
+    velocity_rows = VectorField.velocity_rows
+    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, *args: calls.append(1) or velocity_rows(self, *args))
+    for pc, report in zip((critical_config, four_vehicle_platoon()), want):
+        calls.clear()
+        assert hopf_report(pc).to_dict() == report
+        assert len(calls) == 3
 
 
 def test_w_functions_take_an_array_of_thetas():

@@ -332,6 +332,52 @@ def test_velocity_rows_are_the_fields_v_rows():
     assert np.array_equal(rows, out[..., :4])
 
 
+def test_a_scalar_time_reads_the_leader_as_a_time_per_row():
+    field = VectorField(four_vehicle_platoon())
+    delayed = np.random.default_rng(3).normal(size=(1, 5, 4, 8)) * 0.1
+    for t in (0.1, 0.5, 50.0, math.inf):  # ramping, then settled
+        rows, failures = field.velocity_rows(t, delayed)
+        want, _ = field.velocity_rows(np.full(5, t), delayed)
+        assert not failures and np.array_equal(rows, want)
+
+
+def _rest_platoons():
+    """Platoons of 1-8 vehicles over exponents that drop the speed, the headway or both, and with zero delays."""
+    rng = np.random.default_rng(14)
+    exponents = ((2.0, 1.0), (0.0, 1.0), (2.0, 0.0), (0.0, 0.0), (-1.0, 1.5), (0.5, 0.5), (1.5, 2.0), (1.0, 1.0))
+    configs = [four_vehicle_platoon(taus=(0.5, 0.0, 0.4488, 0.3), kappa=1.7)]
+    for k in range(16):
+        n = 1 + k % 8
+        taus = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) > 0.2)
+        vehicles = tuple(
+            VehicleParams(float(a), float(t), float(b))
+            for a, t, b in zip(rng.uniform(0.2, 1.5, n), taus, rng.uniform(10.0, 30.0, n))
+        )
+        m, l = exponents[k % len(exponents)]
+        configs.append(PlatoonConfig(vehicles, m, l, LeaderProfile(float(rng.uniform(5.0, 20.0))), float(rng.uniform(0.5, 2.0))))
+    return configs
+
+
+def test_rest_quotients_are_the_quotients_of_single_probes():
+    """rest_quotients sweeps the slots in two probes per column; each quotient
+    must be the one a probe of its slot alone gives, bit for bit, and no
+    nonzero quotient may be missed."""
+    for pc in _rest_platoons():
+        field = VectorField(pc)
+        n, size = pc.n, 2 * pc.n
+        h = 2.0**-60 * min(pc.leader.v_eq, min(veh.b for veh in pc.vehicles))
+        slots = (n + 1) * size
+        probes = h * np.eye(slots).reshape(slots, n + 1, size)
+        out, failures = field(math.inf, probes[:, 0], probes[:, 1:])
+        want = (out / h).reshape(n + 1, size, size)  # [slot, column, row]
+        (slot, col, row, value), got_failures = field.rest_quotients(h)
+        assert not failures and not got_failures
+        got = np.zeros_like(want)
+        got[slot, col, row] = value
+        assert np.array_equal(got, want), (n, pc.m, pc.l)
+        assert np.count_nonzero(value) == value.size == np.count_nonzero(want)
+
+
 def test_field_rejects_batches_that_do_not_share_the_delays():
     pc = four_vehicle_platoon()
     VectorField(pc, pc.with_kappa(2.0))  # kappa may differ

@@ -253,6 +253,22 @@ def test_array_solver_gives_every_member_the_bits_it_has_alone():
     assert np.array_equal(batch.view(float), alone.view(float))
 
 
+def test_newton_settles_next_to_the_branch_point(monkeypatch):
+    """Next to u = -1 rounding leaves a Newton step of a few eps/|1 + u|.
+    Every product with |1 + e*p| <= 0.02 must settle within 12 passes, on the
+    bits 80 passes give, and on W_0 within the dominant root's tolerance."""
+    c = np.linspace(E_INV * 0.98, E_INV * 1.02, 4001)
+    u80 = spectral._principal_uexpu(-c)
+    newton = spectral._newton_uexpu
+    monkeypatch.setattr(spectral, "_newton_uexpu", lambda u, p: newton(u, p, maxit=12))
+    u12 = spectral._principal_uexpu(-c)
+    assert np.array_equal(u12.view(float), u80.view(float))
+    ref = lambertw(-c, 0)
+    ref = np.where(ref.imag < 0, ref.conj(), ref)
+    away = np.abs(1.0 - math.e * c) > 1e-9  # the branch point itself gives -1, as pinned above
+    assert np.max(np.abs(u80 - ref)[away] / np.maximum(1.0, np.abs(ref[away]))) <= 1e-10
+
+
 def test_dominant_root_matches_the_scalar_oracle():
     rng = np.random.default_rng(11)
     products = [c for c in _dense_products() if 0.0 < c < 3.0 and abs(1.0 - math.e * c) > 1e-9]
