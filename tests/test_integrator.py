@@ -12,9 +12,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccfmlab import _g17
 from ccfmlab.errors import DomainBreakdownError, InvalidConfigError, NegativeVelocityBaseError, NumericalError
 from ccfmlab.integrate import (
+    _CSV_BLOCK_ROWS,
     SimConfig,
     Trajectory,
     amplitude_envelope,
@@ -367,6 +371,36 @@ def test_zero_delay_linear_system_matches_matrix_exponential():
     assert np.linalg.norm(traj.states[-1] - exact) <= 1e-6
 
 
+def test_euler_oscillation_threshold_is_its_closed_form():
+    """Explicit Euler reads v' = -a*v(t - tau) at the node K = ceil(tau/h) steps
+    back, so its characteristic polynomial is z**(K+1) - z**K + h*a and its
+    oscillation threshold is h*a_cr = 2*sin(pi/(2*(2K + 1))), not a*tau = pi/2.
+    At l = 0 the single follower's linear part is exactly v' = -kappa*beta*v(t - tau):
+    Euler decays just below its own kappa_cr,h and grows just above it, while
+    rk4, whose threshold lies at kappa = 1 to O(h**4), decays at both gains."""
+    pc = single_follower(l=0.0)
+    h, tau = 0.01, pc.vehicles[0].tau
+    beta = beta_star(pc.vehicles[0].alpha, pc.leader.v_eq, pc.m, pc.vehicles[0].b, pc.l)
+    k = math.ceil(tau / h)
+    kappa_h = 2.0 * math.sin(math.pi / (2 * (2 * k + 1))) / (h * beta)
+    assert k == 45 and abs(kappa_h - 0.98632) < 1e-5
+    gains = [kappa_h - 0.002, kappa_h + 0.002]
+
+    def window_amplitudes(traj):  # half peak-to-peak of v over [100, 200], ..., [500, 600]
+        v = traj.v[:, 0]
+        w = round(100.0 / h)
+        return [0.5 * float(np.ptp(v[i * w : (i + 1) * w])) for i in range(1, 6)]
+
+    below, above = (
+        window_amplitudes(tr) for tr in simulate_batch([pc.with_kappa(g) for g in gains], SimConfig(h, 600.0, "euler"))
+    )
+    assert all(b < a for a, b in zip(below, below[1:])) and below[-1] < 0.5 * below[0]
+    assert all(b > a for a, b in zip(above, above[1:])) and above[-1] > 1.2 * above[0]
+    for traj in simulate_batch([pc.with_kappa(g) for g in gains], SimConfig(h, 600.0, "rk4")):
+        amps = window_amplitudes(traj)
+        assert all(b < a for a, b in zip(amps, amps[1:])) and amps[-1] < 1e-3 * amps[0]
+
+
 # ---------------------------------------------------------------------------
 # settling diagnostics
 # ---------------------------------------------------------------------------
@@ -540,3 +574,102 @@ def test_trajectory_csv_roundtrip(tmp_path, platoon_config):
         for k in range(tr.t.size):
             lines.append(",".join("%.17g" % val for val in [tr.t[k], *tr.states[k]]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _percent_g(block):
+    """The oracle of the CSV kernel: "%.17g" per value, ',' between and '\\n' after each row."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+def _g17_fallback(values):
+    """The indices of values that the kernel hands to "%.17g" itself."""
+    return set(_g17._digits(np.abs(np.asarray(values, dtype=float)), _g17._tables())[2].tolist())
+
+
+_ANY_DOUBLE = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(),
+)
+
+
+@given(cols=st.integers(1, 9), values=st.lists(_ANY_DOUBLE, min_size=1, max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_g17_kernel_is_percent_g_on_any_double(cols, values):
+    values += [0.0] * (-len(values) % cols)
+    block = np.array(values).reshape(-1, cols)
+    assert _g17.format_rows(block).tobytes() == _percent_g(block)
+
+
+# (value, its "%.17g", whether the kernel hands it to "%.17g")
+_G17_EDGES = [
+    (0.0, "0", False),
+    (-0.0, "-0", False),
+    (math.nan, "nan", True),
+    (math.inf, "inf", True),
+    (-math.inf, "-inf", True),
+    (5e-324, "4.9406564584124654e-324", True),  # subnormal
+    (1.7976931348623157e308, "1.7976931348623157e+308", True),  # beyond the table
+    (9.9999999999999991e-05, "9.9999999999999991e-05", False),  # last exponent form
+    (0.0001, "0.0001", False),  # first fixed form
+    (1e16, "10000000000000000", False),  # last fixed form
+    (1e17, "1e+17", False),
+    (9.9999999999999999e22, "9.9999999999999992e+22", False),  # the double 1e23, below 10**23
+    (1e-14, "1e-14", False),  # 17 nines round up: the digits carry into the exponent
+    (-1e98, "-1e+98", False),  # likewise
+    (1000000000000000.25, "1000000000000000.2", False),  # exact tie, 10**1 exact: half to even
+    (1000000000000000.75, "1000000000000000.8", False),
+    (3 * 2.0**-24, "1.7881393432617188e-07", True),  # exact tie, but 10**23 inexact: a near-tie
+    (123.0, "123", False),  # a bare '.' drops out
+    (-0.00125, "-0.00125", False),
+]
+
+
+@pytest.mark.parametrize("value, text, fallback", _G17_EDGES)
+def test_g17_kernel_edge_cases(value, text, fallback):
+    assert "%.17g" % value == text
+    assert _g17.format_rows(np.array([[value]])).tobytes() == (text + "\n").encode()
+    assert _g17_fallback([value]) == ({0} if fallback else set())
+
+
+def test_g17_carries_where_the_double_lies_below_its_power_of_ten():
+    from fractions import Fraction
+
+    for value, power in ((1e-14, Fraction(1, 10**14)), (1e98, Fraction(10**98))):
+        assert Fraction(value) < power  # so its 17 digits are 9s before rounding
+        assert _g17.format_rows(np.array([[value]])).tobytes() == b"%.17g\n" % value
+
+
+def test_g17_exponent_is_exact_and_the_product_within_half_the_tie_band():
+    """D is certified where the product's fraction lies farther than _TIE from
+    1/2, which needs the double-double product within _TIE of the exact one:
+    checked with a margin of 2 against exact rationals over the certified
+    range, next to every power of ten in it."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{j}") for j in range(-269, 290)])
+    a = np.concatenate([10.0 ** rng.uniform(-270, 290, 2000), powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    xo, p, s = _g17._product(a, _g17._tables())
+    worst = Fraction(0)
+    for ai, x, pi, si in zip(a.tolist(), (xo + _g17._X_LO).tolist(), p.tolist(), s.tolist()):
+        exact = Fraction(ai)
+        assert Fraction(10) ** x <= exact < Fraction(10) ** (x + 1)
+        worst = max(worst, abs(Fraction(pi) + Fraction(si) - exact * Fraction(10) ** (16 - x)))
+    assert worst <= _g17._TIE / 2
+
+
+def test_special_values_on_both_sides_of_a_block_boundary(tmp_path, platoon_config):
+    rows = 2 * _CSV_BLOCK_ROWS + 3
+    sc = SimConfig(step=0.01, horizon=(rows - 1) * 0.01)
+    t = sc.grid()
+    assert t.size == rows
+    rng = np.random.default_rng(15)
+    states = rng.standard_normal((rows, 8)) * 10.0 ** rng.integers(-12, 3, (rows, 8))
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 3 * 2.0**-24, 1e-14]
+    for r in (_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS - 1, 2 * _CSV_BLOCK_ROWS):
+        states[r] = specials[r % 8 :] + specials[: r % 8]
+    traj = Trajectory(t=t, states=states, config=platoon_config, sim=sc)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    header = "t," + ",".join(f"v_{i}" for i in range(1, 5)) + "," + ",".join(f"y_{i}" for i in range(1, 5))
+    assert path.read_bytes() == header.encode() + b"\n" + _percent_g(np.column_stack((t, states)))
