@@ -71,73 +71,56 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _tables() -> _Tables:
-    """The tables of :func:`format_rows`, built on first use."""
-    pow10 = np.array([_pow10(j) for j in range(16 - _X_HI, _X_HI + 1)])  # the 10**(16 - X) and 10**(X + 1) read
-    x = np.arange(_X_LO, _X_HI + 1)
-    hi, lo = pow10[_X_HI - x].T
-    split = hi * _SPLIT
-    head = split - (split - hi)
-    estimate = np.clip(np.floor((np.arange(2048) - 1023) * math.log10(2)), _X_LO, _X_HI - 1).astype(np.int64)
-    up = pow10[estimate + 1 - (16 - _X_HI)]
-    ceiling = (up[:, 0].view(np.int64) + (up[:, 1] > 0)).view(np.float64)  # the next double up where lo > 0
+    """The tables of :func:`format_rows`, built on first use from Python arithmetic and bytes.
+
+    numpy arithmetic on the types the formatting does not use would page in
+    more of numpy's code, 64 KiB at a time, which the process then keeps.
+    """
+    xs = range(_X_LO, _X_HI + 1)
+    hi, lo = zip(*(_pow10(16 - x) for x in xs))
+    head = [hi_x * _SPLIT - (hi_x * _SPLIT - hi_x) for hi_x in hi]
+    estimate = [min(max(math.floor((e - 1023) * math.log10(2)), _X_LO), _X_HI - 1) - _X_LO for e in range(2048)]
+    above = [math.nextafter(up, math.inf) if rest > 0 else up for up, rest in map(_pow10, range(_X_LO + 1, _X_HI + 1))]
 
     # A cell's form: fixed notation for each X in -4..16, then exponent notation with 2 and 3 exponent digits.
-    fixed = (x >= -4) & (x < 17)
-    e = np.abs(x)
-    form = np.where(fixed, x + 4, np.where(e < 100, 21, 22))
-    fx = np.arange(-4, 17)
-    zeros_before = np.concatenate([np.maximum(-fx, 0), [0, 0]])  # "0." and -X - 1 zeros before the leading digit
-    integer = np.concatenate([np.maximum(fx + 1, 0), [1, 1]])  # digits before the '.'
-    length = np.concatenate([np.zeros(21, np.int64), [4, 5]])  # of "e-05" or "e+123"
-
-    pre = np.zeros((5, 10, 8), np.uint8)
-    for lead in range(10):
-        pre[0, lead, 5:] = np.frombuffer(b"-%d." % lead, np.uint8)
-        for z in range(1, 5):
-            text = b"-0." + b"0" * (z - 1) + b"%d" % lead
-            pre[z, lead, 8 - len(text) :] = np.frombuffer(text, np.uint8)
-
-    suf = np.zeros((x.size, 2, 8), np.uint8)
-    suf[:, :, 0] = ord("e")
-    suf[:, :, 1] = np.where(x < 0, ord("-"), ord("+"))[:, None]
-    exponent = np.stack([e // 100, e // 10 % 10, e % 10], axis=1) + ord("0")
-    suf[e >= 100, :, 2:5] = exponent[e >= 100, None]
-    suf[e < 100, :, 2:4] = exponent[e < 100, None, 1:]
-    suf[fixed] = 0
-    suf[np.arange(x.size), :, length[form]] = np.frombuffer(b",\n", np.uint8)
-
-    c = np.arange(_CELL)
-    start = (6 - zeros_before)[:, None, None, None] - np.arange(2)[:, None, None]
-    last = 16 - np.arange(18)[:, None]  # index of the last nonzero digit, -1 for D = 0
-    whole = integer[:, None, None, None]
-    end = np.where(last >= whole, 8 + last, 6 + whole)
-    mask = (c >= start) & (c < end) | (c >= 24) & (c <= 24 + length[:, None, None, None])
-
-    # The 4-digit groups from the 100 2-digit ones, so that no intermediate has 10000 wide entries.
-    two = np.stack(np.divmod(np.arange(100, dtype=np.uint8), 10), axis=1) + ord("0")
-    lanes = np.empty((100, 100, 4), np.uint8)
-    lanes[:, :, :2] = two[:, None]
-    lanes[:, :, 2:] = two[None, :]
-    tz2 = np.zeros(100, np.int8)
-    tz2[::10] = 1
-    tz2[0] = 2
-    zeros = np.where(np.arange(100) == 0, 2 + tz2[:, None], tz2[None, :]).astype(np.int8)
+    forms = [(max(-x, 0), max(x + 1, 0), 0) for x in range(-4, 17)] + [(0, 1, 4), (0, 1, 5)]  # zeros before
+    # the leading digit, digits before the '.', length of "e-05" or "e+123"
+    form = [x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22 for x in xs]
+    signs = (b"-" if x < 0 else b"+" for x in xs)
+    powers = (b"e%c%0*d" % (sign, forms[f][2] - 2, abs(x)) if f > 20 else b"" for x, f, sign in zip(xs, form, signs))
+    suffix = b"".join((p + b",").ljust(8, b"\0") + (p + b"\n").ljust(8, b"\0") for p in powers)
+    prefix = b"".join(
+        (b"-%d." % lead if z == 0 else b"-0." + b"0" * (z - 1) + b"%d" % lead).rjust(8, b"\0")
+        for z in range(5)
+        for lead in range(10)
+    )
+    mask = b"".join(
+        (b"\0" * start + b"\1" * (end - start)).ljust(24, b"\0") + b"\1" * (length + 1) + b"\0" * (7 - length)
+        for zeros, whole, length in forms
+        for start in (6 - zeros, 5 - zeros)  # sign bit clear, set
+        for end in (8 + last if last >= whole else 6 + whole for last in range(16, -2, -1))  # last nonzero digit
+    )
+    pairs = [b"%02d" % i for i in range(100)]
+    lanes = b"".join(b"".join(a + b for b in pairs) for a in pairs)
+    last2 = np.array([pair.endswith(b"0") + (pair == b"00") for pair in pairs])  # trailing zeros of 2 digits
+    zeros = np.tile(last2, 100)
+    zeros[::100] += last2  # where the last 2 digits are "00", the first 2 add theirs
     return _Tables(
-        estimate=estimate - _X_LO,
-        ceiling=ceiling,
-        hi=hi,
-        lo=lo,
-        head=head,
-        tail=hi - head,
-        suffix=suf.view(np.uint64).ravel(),
-        moved=np.where(fixed & (x >= 1), x + 1, 0),
-        prefix_row=zeros_before[form] * 10,
-        mask_row=form * 36,
-        prefix=pre.view(np.uint64).ravel(),
-        mask=mask.reshape(-1, _CELL),
-        shift=((c >= 7) & (c <= 5 + np.arange(18)[:, None])).astype(np.uint8),
-        lanes=lanes.view(np.uint32).ravel(),
-        zeros=zeros.ravel(),
+        estimate=np.array(estimate),
+        ceiling=np.array([above[x] for x in estimate]),
+        hi=np.array(hi),
+        lo=np.array(lo),
+        head=np.array(head),
+        tail=np.array([hi_x - head_x for hi_x, head_x in zip(hi, head)]),
+        suffix=np.frombuffer(suffix, np.uint64),
+        moved=np.array([x + 1 if 1 <= x < 17 else 0 for x in xs]),
+        prefix_row=np.array([forms[f][0] * 10 for f in form]),
+        mask_row=np.array([f * 36 for f in form]),
+        prefix=np.frombuffer(prefix, np.uint64),
+        mask=np.frombuffer(mask, np.bool_).reshape(-1, _CELL),
+        shift=np.frombuffer(bytes(7 <= c <= 5 + w for w in range(18) for c in range(_CELL)), np.uint8).reshape(18, -1),
+        lanes=np.frombuffer(lanes, np.uint32),
+        zeros=zeros,
     )
 
 
@@ -189,13 +172,13 @@ def _digits(ax: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.nd
     d += frac > 0.5
     del p, units
     # Near-ties, carries and a D out of range, one element at a time.
-    suspect = np.flatnonzero((np.abs(frac - 0.5) <= _TIE) | ((d - 10**16).view(np.uint64) >= 9 * 10**16))
+    suspect = np.flatnonzero((np.abs(frac - 0.5) <= _TIE) | (d < 10**16) | (d >= 10**17))
     fallback = [odd[ax.take(odd) != 0]]
     if suspect.size:
         ds, fs = d[suspect], frac[suspect]
         floor = ds - (fs > 0.5)
         exact = tab.lo.take(xo[suspect]) == 0
-        ok = ((floor - 10**16).view(np.uint64) < 9 * 10**16) & ((np.abs(fs - 0.5) > _TIE) | exact)
+        ok = (floor >= 10**16) & (floor < 10**17) & ((np.abs(fs - 0.5) > _TIE) | exact)
         ds += (fs == 0.5) & (floor % 2 == 1)
         carry = ds == 10**17
         ds[carry] = 10**16

@@ -159,24 +159,18 @@ _EPS = np.finfo(float).eps
 _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0, -221.0 / 8505.0)
 
 
-def _newton_uexpu(
-    u: np.ndarray, p: np.ndarray, zone: np.ndarray | None = None, tol: float = 1e-15, maxit: int = 80
-) -> np.ndarray:
+def _newton_uexpu(u: np.ndarray, p: np.ndarray, tol: float = 1e-15, maxit: int = 80) -> np.ndarray:
     """Newton iteration on f(u) = u*exp(u) - p, elementwise and in place.
 
-    An element stops once its step is within tol*(1 + |u|), or where f'
-    vanishes.  The boolean mask ``zone`` marks the seeds u0 that may have
-    |1 + u0| < 1, and their tolerance widens to tol*(1 + |u|)/min(1, |1 + u0|):
-    next to the branch point u = -1, f' = exp(u)*(1 + u) is small and
-    rounding leaves a step of a few eps/|1 + u|, which tol*(1 + |u|) alone
-    would not admit.  Only the elements still moving are computed, so each
-    takes the same steps in any batch.
+    An element stops once its step is within tol*(1 + |u|)/min(1, |1 + u0|),
+    u0 its seed, or where f' vanishes.  Near the branch point u = -1, f' =
+    exp(u)*(1 + u) is small and rounding leaves a step of a few eps/|1 + u|,
+    which a tolerance of tol*(1 + |u|) alone would not admit.  Only the
+    elements still moving are computed, so each takes the same steps in any
+    batch.
     """
     live, ul, pl = np.arange(u.size), u, p
-    near = None
-    if zone is not None:
-        near = np.ones(u.size)
-        near[zone] = np.minimum(1.0, np.abs(1.0 + u[zone]))
+    near = np.minimum(1.0, np.abs(1.0 + u))
     for _ in range(maxit):
         if not live.size:
             break
@@ -184,21 +178,14 @@ def _newton_uexpu(
         fp = eu * (1.0 + ul)
         if np.count_nonzero(fp) < fp.size:
             go = fp != 0
-            live, ul, pl, eu, fp = live[go], ul[go], pl[go], eu[go], fp[go]
-            if near is not None:
-                near = near[go]
+            live, ul, pl, eu, fp, near = live[go], ul[go], pl[go], eu[go], fp[go], near[go]
         du = (ul * eu - pl) / fp
         ul = ul - du
         u[live] = ul
-        step = np.abs(du)
-        if near is not None:
-            step *= near
-        done = step <= tol * (1.0 + np.abs(ul))
+        done = np.abs(du) * near <= tol * (1.0 + np.abs(ul))
         if np.count_nonzero(done):
             go = ~done
-            live, ul, pl = live[go], ul[go], pl[go]
-            if near is not None:
-                near = near[go]
+            live, ul, pl, near = live[go], ul[go], pl[go], near[go]
     return u
 
 
@@ -230,11 +217,7 @@ def _principal_uexpu(p: np.ndarray) -> np.ndarray:
         l2 = np.log(l1)
         u[beyond] = l1 - l2 + l2 / l1
     u[np.abs(ep1) <= 64.0 * _EPS] = -1.0
-    # The seeds with |1 + u0| < 1, whose Newton tolerance widens: those of the
-    # branch zone and the asymptotic ones of -0.75 <= 1 + e*p < -0.25, where
-    # |1 + u0| >= 0.96; elsewhere |1 + u0| >= 1.
-    zone = np.abs(ep1 + 0.25) <= 0.5
-    u = _newton_uexpu(u, p, zone if np.count_nonzero(zone) else None)
+    u = _newton_uexpu(u, p)
     return np.where(u.imag < 0, u.conj(), u)
 
 

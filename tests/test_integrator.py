@@ -8,6 +8,7 @@ of the zero-delay system to machine precision.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -600,43 +601,38 @@ def test_g17_kernel_is_percent_g_on_any_double(cols, values):
     assert _g17.format_rows(block).tobytes() == _percent_g(block)
 
 
-# (value, its "%.17g", whether the kernel hands it to "%.17g")
+# (value, its "%.17g", whether the kernel hands it to "%.17g", whether its
+# 17 digits carry: the double lies below the power of ten it prints as)
 _G17_EDGES = [
-    (0.0, "0", False),
-    (-0.0, "-0", False),
-    (math.nan, "nan", True),
-    (math.inf, "inf", True),
-    (-math.inf, "-inf", True),
-    (5e-324, "4.9406564584124654e-324", True),  # subnormal
-    (1.7976931348623157e308, "1.7976931348623157e+308", True),  # beyond the table
-    (9.9999999999999991e-05, "9.9999999999999991e-05", False),  # last exponent form
-    (0.0001, "0.0001", False),  # first fixed form
-    (1e16, "10000000000000000", False),  # last fixed form
-    (1e17, "1e+17", False),
-    (9.9999999999999999e22, "9.9999999999999992e+22", False),  # the double 1e23, below 10**23
-    (1e-14, "1e-14", False),  # 17 nines round up: the digits carry into the exponent
-    (-1e98, "-1e+98", False),  # likewise
-    (1000000000000000.25, "1000000000000000.2", False),  # exact tie, 10**1 exact: half to even
-    (1000000000000000.75, "1000000000000000.8", False),
-    (3 * 2.0**-24, "1.7881393432617188e-07", True),  # exact tie, but 10**23 inexact: a near-tie
-    (123.0, "123", False),  # a bare '.' drops out
-    (-0.00125, "-0.00125", False),
+    (0.0, "0", False, False),
+    (-0.0, "-0", False, False),
+    (math.nan, "nan", True, False),
+    (math.inf, "inf", True, False),
+    (-math.inf, "-inf", True, False),
+    (5e-324, "4.9406564584124654e-324", True, False),  # subnormal
+    (1.7976931348623157e308, "1.7976931348623157e+308", True, False),  # beyond the table
+    (9.9999999999999991e-05, "9.9999999999999991e-05", False, False),  # last exponent form
+    (0.0001, "0.0001", False, False),  # first fixed form
+    (1e16, "10000000000000000", False, False),  # last fixed form
+    (1e17, "1e+17", False, False),
+    (9.9999999999999999e22, "9.9999999999999992e+22", False, False),  # the double 1e23, below 10**23
+    (1e-14, "1e-14", False, True),  # 17 nines round up: the digits carry into the exponent
+    (-1e98, "-1e+98", False, True),  # likewise
+    (1000000000000000.25, "1000000000000000.2", False, False),  # exact tie, 10**1 exact: half to even
+    (1000000000000000.75, "1000000000000000.8", False, False),
+    (3 * 2.0**-24, "1.7881393432617188e-07", True, False),  # exact tie, but 10**23 inexact: a near-tie
+    (123.0, "123", False, False),  # a bare '.' drops out
+    (-0.00125, "-0.00125", False, False),
 ]
 
 
-@pytest.mark.parametrize("value, text, fallback", _G17_EDGES)
-def test_g17_kernel_edge_cases(value, text, fallback):
+@pytest.mark.parametrize("value, text, fallback, carry", _G17_EDGES)
+def test_g17_kernel_edge_cases(value, text, fallback, carry):
     assert "%.17g" % value == text
+    if carry:  # so its 17 digits are 9s before rounding
+        assert abs(Fraction(value)) < abs(Fraction(text))
     assert _g17.format_rows(np.array([[value]])).tobytes() == (text + "\n").encode()
     assert _g17_fallback([value]) == ({0} if fallback else set())
-
-
-def test_g17_carries_where_the_double_lies_below_its_power_of_ten():
-    from fractions import Fraction
-
-    for value, power in ((1e-14, Fraction(1, 10**14)), (1e98, Fraction(10**98))):
-        assert Fraction(value) < power  # so its 17 digits are 9s before rounding
-        assert _g17.format_rows(np.array([[value]])).tobytes() == b"%.17g\n" % value
 
 
 def test_g17_exponent_is_exact_and_the_product_within_half_the_tie_band():
@@ -644,8 +640,6 @@ def test_g17_exponent_is_exact_and_the_product_within_half_the_tie_band():
     1/2, which needs the double-double product within _TIE of the exact one:
     checked with a margin of 2 against exact rationals over the certified
     range, next to every power of ten in it."""
-    from fractions import Fraction
-
     rng = np.random.default_rng(17)
     powers = np.array([float(f"1e{j}") for j in range(-269, 290)])
     a = np.concatenate([10.0 ** rng.uniform(-270, 290, 2000), powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
