@@ -5,7 +5,8 @@ the rightmost characteristic root, sigma = -Re(lambda).  The rate is read off
 the principal-branch solve behind :func:`ccfmlab.spectral.dominant_root`, at
 unit delay: u = lambda*tau depends only on the product c = kappa*beta**tau,
 and sigma = -Re(u)/tau.  :func:`rate_curve` solves its whole (l, tau) grid as
-one array and :func:`rate_of_convergence` is its batch of one, so the two
+one array, in one masked Halley iteration, and builds its points in one
+C-level pass; :func:`rate_of_convergence` is its batch of one, so the two
 agree bit for bit.  The product only labels the branch the rate lies on:
 
 * c < 1/e   -- the dominant root is real, lambda = -sigma2, with
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -190,6 +192,13 @@ def rate_curve(
 
     a = np.repeat(kappa * betas, n_tau)
     rate, code = _decay_rates(a, np.tile(tau_arr, len(l_values)), describe)
-    labels = [_LABELS[k] for k in code.tolist()]
-    grid = ((l, tau) for l in l_values for tau in taus)
-    return [RateCurvePoint(l, tau, r, br) for (l, tau), r, br in zip(grid, rate.tolist(), labels)]
+    # One C-level pass over the l-major columns: each point holds the caller's
+    # own l and tau objects and a shared label; tuple.__new__ builds the
+    # NamedTuple without its Python-level __new__.
+    columns = zip(
+        chain.from_iterable(map(repeat, l_values, repeat(n_tau))),
+        taus * len(l_values),
+        rate.tolist(),
+        np.array(_LABELS, dtype=object)[code].tolist(),
+    )
+    return list(map(tuple.__new__, repeat(RateCurvePoint), columns))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["Series", "LineChart"]
 
 _PALETTE = [
@@ -51,10 +53,14 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 @dataclass
 class Series:
-    x: list[float]
-    y: list[float]
+    x: np.ndarray  # float64, the same length as y
+    y: np.ndarray
     label: str = ""
     color: str | None = None
+
+    def finite(self) -> np.ndarray:
+        """Mask of the points whose x and y are both finite."""
+        return np.isfinite(self.x) & np.isfinite(self.y)
 
 
 @dataclass
@@ -68,25 +74,20 @@ class LineChart:
     vlines: list[tuple[float, str]] = field(default_factory=list)  # (x, label)
 
     def add(self, x, y, label: str = "") -> None:
-        color = _PALETTE[len([s for s in self.series]) % len(_PALETTE)]
-        self.series.append(Series(list(map(float, x)), list(map(float, y)), label, color))
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError(f"need x and y of one length, got shapes {x.shape} and {y.shape}")
+        self.series.append(Series(x, y, label, _PALETTE[len(self.series) % len(_PALETTE)]))
 
     def _limits(self) -> tuple[float, float, float, float]:
-        xs: list[float] = []
-        ys: list[float] = []
+        xs, ys = [[xv for xv, _ in self.vlines]], [[]]
         for s in self.series:
-            for xv, yv in zip(s.x, s.y):
-                if math.isfinite(xv) and math.isfinite(yv):
-                    xs.append(xv)
-                    ys.append(yv)
-        for xv, _ in self.vlines:
-            xs.append(xv)
-        if not xs:
-            xs = [0.0, 1.0]
-        if not ys:
-            ys = [0.0, 1.0]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+            ok = s.finite()
+            xs.append(s.x[ok])
+            ys.append(s.y[ok])
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
+        y0, y1 = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
         if x1 <= x0:
             x1 = x0 + 1.0
         if y1 <= y0:
@@ -100,10 +101,11 @@ class LineChart:
         pw = self.width - ml - mr
         ph = self.height - mt - mb
 
-        def sx(x: float) -> float:
+        # Scalars or float64 arrays: the same float operations either way.
+        def sx(x):
             return ml + (x - x0) / (x1 - x0) * pw
 
-        def sy(y: float) -> float:
+        def sy(y):
             return mt + ph - (y - y0) / (y1 - y0) * ph
 
         parts: list[str] = []
@@ -146,26 +148,17 @@ class LineChart:
                 )
         for s in self.series:
             color = s.color or _PALETTE[0]
-            # Break polylines at non-finite points so gaps stay gaps.
-            run: list[str] = []
-            chunks: list[list[str]] = []
-            for xv, yv in zip(s.x, s.y):
-                if math.isfinite(xv) and math.isfinite(yv):
-                    run.append(f"{_fmt(sx(xv))},{_fmt(sy(yv))}")
-                elif run:
-                    chunks.append(run)
-                    run = []
-            if run:
-                chunks.append(run)
-            for chunk in chunks:
-                if len(chunk) == 1:
-                    cx, cy = chunk[0].split(",")
-                    parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
+            # Break polylines at non-finite points so gaps stay gaps: each run
+            # of finite points is [start, stop) between two mask edges.
+            ok = s.finite()
+            edges = np.flatnonzero(np.diff(ok, prepend=False, append=False)).tolist()
+            px, py = sx(s.x).tolist(), sy(s.y).tolist()
+            for start, stop in zip(edges[::2], edges[1::2]):
+                if stop - start == 1:
+                    parts.append(f'<circle cx="{_fmt(px[start])}" cy="{_fmt(py[start])}" r="2" fill="{color}"/>')
                 else:
-                    parts.append(
-                        f'<polyline points="{" ".join(chunk)}" fill="none" stroke="{color}" '
-                        'stroke-width="1.6"/>'
-                    )
+                    points = " ".join(map("%.6g,%.6g".__mod__, zip(px[start:stop], py[start:stop])))
+                    parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         if self.title:
             parts.append(
                 f'<text x="{self.width / 2:g}" y="20" text-anchor="middle" font-size="14" '

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ccfmlab.cli import main
+from ccfmlab.svg import LineChart
 
 CONFIG = {
     "N": 4,
@@ -396,3 +397,63 @@ def test_a_failed_parse_leaves_the_next_command_as_in_a_fresh_process(tmp_path, 
     assert fresh.returncode == 0, fresh.stderr
     assert here.out and (here.out, here.err) == (fresh.stdout, fresh.stderr)
     assert (tmp_path / "here" / "hopf.json").read_bytes() == (tmp_path / "fresh" / "hopf.json").read_bytes()
+
+
+# The bytes of a small chart, rendered before LineChart kept its series as
+# float64 arrays: a NaN gap, an inf gap, a leading gap, two lone finite points
+# (circles), an unlabelled series, a vline and a legend.
+PINNED_CHART = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="320" height="200" viewBox="0 0 320 200">
+<rect width="320" height="200" fill="#ffffff"/>
+<line x1="64" y1="34" x2="64" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="64" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">0</text>
+<line x1="104" y1="34" x2="104" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="104" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">0.5</text>
+<line x1="144" y1="34" x2="144" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="144" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">1</text>
+<line x1="184" y1="34" x2="184" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="184" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">1.5</text>
+<line x1="224" y1="34" x2="224" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="224" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">2</text>
+<line x1="264" y1="34" x2="264" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="264" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">2.5</text>
+<line x1="304" y1="34" x2="304" y2="154" stroke="#dddddd" stroke-width="1"/>
+<text x="304" y="170" text-anchor="middle" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">3</text>
+<line x1="64" y1="121.273" x2="304" y2="121.273" stroke="#dddddd" stroke-width="1"/>
+<text x="58" y="124.773" text-anchor="end" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">0</text>
+<line x1="64" y1="80.3636" x2="304" y2="80.3636" stroke="#dddddd" stroke-width="1"/>
+<text x="58" y="83.8636" text-anchor="end" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">0.5</text>
+<line x1="64" y1="39.4545" x2="304" y2="39.4545" stroke="#dddddd" stroke-width="1"/>
+<text x="58" y="42.9545" text-anchor="end" font-size="11" fill="#444444" style="font-family:Helvetica,Arial,sans-serif">1</text>
+<rect x="64" y="34" width="240" height="120" fill="none" stroke="#333333" stroke-width="1"/>
+<line x1="164" y1="34" x2="164" y2="154" stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>
+<text x="168" y="48" font-size="11" fill="#555555" style="font-family:Helvetica,Arial,sans-serif">mark</text>
+<polyline points="64,113.091 104,92.6364" fill="none" stroke="#1f77b4" stroke-width="1.6"/>
+<circle cx="184" cy="55.8182" r="2" fill="#1f77b4"/>
+<polyline points="264,137.636 304,117.182" fill="none" stroke="#1f77b4" stroke-width="1.6"/>
+<polyline points="64,39.4545 144,66.7273 224,121.273 304,148.545" fill="none" stroke="#d62728" stroke-width="1.6"/>
+<circle cx="284" cy="80.3636" r="2" fill="#2ca02c"/>
+<text x="160" y="20" text-anchor="middle" font-size="14" fill="#111111" style="font-family:Helvetica,Arial,sans-serif">pinned</text>
+<text x="184" y="190" text-anchor="middle" font-size="12" fill="#111111" style="font-family:Helvetica,Arial,sans-serif">x</text>
+<text x="16" y="94" text-anchor="middle" font-size="12" fill="#111111" style="font-family:Helvetica,Arial,sans-serif" transform="rotate(-90 16 94)">y</text>
+<rect x="146" y="40" width="150" height="40" fill="#ffffff" opacity="0.85" stroke="#cccccc"/>
+<line x1="154" y1="48" x2="176" y2="48" stroke="#1f77b4" stroke-width="1.6"/>
+<text x="182" y="52" font-size="11" fill="#222222" style="font-family:Helvetica,Arial,sans-serif">a</text>
+<line x1="154" y1="64" x2="176" y2="64" stroke="#2ca02c" stroke-width="1.6"/>
+<text x="182" y="68" font-size="11" fill="#222222" style="font-family:Helvetica,Arial,sans-serif">c</text>
+</svg>
+"""
+
+
+def test_line_chart_bytes_are_pinned():
+    chart = LineChart(title="pinned", xlabel="x", ylabel="y", width=320, height=200)
+    chart.add([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], [0.1, 0.35, math.nan, 0.8, math.inf, -0.2, 0.05], label="a")
+    chart.add(range(4), [1.0, 2.0 / 3.0, 1e-7, -1.0 / 3.0])
+    chart.add([math.nan, 2.75], [0.5, 0.5], label="c")
+    chart.vlines.append((1.25, "mark"))
+    assert chart.render() == PINNED_CHART
+
+
+def test_line_chart_rejects_series_of_unequal_length():
+    with pytest.raises(ValueError, match="one length"):
+        LineChart().add([0.0, 1.0], [1.0])

@@ -19,6 +19,8 @@ from ccfmlab import spectral
 from ccfmlab.errors import InvalidConfigError, RootSolveError, UnstableRegimeError
 from ccfmlab.model import beta_star
 from ccfmlab.rates import (
+    _LABELS,
+    RateCurvePoint,
     optimal_delay,
     peak_rate,
     rate_curve,
@@ -209,6 +211,35 @@ def test_rate_curve_points_equal_rate_of_convergence_bit_for_bit():
         assert p.rate.hex() == res.dominant.hex() and p.branch == res.branch
         seen.add("zero" if p.tau == 0.0 else p.branch)
     assert seen == {"zero", "boundary", "real", "complex", "unstable"}
+
+
+def test_rate_curve_points_hold_the_callers_objects():
+    """Each point is a RateCurvePoint of the caller's own l and tau objects, a
+    Python float rate and one of the shared branch labels.  The repr of the
+    closed-form points (zero delay, the boundary, unstable) is pinned; a
+    solved point's last digits follow the root solve, so its repr is held to
+    the NamedTuple's format."""
+    ls = [0.5, 1.0]
+    taus = [0.0, 1.0 / (3.5 * math.e), math.pi / 7, 0.05, 0.2]
+    pts = rate_curve(0.7, 10.0, 2.0, 20.0, ls, taus)
+    grid = [(l, t) for l in ls for t in taus]
+    assert len(pts) == len(grid)
+    for p, (l, tau) in zip(pts, grid):
+        assert type(p) is RateCurvePoint
+        assert p.l is l and p.tau is tau
+        assert type(p.rate) is float
+        assert any(p.branch is label for label in _LABELS)
+        assert repr(p) == f"RateCurvePoint(l={l!r}, tau={tau!r}, rate={p.rate!r}, branch={p.branch!r})"
+    closed = "\n".join(repr(p) for p in pts if p.tau in taus[:3])
+    assert closed == (
+        "RateCurvePoint(l=0.5, tau=0.0, rate=15.652475842498527, branch='real')\n"
+        "RateCurvePoint(l=0.5, tau=0.10510841176326924, rate=nan, branch='unstable')\n"
+        "RateCurvePoint(l=0.5, tau=0.4487989505128276, rate=nan, branch='unstable')\n"
+        "RateCurvePoint(l=1.0, tau=0.0, rate=3.5, branch='real')\n"
+        "RateCurvePoint(l=1.0, tau=0.10510841176326924, rate=9.513986399606658, branch='boundary')\n"
+        "RateCurvePoint(l=1.0, tau=0.4487989505128276, rate=nan, branch='unstable')"
+    )
+    assert [p.branch for p in pts if p.tau in taus[3:]] == ["complex", "unstable", "real", "complex"]
 
 
 def test_rate_curve_matches_lambert_w():

@@ -254,13 +254,13 @@ def test_array_solver_gives_every_member_the_bits_it_has_alone():
 
 
 def test_newton_settles_next_to_the_branch_point(monkeypatch):
-    """Next to u = -1 rounding leaves a Newton step of a few eps/|1 + u|.
+    """Next to u = -1 rounding leaves a Halley step of a few eps/|1 + u|.
     Every product with |1 + e*p| <= 0.02 must settle within 12 passes, on the
     bits 80 passes give, and on W_0 within the dominant root's tolerance."""
     c = np.linspace(E_INV * 0.98, E_INV * 1.02, 4001)
     u80 = spectral._principal_uexpu(-c)
-    newton = spectral._newton_uexpu
-    monkeypatch.setattr(spectral, "_newton_uexpu", lambda u, p: newton(u, p, maxit=12))
+    halley = spectral._halley_uexpu
+    monkeypatch.setattr(spectral, "_halley_uexpu", lambda u, p: halley(u, p, maxit=12))
     u12 = spectral._principal_uexpu(-c)
     assert np.array_equal(u12.view(float), u80.view(float))
     ref = lambertw(-c, 0)
