@@ -177,6 +177,9 @@ def _halley_uexpu(u: np.ndarray, p: np.ndarray, tol: float = 1e-15, maxit: int =
         if not live.size:
             break
         eu = np.exp(ul)
+        # 1 + u is named, not an inline temporary: once a temporary holds
+        # 256 KiB (16384 complex values), numpy computes eu*(1.0 + ul) in it
+        # as (1.0 + ul)*eu, and its complex product is not bitwise commutative.
         up1 = 1.0 + ul
         fp = eu * up1
         if np.count_nonzero(fp) < fp.size:

@@ -80,7 +80,7 @@ class LineChart:
         self.series.append(Series(x, y, label, _PALETTE[len(self.series) % len(_PALETTE)]))
 
     def _limits(self) -> tuple[float, float, float, float]:
-        xs, ys = [[xv for xv, _ in self.vlines]], [[]]
+        xs, ys = [np.array([xv for xv, _ in self.vlines], dtype=float)], [np.empty(0)]
         for s in self.series:
             ok = s.finite()
             xs.append(s.x[ok])

@@ -253,6 +253,17 @@ def test_array_solver_gives_every_member_the_bits_it_has_alone():
     assert np.array_equal(batch.view(float), alone.view(float))
 
 
+def test_a_batch_past_numpys_temporary_elision_gives_every_member_its_bits():
+    """numpy evaluates a*(b + c) in the temporary once it holds 256 KiB, as
+    (b + c)*a, and its complex product is not bitwise commutative; a batch of
+    more than 16384 products must still give each member its bits alone."""
+    c = np.linspace(1e-6, 3.0, 20011)
+    batch = spectral._principal_uexpu(-c)
+    sample = np.arange(0, c.size, 37)
+    alone = np.array([spectral._principal_uexpu(np.array([-c[i]]))[0] for i in sample])
+    assert np.array_equal(batch[sample].view(float), alone.view(float))
+
+
 def test_newton_settles_next_to_the_branch_point(monkeypatch):
     """Next to u = -1 rounding leaves a Halley step of a few eps/|1 + u|.
     Every product with |1 + e*p| <= 0.02 must settle within 12 passes, on the
