@@ -171,13 +171,10 @@ def _cmd_stability_chart(args) -> int:
         xlabel="m",
         ylabel="log10 x0dot at boundary",
     )
-    for l in l_values:
-        xs = [m for (panel, ll, m, x0b) in rows if ll == l]
-        ys = [
-            math.log10(x0b) if x0b > 0 and math.isfinite(x0b) else float("nan")
-            for (panel, ll, m, x0b) in rows
-            if ll == l
-        ]
+    for k, l in enumerate(l_values):  # rows are l-major: each l value has its own slice
+        series = rows[k * len(m_grid) : (k + 1) * len(m_grid)]
+        xs = [m for (panel, ll, m, x0b) in series]
+        ys = [math.log10(x0b) if x0b > 0 and math.isfinite(x0b) else float("nan") for (panel, ll, m, x0b) in series]
         chart.add(xs, ys, label=f"l = {l:g}")
     chart.write(os.path.join(out, "stability-chart.svg"))
     print(f"stability-chart: {len(rows)} boundary points, l in {{{args.l_set}}}")
@@ -202,10 +199,9 @@ def _cmd_rate(args) -> int:
         for pt in points:
             fh.write("%.17g,%.17g,%.17g,%s\n" % (pt.l, pt.tau, pt.rate, pt.branch))
     chart = LineChart(title="Decay rate vs delay", xlabel="tau", ylabel="rate")
-    for l in l_values:
-        xs = [pt.tau for pt in points if pt.l == l]
-        ys = [pt.rate for pt in points if pt.l == l]
-        chart.add(xs, ys, label=f"l = {l:g}")
+    for k, l in enumerate(l_values):  # points are l-major: each l value has its own slice
+        series = points[k * len(taus) : (k + 1) * len(taus)]
+        chart.add([pt.tau for pt in series], [pt.rate for pt in series], label=f"l = {l:g}")
         tstar = optimal_delay(beta_star(args.alpha, args.x0, args.m, args.b, l), kappa=args.kappa)
         if tau_min <= tstar <= tau_max:
             chart.vlines.append((tstar, f"tau* (l = {l:g})"))

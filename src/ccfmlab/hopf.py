@@ -33,14 +33,21 @@ psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
 over radii that are powers of two removes the higher orders.  F20 and F11 are
 the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
 F21 is the rho^3 part of harmonic 1 once w20 and w11 are added, whose three
-waves come from one exponential.  A linear field gives exact zeros.  So a
-report makes three field evaluations.  The correction vectors are solves on
-the same generator, both in one call: e solves M(2*i*omega0) e = (F20, 0), and
-f's v-rows solve M(0)[:N, :N] f_v = F11 with f_y = 0, pinned by identity
-y-rows.  Their residuals are the health numbers reported.  The y-rows of
-M(0) f = (F11, 0) read kappa*f_i = 0, which f cannot meet while F11 drives the
-v-rows: that defect kappa*f_i is the resonance of the line of equilibria
-(v, y) = (0, c), and it is reported as a diagnostic rather than asserted away.
+waves come from one exponential.  A linear field gives exact zeros.  The
+correction vectors are solves on the same generator, both in one call on the
+M(2*i*omega0) and M(0) that the eigendata keep: e solves
+M(2*i*omega0) e = (F20, 0), and f's v-rows solve M(0)[:N, :N] f_v = F11 with
+f_y = 0, pinned by identity y-rows.  Their residuals are the health numbers
+reported.  The y-rows of M(0) f = (F11, 0) read kappa*f_i = 0, which f cannot
+meet while F11 drives the v-rows: that defect kappa*f_i is the resonance of
+the line of equilibria (v, y) = (0, c), and it is reported as a diagnostic
+rather than asserted away.
+
+``hopf_report`` runs the public stages in turn: ``critical_eigendata``,
+``g_coefficients``, ``manifold_corrections``, ``g_coefficients`` with the
+corrections (the cubic coefficients alone) and ``first_lyapunov``.  The
+eigendata build the ring once, so a report makes one SVD, one stacked solve
+and three field evaluations: the point masses, then the ring twice.
 """
 
 from __future__ import annotations
@@ -70,6 +77,11 @@ __all__ = [
 ]
 
 
+def _rest_scale(field: VectorField) -> float:
+    """min(x0, b): the smallest speed or headway at rest, which a perturbation must stay small against."""
+    return min(field.leader.v_eq, *field.b.ravel().tolist())
+
+
 class PointMasses:
     """The linearised generator: the nonzero point masses of a batch-of-one ``VectorField`` at rest.
 
@@ -82,31 +94,24 @@ class PointMasses:
         # The field is 0 at rest, so F(h*e)/h cancels nothing.  h lies below
         # half an ulp of x0 and b, so the speed bases and headways round to
         # their rest values and the quotient holds the linear part alone.
-        h = 2.0**-60 * min(field.leader.v_eq, float(np.minimum.reduce(field.b, axis=None)))
+        h = 2.0**-60 * _rest_scale(field)
         (slot, self.col, self.row, self.mass), failures = field.rest_quotients(h)
         if failures:
             raise NumericalError(f"the linearisation left the model's domain: {failures[0]}")
         self.lag = np.concatenate(([0.0], field.tau))[slot]
 
-    def lin(self, s: complex | np.ndarray) -> np.ndarray:
-        """L(s): the generator's action on exp(s*theta)*u is L(s) u; a 1-d array of S values gives (S, 2N, 2N)."""
-        return self._scatter(self.mass * np.exp(-np.asarray(s)[..., None] * self.lag))
+    def critical(self, s: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M(s); M(2s) and M(0), stacked; and M'(s), from one scatter of the masses.
 
-    def char(self, s: complex | np.ndarray) -> np.ndarray:
-        """The characteristic matrix M(s) = s*I - L(s); a 1-d array of S values gives (S, 2N, 2N)."""
-        s = np.asarray(s)
-        return s[..., None, None] * np.eye(self.size) - self.lin(s)
-
-    def critical(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
-        """M(s), M(2s) and M(0), (3, 2N, 2N), and M'(s), from one scatter of the masses.
-
+        M(s) = s*I - L(s), with L(s) u the generator's action on exp(s*theta)*u;
         M'(s) = I + sum of lag*mass*exp(-s*lag); the pairing <p, q> is pbar.M'(i*omega0).q.
         """
         ss = np.array([s, 2 * s, 0.0])
         waves = np.exp(np.multiply.outer(-ss, self.lag))
         L = self._scatter(np.concatenate((self.mass * waves, (self.lag * self.mass * waves[0])[None])))
         eye = np.eye(self.size)
-        return ss[:, None, None] * eye - L[:3], eye + L[3]
+        chars = ss[:, None, None] * eye - L[:3]
+        return chars[0], chars[1:].copy(), eye + L[3]  # own array: the eigendata keep M(2s) and M(0) alone
 
     def _scatter(self, terms: np.ndarray) -> np.ndarray:
         """Sum each (..., mass) row of terms into its (row, col) entry of a (..., 2N, 2N) matrix."""
@@ -127,12 +132,14 @@ class CriticalEigendata:
     taus: np.ndarray
     field: VectorField  # the model at kappa
     masses: PointMasses  # its linearisation at rest
+    chars: np.ndarray  # M(2*i*omega0) and M(0), stacked, which the corrections solve on
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
     B: complex  # scale applied to the raw adjoint vector
     inner_raw: complex  # <p_raw, q> before scaling
     residual_q: float
     residual_p: float
+    ring: _Ring  # the states that the normal-form coefficients are read off
 
 
 def _peak(x: np.ndarray) -> np.floating:
@@ -156,11 +163,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     (default: the pair with the largest beta**tau, which turns critical at the
     smallest gain), regardless of the gain stored in the config.
     """
-    return _eigendata(pc, pair, n_branch)[0]
-
-
-def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[CriticalEigendata, np.ndarray]:
-    """The eigendata, and M(2*i*omega0) and M(0) stacked, which the corrections solve on."""
     eq = EquilibriumCoefficients.from_config(pc)
     n = pc.n
     if pair is None:
@@ -175,8 +177,7 @@ def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[Crit
 
     field = VectorField(pc.with_kappa(kappa))
     masses = PointMasses(field)
-    chars, Mp = masses.critical(1j * omega0)
-    M = chars[0]
+    M, chars, Mp = masses.critical(1j * omega0)
     U, sing, Vh = np.linalg.svd(M)
     sing = sing.tolist()
     if sing[-1] > 1e-8 * sing[0]:
@@ -184,7 +185,7 @@ def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[Crit
             f"smallest singular value {sing[-1]:.3e} is not negligible; "
             f"pair {pair} is not critical at kappa = {kappa:.6g}"
         )
-    if 2 * n > 1 and sing[-2] < 1e-8 * sing[0]:
+    if sing[-2] < 1e-8 * sing[0]:
         raise NumericalError("critical eigenspace is degenerate (two pairs critical at once)")
     q = Vh[-1].conj()
     if abs(q[pair - 1]) < 1e-12:
@@ -216,7 +217,7 @@ def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[Crit
     if abs(check - 1.0) > 1e-10:
         raise NumericalError(f"inner-product normalization failed: <p, q> = {check!r}")
 
-    eig = CriticalEigendata(
+    return CriticalEigendata(
         pair=pair,
         n_branch=n_branch,
         omega0=omega0,
@@ -225,14 +226,15 @@ def _eigendata(pc: PlatoonConfig, pair: int | None, n_branch: int) -> tuple[Crit
         taus=np.asarray(eq.taus, dtype=float),
         field=field,
         masses=masses,
+        chars=chars,
         q=q,
         p=p,
         B=B,
         inner_raw=inner_raw,
         residual_q=residual_q,
         residual_p=residual_p,
+        ring=_Ring(field, q, omega0),
     )
-    return eig, chars[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +288,20 @@ class _Ring:
     alone, so the ring asks the field for those rows only.
     """
 
-    def __init__(self, pc: PlatoonConfig, eig: CriticalEigendata):
-        self.field = eig.field
-        self.n = pc.n
-        self.scale = min(pc.leader.v_eq, *(veh.b for veh in pc.vehicles)) / float(_peak(eig.q))
-        self.waves = _waves(eig.omega0, -eig.taus)  # (3, N, 1)
-        lin = self.scale * 2.0 * (_RING_TURN * (eig.q * self.waves[0])).real
-        # (K, 2, A, N, 2N); the radii are powers of two, so the scaling is exact.
-        self.lin = lin * _RING_SIGNED
+    def __init__(self, field: VectorField, q: np.ndarray, omega0: float):
+        self.field = field
+        self.n = field.n
+        self.q = q
+        self.scale = _rest_scale(field) / float(_peak(q))
+        self.waves = _waves(omega0, -field.tau)  # (3, N, 1)
+
+    def linear_states(self) -> np.ndarray:
+        """The (K, 2, A, N, 2N) delayed rows of z*q*exp(i*omega0*theta) + c.c.
+
+        Made at each evaluation, as a report keeps its eigendata and so the
+        ring; the radii are powers of two, so the scaling is exact.
+        """
+        return self.scale * 2.0 * (_RING_TURN * (self.q * self.waves[0])).real * _RING_SIGNED
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
         """The field's v-rows on the (K, 2, A, N, 2N) delayed rows x, (K, 2, A, N)."""
@@ -305,7 +313,7 @@ class _Ring:
 
     def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """F20 and F11 (v-rows): the rho**2 parts of harmonics 2 and 0 along q."""
-        rows = self._rows(self.lin)
+        rows = self._rows(self.linear_states())
         even = rows[:, 0] + rows[:, 1]  # F(x(z)) + F(x(-z))
         F20, F11 = _QUADRATIC_WEIGHTS @ even.reshape(-1, self.n) / self.scale**2
         return F20, F11
@@ -314,14 +322,14 @@ class _Ring:
         """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11 are added."""
         w20, w11 = corr._w(self.waves)
         w = (_RING_TURN2 * w20).real + w11.real
-        rows = self._rows(self.lin + (self.scale**2 * w) * _RING_R2)
+        rows = self._rows(self.linear_states() + (self.scale**2 * w) * _RING_R2)
         odd = (rows[:, 0] - rows[:, 1]) * _RING_INV_R  # (F(x(z)) - F(x(-z)))/r
         return _CUBIC_WEIGHTS @ (odd[1:] - odd[0]).reshape(-1, self.n) / self.scale**3
 
 
 @dataclass
 class GCoefficients:
-    """Normal-form coefficients; g21 stays None until corrections are supplied."""
+    """Normal-form coefficients; g21 and F21 are None in those of the quadratic stage."""
 
     g20: complex
     g02: complex
@@ -332,31 +340,29 @@ class GCoefficients:
     F21: np.ndarray | None
 
 
-def _project(eig: CriticalEigendata, F20: np.ndarray, F11: np.ndarray, F21: np.ndarray | None = None) -> GCoefficients:
-    """g_x = pbar(0) . F_x over the v-rows (the adjoint's y-components are zero)."""
-    pbar_v = eig.p.conj()[: F20.size]
-    return GCoefficients(
-        g20=complex(pbar_v @ F20),
-        g02=complex(pbar_v @ F20.conj()),
-        g11=complex(pbar_v @ F11),
-        g21=None if F21 is None else complex(pbar_v @ F21),
-        F20=F20,
-        F11=F11,
-        F21=F21,
-    )
+def g_coefficients(eig: CriticalEigendata, corrections: "ManifoldCorrections | None" = None) -> GCoefficients:
+    """Project the nonlinearity onto the critical mode: g_x = pbar(0) . F_x over the v-rows.
 
-
-def g_coefficients(
-    pc: PlatoonConfig, eig: CriticalEigendata, corrections: "ManifoldCorrections | None" = None
-) -> GCoefficients:
-    """Project the nonlinearity onto the critical mode: g_x = pbar(0) . F_x.
-
-    Without corrections only the quadratic coefficients are available; pass
-    the ManifoldCorrections to fill in g21 (which needs w20 and w11).
+    Without corrections, the quadratic coefficients, with g21 and F21 None.
+    With the ManifoldCorrections, which need w20 and w11, the quadratic ones
+    are taken from ``corrections.g`` and the cubic coefficients added.  The
+    adjoint's y-components are zero, so the v-rows carry the projection.
     """
-    ring = _Ring(pc, eig)
-    F21 = None if corrections is None else ring.cubic(corrections)
-    return _project(eig, *ring.quadratic(), F21)
+    pbar_v = eig.p.conj()[: eig.field.n]
+    if corrections is None:
+        F20, F11 = eig.ring.quadratic()
+        return GCoefficients(
+            g20=complex(pbar_v @ F20),
+            g02=complex(pbar_v @ F20.conj()),
+            g11=complex(pbar_v @ F11),
+            g21=None,
+            F20=F20,
+            F11=F11,
+            F21=None,
+        )
+    g = corrections.g
+    F21 = eig.ring.cubic(corrections)
+    return GCoefficients(g.g20, g.g02, g.g11, g21=complex(pbar_v @ F21), F20=g.F20, F11=g.F11, F21=F21)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +390,7 @@ class ManifoldCorrections:
 
     e: np.ndarray  # 2N complex
     f: np.ndarray  # 2N complex
-    g20: complex
-    g02: complex
-    g11: complex
+    g: GCoefficients  # the quadratic stage's, which e and f solve for
     eig: CriticalEigendata
     residuals: WResiduals
 
@@ -402,11 +406,12 @@ class ManifoldCorrections:
         """w20 and w11 from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
         w0 = self.eig.omega0
         q0 = self.eig.q
+        g = self.g
         # The terms along q*exp(i*omega0*theta), less those along qbar*exp(-i*omega0*theta), of w20 and w11.
         coef = np.array(
             [
-                [-(self.g20 / (1j * w0)), self.g02.conjugate() / (3j * w0)],
-                [self.g11 / (1j * w0), self.g11.conjugate() / (1j * w0)],
+                [-(g.g20 / (1j * w0)), g.g02.conjugate() / (3j * w0)],
+                [g.g11 / (1j * w0), g.g11.conjugate() / (1j * w0)],
             ]
         )
         modes = (coef[..., None] * np.array((q0, q0.conj()))).reshape((2, 2) + (1,) * (waves.ndim - 2) + q0.shape)
@@ -415,25 +420,18 @@ class ManifoldCorrections:
         return w20 + self.e * waves[2], w11 + self.f
 
 
-def manifold_corrections(pc: PlatoonConfig, eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
+def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
     """Solve the second-order operator systems for e and f and build w20, w11.
 
     e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve M(0) f = (F11, 0),
-    whose free y-components are set to zero.  The residuals are those of the
+    whose free y-components are set to zero.  Both systems are solved in one
+    call on ``eig.chars``: f's y-rows of M(0) are replaced by the identity,
+    with a zero right-hand side, which pins f_y = 0; nothing couples them to
+    the v-rows, as no mass sits in a y-column.  The residuals are those of the
     two full 2N systems.
     """
-    return _corrections(eig, g, eig.masses.char(np.array([2j * eig.omega0, 0.0])))
-
-
-def _corrections(eig: CriticalEigendata, g: GCoefficients, chars: np.ndarray) -> ManifoldCorrections:
-    """manifold_corrections on chars = M(2*i*omega0) and M(0), stacked.
-
-    Both systems are solved in one call: f's y-rows of M(0) are replaced by
-    the identity, with a zero right-hand side, which pins f_y = 0; nothing
-    couples them to the v-rows, as no mass sits in a y-column.
-    """
     n = g.F20.size
-    systems = chars.copy()
+    systems = eig.chars.copy()
     systems[1, n:] = np.eye(n, 2 * n, n)
     rhs = np.zeros((2, 2 * n, 1), dtype=complex)
     rhs[0, :n, 0] = g.F20
@@ -441,8 +439,8 @@ def _corrections(eig: CriticalEigendata, g: GCoefficients, chars: np.ndarray) ->
     x = np.linalg.solve(systems, rhs)
     e, f = x[0, :, 0].copy(), x[1, :, 0].copy()  # own arrays: a report keeps the two vectors alone
     # The largest |residual| of e's system, and of f's v-rows and y-rows.
-    residuals = WResiduals(*np.maximum.reduceat(np.abs(chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
-    return ManifoldCorrections(e=e, f=f, g20=g.g20, g02=g.g02, g11=g.g11, eig=eig, residuals=residuals)
+    residuals = WResiduals(*np.maximum.reduceat(np.abs(eig.chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
+    return ManifoldCorrections(e=e, f=f, g=g, eig=eig, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +491,15 @@ class HopfReport:
 
 
 def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> HopfReport:
-    """Run the full normal-form pipeline at the critical gain of one pair."""
-    eig, chars = _eigendata(pc, pair, n_branch)
-    ring = _Ring(pc, eig)
-    g_full = _project(eig, *ring.quadratic())
-    corr = _corrections(eig, g_full, chars)
-    g_full.F21 = ring.cubic(corr)
-    g_full.g21 = complex(eig.p[: pc.n].conj() @ g_full.F21)
-    c1 = first_lyapunov(g_full, eig.omega0)
+    """Run the normal-form pipeline at the critical gain of one pair, its four stages in turn."""
+    eig = critical_eigendata(pc, pair, n_branch)
+    corr = manifold_corrections(eig, g_coefficients(eig))
+    g = g_coefficients(eig, corr)
+    c1 = first_lyapunov(g, eig.omega0)
     bstar = float(eig.beta[eig.pair - 1])
     tau_p = float(eig.taus[eig.pair - 1])
     aprime = _crossing_speed(bstar, tau_p, eig.omega0, n_branch)
-    scale = max(1.0, abs(g_full.g20), abs(g_full.g11), abs(c1))
+    scale = max(1.0, abs(g.g20), abs(g.g11), abs(c1))
     if abs(c1.real) <= 1e-12 * scale:
         kind = orbit = "degenerate"
         mu2 = 0.0
@@ -525,7 +520,7 @@ def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -
         kind=kind,
         orbit=orbit,
         eig=eig,
-        g=g_full,
+        g=g,
         corrections=corr,
     )
 

@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,21 @@ def test_rate_empty_l_set_writes_header_only(tmp_path):
     assert code == 0
     rows = _read_csv(out / "rate.csv")
     assert rows == [["l", "tau", "rate", "branch"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20", "--tau-range", "0.01,0.4", "--tau-points", "7"],
+        ["stability-chart", "--c", "0.3", "--m-range", "0.5,2", "--m-points", "7"],
+    ],
+)
+def test_a_repeated_l_value_draws_one_curve_per_series(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out), "--l-set", "1,1"]) == 0
+    (svg,) = out.glob("*.svg")
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+    assert [len(points.split()) for points in polylines] == [7, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_two_simultaneously_critical_pairs_rejected():
 
 def test_quadratic_forcing_exact_values(critical_config):
     eig = critical_eigendata(critical_config)
-    g = g_coefficients(critical_config, eig)
+    g = g_coefficients(eig)
     # The flux alpha*(x0 - v)^2*v/(b + y) has d2/dv2 = -4*alpha*x0/b = -1.4 and
     # d2/dvdy = -alpha*x0^2/b^2 = -0.175 at rest.  With q(-tau) = (-i, -2/7),
     # F20 = -B(q, q) = -1.4 + 0.1i and F11 = -B(q, qbar) = 1.4.
@@ -172,8 +172,8 @@ def test_taylor_coefficients_match_sympy(critical_config):
 
 def test_manifold_corrections_exact_values(critical_config):
     eig = critical_eigendata(critical_config)
-    g = g_coefficients(critical_config, eig)
-    corr = manifold_corrections(critical_config, eig, g)
+    g = g_coefficients(eig)
+    corr = manifold_corrections(eig, g)
     # e_v = F20 / (2i*omega0 + beta*exp(-2i*omega0*tau)) = (-1.4 + 0.1i)/(7i - 3.5),
     # and e_y = kappa*e_v/(2i*omega0) = e_v/(7i)
     e_v = (-1.4 + 0.1j) / (-3.5 + 7.0j)
@@ -220,8 +220,13 @@ def test_point_masses_match_the_hand_generator(critical_config):
     for pc in _platoon_set(critical_config):
         eig = critical_eigendata(pc)
         s = 1j * eig.omega0
-        checks = [(eig.masses.lin(x), hand_generator(eig.beta, eig.taus, eig.kappa, x)[0]) for x in (0.0, s, 2 * s)]
-        checks.append((eig.masses.critical(s)[1], hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
+        M, chars, Mp = eig.masses.critical(s)
+        eye = np.eye(2 * pc.n)
+        # L(x) = x*I - M(x), at s, 2s and 0
+        lins = (s * eye - M, 2 * s * eye - chars[0], -chars[1])
+        checks = [(L, hand_generator(eig.beta, eig.taus, eig.kappa, x)[0]) for L, x in zip(lins, (s, 2 * s, 0.0))]
+        checks.append((Mp, hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
+        assert np.array_equal(eig.chars, chars)
         for got, want in checks:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), pc.n
 
@@ -296,13 +301,13 @@ def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
     # and the whole field is evaluated.
     for pc in _platoon_set(critical_config):
         eig = critical_eigendata(pc)
-        ring = _Ring(pc, eig)
+        ring = eig.ring
         n = pc.n
         thetas = np.concatenate(([0.0], -eig.taus))  # now, then each pair's delayed row
         qt = eig.q * np.exp(1j * eig.omega0 * thetas)[:, None]
         lin = ring.scale * 2.0 * (np.exp(1j * _RING_PSI)[:, None, None] * qt).real
         states = np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]  # (K, 2, A, N+1, 2N)
-        assert np.array_equal(states[..., 1:, :], ring.lin)
+        assert np.array_equal(states[..., 1:, :], ring.linear_states())
         rows = states.reshape(-1, n + 1, 2 * n)
         out, failures = eig.field(math.inf, rows[:, 0], rows[:, 1:])
         assert not failures
@@ -316,15 +321,28 @@ def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
 
 def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
     """One evaluation reads the point masses, and the ring makes one for the
-    quadratic and one for the cubic coefficients."""
-    want = [hopf_report(pc).to_dict() for pc in (critical_config, four_vehicle_platoon())]
+    quadratic and one for the cubic coefficients.  A report also makes one
+    SVD, one stacked solve and one ring, and the public stages called one by
+    one do the report's work and no more."""
+    configs = (critical_config, four_vehicle_platoon())
+    want = [hopf_report(pc).to_dict() for pc in configs]
     calls = []
-    velocity_rows = VectorField.velocity_rows
-    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, *args: calls.append(1) or velocity_rows(self, *args))
-    for pc, report in zip((critical_config, four_vehicle_platoon()), want):
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+
+    for owner, name in ((VectorField, "velocity_rows"), (np.linalg, "svd"), (np.linalg, "solve"), (_Ring, "__init__")):
+        count(owner, name)
+    for pc, report in zip(configs, want):
         calls.clear()
         assert hopf_report(pc).to_dict() == report
-        assert len(calls) == 3
+        assert sorted(calls) == ["__init__", "solve", "svd"] + 3 * ["velocity_rows"]
+        calls.clear()
+        eig = critical_eigendata(pc)
+        g = g_coefficients(eig, manifold_corrections(eig, g_coefficients(eig)))
+        assert calls.count("velocity_rows") == 3
+        assert first_lyapunov(g, eig.omega0) == complex(report["c1_re"], report["c1_im"])
 
 
 def test_w_functions_take_an_array_of_thetas():
