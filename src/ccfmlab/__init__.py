@@ -27,6 +27,7 @@ from .integrate import (
     settling_time,
     simulate,
     simulate_batch,
+    tail_envelopes,
     write_trajectory_csv,
 )
 from .model import (
@@ -102,6 +103,7 @@ __all__ = [
     "simulate_batch",
     "small_delay_condition",
     "stability_region_margin",
+    "tail_envelopes",
     "transversality",
     "write_trajectory_csv",
 ]

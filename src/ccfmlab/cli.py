@@ -25,11 +25,10 @@ from .errors import CcfmError, InvalidConfigError, NumericalError
 from .hopf import hopf_report
 from .integrate import (
     SimConfig,
-    amplitude_envelope,
     check_epsilon,
     settling_time,
     simulate,
-    simulate_batch,
+    tail_envelopes,
     tail_window,
     write_trajectory_csv,
 )
@@ -203,7 +202,7 @@ def _cmd_rate(args) -> int:
         series = points[k * len(taus) : (k + 1) * len(taus)]
         chart.add([pt.tau for pt in series], [pt.rate for pt in series], label=f"l = {l:g}")
         tstar = optimal_delay(beta_star(args.alpha, args.x0, args.m, args.b, l), kappa=args.kappa)
-        if tau_min <= tstar <= tau_max:
+        if tau_min <= tstar <= tau_max and l not in l_values[:k]:  # one tau* line per distinct l
             chart.vlines.append((tstar, f"tau* (l = {l:g})"))
     chart.write(os.path.join(out, "rate.svg"))
     print(f"rate: {len(points)} (l, tau) points over tau in [{tau_min:g}, {tau_max:g}]")
@@ -223,8 +222,8 @@ def _cmd_bifurcation(args) -> int:
     ]
     sc = _sim_config(args)
     tail_window(sc.grid(), args.tail)  # reject a bad window before integrating
-    trajs = simulate_batch([pc.with_kappa(kappa) for kappa in kappas], sc, _perturbation(pc, args))
-    results = [(kappa, amplitude_envelope(tr, tail_fraction=args.tail).v.tolist()) for kappa, tr in zip(kappas, trajs)]
+    envelopes = tail_envelopes([pc.with_kappa(kappa) for kappa in kappas], sc, _perturbation(pc, args), args.tail)
+    results = [(kappa, env.v.tolist()) for kappa, env in zip(kappas, envelopes)]
     out = _ensure_outdir(args.out)
     with open(os.path.join(out, "bifurcation.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("kappa," + ",".join(f"amp_v_{i + 1}" for i in range(pc.n)) + "\n")

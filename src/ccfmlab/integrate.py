@@ -34,10 +34,20 @@ the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
 block where a member fails, the steps are taken one at a time, one field
 call per stage, which keeps the order of failure events: earliest step,
 then stage, then the blow-up check.
+
+:func:`simulate_batch` keeps every node.  :func:`tail_envelopes` keeps only
+a window of the newest nodes, as deep as the deepest lookup plus a few
+blocks: when the next block would run past the window's end, the rows its
+lookups still read are copied to the front.  Before each slide, and at the
+end, a sink takes the nodes made since its last call; there they reduce to
+each signal's running maximum and minimum over the tail window, so memory
+does not grow with the horizon.  The float operations are those of
+:func:`simulate_batch`, bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -53,6 +63,7 @@ __all__ = [
     "EnvelopeReport",
     "simulate",
     "simulate_batch",
+    "tail_envelopes",
     "settling_time",
     "amplitude_envelope",
     "tail_window",
@@ -67,6 +78,7 @@ _FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
 _RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
 _BLOWUP_LIMIT = 1e12
 _BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
+_WINDOW_BLOCKS = 8  # blocks a streamed window holds beyond its deepest lookup: at most one slide per this many
 _CSV_BLOCK_ROWS = 256  # rows formatted per write; a block's arrays peak near 0.5 MiB
 
 
@@ -137,6 +149,36 @@ def simulate_batch(
     NegativeVelocityBaseError) or blows up (NumericalError) is masked while
     the others run on; then the lowest-index failing member's error is raised.
     """
+    field, init = _prepare(pcs, sc, perturbation)
+    states, errors = _run(field, sc.step, sc.method, init, sc.steps)
+    if errors:
+        raise errors[min(errors)]
+    t_grid = sc.grid()
+    return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
+
+
+def tail_envelopes(
+    pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None = None, tail_fraction: float = 0.25
+) -> list[EnvelopeReport]:
+    """Each member's :func:`amplitude_envelope` of its :func:`simulate_batch` run, bit for bit, in bounded memory.
+
+    The run streams through a window of node rows, and only each member's
+    running maximum and minimum over the tail window are kept.  The window
+    rule is checked before integrating; failures are those of
+    :func:`simulate_batch`.
+    """
+    t = _Times(sc)
+    k0 = tail_window(t, tail_fraction)
+    field, init = _prepare(pcs, sc, perturbation)
+    envelope = _TailEnvelope(k0)
+    _, errors = _run(field, sc.step, sc.method, init, sc.steps, sink=envelope.add)
+    if errors:
+        raise errors[min(errors)]
+    return envelope.reports(field.n, t[k0], t[-1])
+
+
+def _prepare(pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None):
+    """The batch's field and initial state, after checking the perturbation and the step against the delays."""
     field = VectorField(*pcs)
     n = field.n
     if perturbation is None:
@@ -150,11 +192,7 @@ def simulate_batch(
             f"step {h:g} exceeds the smallest positive delay {min(positive_taus):g}; "
             "the method of steps requires step <= min positive tau"
         )
-    states, errors = _run(field, h, sc.method, perturbation.as_vector(), sc.steps)
-    if errors:
-        raise errors[min(errors)]
-    t_grid = sc.grid()
-    return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
+    return field, perturbation.as_vector()
 
 
 _NODE = np.array([1.0, 0.0, 0.0, 0.0])  # weights that read node j itself
@@ -186,18 +224,28 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
     return np.stack((offsets, offsets + 1)), np.repeat(weights, 2 * len(taus), axis=3)
 
 
-def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
-    engine = _MethodOfSteps(field, h, method, init, steps)
+def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink=None):
+    """The batch's (B, steps + 1, 2N) node states and its members' errors.
+
+    With a sink, the history is a sliding window, whose states are returned
+    as they stand, and ``sink(k, rows)`` takes the (B, count, 2N) states of
+    nodes k .. k + count - 1: the nodes made since its last call, before
+    each slide and at the end.
+    """
+    engine = _MethodOfSteps(field, h, method, init, steps, sink)
     size = engine.block_size()
     k = 0
     while k < steps and 0 not in engine.errors:  # no member can fail with a lower index
         count = min(max(size, 1), steps - k)
+        engine.reach(k, count)
         if not (size and engine.block(k, count)):
             for j in range(k, k + count):
                 engine.step(j)
                 if 0 in engine.errors:
                     break
         k += count
+    if sink is not None and 0 not in engine.errors:
+        engine.feed(steps + 1)
     return engine.states, engine.errors
 
 
@@ -209,27 +257,39 @@ class _MethodOfSteps:
     velocity derivatives in one ``velocity_rows`` call, which it can because
     they read only nodes that precede the block, and their headway
     derivatives as kappa*v; a step evaluates the whole field once per stage.
+
+    The history is a window of node rows, row r holding node ``base + r``.
+    It holds the whole run unless there is a sink.  Then the window holds the
+    deepest lookup's ``pre`` nodes and the current one, then room for
+    ``_WINDOW_BLOCKS`` blocks or ``pre`` steps, whichever is more, and the
+    node after them; :meth:`reach` slides it, copying pre + 1 rows at most
+    once in pre steps.
     """
 
-    def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
+    def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink=None):
         n, batch = field.n, field.batch
         self.field, self.h, self.rk4 = field, h, method == "rk4"
-        # Node values and derivatives side by side, so that one gather reads both.
-        self.hist = np.zeros((batch, 2, steps + 1, 2 * n))
-        self.states, self.derivs = self.hist[:, 0], self.hist[:, 1]
-        self.states[:, 0] = init
         taus = field.tau.tolist()
         self.offsets, weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
         self.pre = -int(self.offsets.min())  # steps whose lookups reach into t < 0
         self.zero = [i for i, tau in enumerate(taus) if tau == 0.0]
+        size = max(self.block_size(), 1)
+        length = steps + 1
+        if sink is not None:  # room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows
+            length = min(length, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
+        self.sink, self.fed = sink, 0  # the first node not yet passed to the sink
+        # Node values and derivatives side by side, so that one gather reads both.
+        self.hist = np.zeros((batch, 2, length, 2 * n))
+        self.states, self.derivs = self.hist[:, 0], self.hist[:, 1]
+        self.states[:, 0] = init
+        self.base = 0  # the node in row 0
         self.rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
         # Per run, so that a block slices them: the step times, the times of a
         # step's distinct rows from it (k1 and, under rk4, k2 = k3 and k4), and
         # the nodes and weights of a block's steps, counted from its first.
-        self.grid = np.arange(steps + 1) * h
+        self.grid = np.arange(length) * h
         self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
         self.stage_steps = np.array([[h * 0.5], [h * 0.5], [h * 1.0]])  # h*c of rk4's k2, k3 and k4
-        size = max(self.block_size(), 1)
         self.nodes = self.offsets[:, None] + np.arange(size)[:, None]
         self.weights = np.repeat(weights[:, None], size, axis=1)
         self.errors: dict = {}
@@ -249,15 +309,37 @@ class _MethodOfSteps:
             return 0
         newest = int(self.offsets[1 if self.rk4 else 0].max())  # relative to the reading step
         size = 1 - newest - self.rk4
-        per_step = self.hist[:, :, 0].nbytes * self.offsets.size  # bytes gathered per step: a node row per offset
+        per_step = 32 * self.field.batch * self.field.n * self.offsets.size  # bytes gathered per step: a node row per offset
         return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
+
+    def reach(self, k0: int, count: int) -> None:
+        """Slide the window, if node k0 + count lies past its end, to start at node k0 - pre.
+
+        Steps k0 .. k0 + count - 1 read no older node.  The window outlasts
+        the first pre steps, so node 0 stays while lookups reach t < 0.
+        The nodes up to k0 go to the sink first, and rows past node k0 are
+        cleared, as in a window that never slides.
+        """
+        if k0 + count - self.base < self.hist.shape[2]:
+            return
+        self.feed(k0 + 1)
+        keep, first = self.pre + 1, k0 - self.pre - self.base
+        self.hist[:, :, :keep] = self.hist[:, :, first : first + keep]
+        self.hist[:, :, keep:] = 0.0
+        self.base = k0 - self.pre
+        self.grid = np.arange(self.base, self.base + self.grid.size) * self.h
+
+    def feed(self, stop: int) -> None:
+        """Pass the states of the nodes not yet passed, up to node stop - 1, to the sink."""
+        self.sink(self.fed, self.states[:, self.fed - self.base : stop - self.base])
+        self.fed = stop
 
     def _gather(self, k0: int, count: int) -> np.ndarray:
         """The (B, count, S, N, 2N) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
         n, batch = self.field.n, self.field.batch
-        nodes = self.nodes[:, :count] + k0
+        nodes = self.nodes[:, :count] + (k0 - self.base)
         w = self.weights[:, :count]
-        if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0
+        if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0 (row 0: the window has not slid)
             early = nodes[0] < 0
             nodes = np.where(early, 0, nodes)
             w = np.where(early.reshape(count, -1, n, 1), _NODE[:, None, None, None, None], w)
@@ -270,7 +352,8 @@ class _MethodOfSteps:
     def step(self, k: int) -> None:
         """Advance step k with one field call per stage, recording each member's first failure."""
         field, h, hist, states, errors = self.field, self.h, self.hist, self.states, self.errors
-        yk = states[:, k]
+        r = k - self.base
+        yk = states[:, r]
         rows = self.rows
         if self.zero:
             rows[:, self.zero] = yk[:, None]
@@ -278,7 +361,7 @@ class _MethodOfSteps:
         ks = [k1]
         if failures:
             _retire(failures, errors, (hist, rows, k1))
-        self.derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
+        self.derivs[:, r] = k1  # node k's derivative, which the later stages' lookups may read
         delayed = self._gather(k, 1)[:, 0]
         if self.rk4:
             for c, s in _RK4_STAGES:
@@ -290,12 +373,12 @@ class _MethodOfSteps:
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, delayed, *ks))
-            states[:, k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+            states[:, r + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
         else:
-            states[:, k + 1] = yk + k1 * h
+            states[:, r + 1] = yk + k1 * h
         self.rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
-        if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
-            blown = np.flatnonzero(~(abs(states[:, k + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
+        if not abs(states[:, r + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(states[:, r + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
             message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
             _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
 
@@ -319,12 +402,13 @@ class _MethodOfSteps:
         rows[:, 1:, 0] = last[:, :-1]
         if self.rk4:
             rows[:, :, 1:] = delayed
-        times = self.grid[k0 : k0 + count, None] + self.lags
+        r0 = k0 - self.base
+        times = self.grid[r0 : r0 + count, None] + self.lags
         dv, failures = field.velocity_rows(times.ravel(), rows.reshape(batch, -1, n, 2 * n))
         if any(b not in errors for b in failures):
             return False
         dv = dv.reshape(rows.shape[:4])
-        span = self.states[:, k0 : k0 + count + 1]
+        span = self.states[:, r0 : r0 + count + 1]
         v, y = span[..., :n], span[..., n:]
         if self.rk4:
             d1, d2, d4 = dv[:, :, 0], dv[:, :, 1], dv[:, :, 2]  # k3's is d2: k2's rows and time
@@ -342,7 +426,7 @@ class _MethodOfSteps:
             dy = field.headway_rows(v[:, :-1, None])
             y[:, 1:] = dy[:, :, 0] * h
         np.add.accumulate(y, axis=1, out=y)
-        node = self.derivs[:, k0 : k0 + count]
+        node = self.derivs[:, r0 : r0 + count]
         node[..., :n] = dv[:, :, 0]
         node[..., n:] = dy[:, :, 0]
         if not abs(span[:, 1:]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
@@ -428,26 +512,63 @@ def amplitude_envelope(traj: Trajectory, tail_fraction: float = 0.25) -> Envelop
     periods.
     """
     k0 = tail_window(traj.t, tail_fraction)
-    window = traj.states[k0:]
-    amps = 0.5 * (window.max(axis=0) - window.min(axis=0))
-    n = traj.n
-    return EnvelopeReport(v=amps[:n], y=amps[n:], t_start=float(traj.t[k0]), t_end=float(traj.t[-1]))
+    envelope = _TailEnvelope(k0)
+    envelope.add(0, traj.states[None])
+    return envelope.reports(traj.n, float(traj.t[k0]), float(traj.t[-1]))[0]
 
 
-def tail_window(t: np.ndarray, tail_fraction: float) -> int:
+class _TailEnvelope:
+    """Each member's running maximum and minimum of every signal over the nodes from k0 on."""
+
+    def __init__(self, k0: int):
+        self.k0 = k0
+        self.hi = self.lo = None
+
+    def add(self, k: int, rows: np.ndarray) -> None:
+        """Take in the (B, count, 2N) states of nodes k .. k + count - 1."""
+        rows = rows[:, max(self.k0 - k, 0) :]
+        if not rows.shape[1]:
+            return
+        hi, lo = rows.max(axis=1), rows.min(axis=1)
+        if self.hi is None:
+            self.hi, self.lo = hi, lo
+        else:
+            np.maximum(self.hi, hi, out=self.hi)
+            np.minimum(self.lo, lo, out=self.lo)
+
+    def reports(self, n: int, t_start: float, t_end: float) -> list[EnvelopeReport]:
+        amps = 0.5 * (self.hi - self.lo)
+        return [EnvelopeReport(v=a[:n], y=a[n:], t_start=t_start, t_end=t_end) for a in amps]
+
+
+def tail_window(t, tail_fraction: float) -> int:
     """The first index of the final tail_fraction of the time grid t, whose window must hold at least 10 samples.
 
     A trajectory's grid is its :meth:`SimConfig.grid`, so the window rule can
-    be checked before integrating.
+    be checked before integrating.  t may be any increasing sequence: an
+    array, or the grid's times computed as they are read (``_Times``).
     """
     if not 0 < tail_fraction <= 1:
         raise InvalidConfigError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     t_end = float(t[-1])
     t_start = t_end - tail_fraction * (t_end - float(t[0]))
-    k0 = int(np.searchsorted(t, t_start - 1e-12))
-    if t.size - k0 < 10:
-        raise InvalidConfigError(f"amplitude window has only {t.size - k0} samples; need at least 10")
+    k0 = bisect.bisect_left(t, t_start - 1e-12)
+    if len(t) - k0 < 10:
+        raise InvalidConfigError(f"amplitude window has only {len(t) - k0} samples; need at least 10")
     return k0
+
+
+class _Times:
+    """The times of :meth:`SimConfig.grid`, each computed as it is read, so that no array as long as the run is made."""
+
+    def __init__(self, sc: SimConfig):
+        self.count, self.h = sc.steps + 1, sc.step
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> float:
+        return (k % self.count) * self.h  # the grid's k*h, from the end when k < 0
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -318,10 +318,10 @@ class VectorField:
         probes[0, :, 0::2] = steps
         probes[1, :, 1::2] = steps
         out, failures = self(math.inf, probes[:, :, 0], probes[:, :, 1:])
-        sweep, col, row = np.nonzero(out)
+        sweep, col, row = np.nonzero(out)  # views of one (3, k) array
         # v-row k reads slots k and k+1, one in each sweep; the y-rows read slot 0.
         slot = (row < n) * (row + (row + sweep) % 2)
-        return (slot, col, row, out[sweep, col, row] / h), failures
+        return (slot, col.copy(), row.copy(), out[sweep, col, row] / h), failures  # own arrays, which outlive the sweep row
 
     def _lead(self, t: float | np.ndarray) -> np.ndarray:
         """The leader's speed at the delayed instants of each time, (R, N), or (N,) when it has settled at all."""

@@ -5,6 +5,7 @@ wires to the same function.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -241,6 +242,16 @@ def test_a_repeated_l_value_draws_one_curve_per_series(tmp_path, argv):
     assert [len(points.split()) for points in polylines] == [7, 7]
 
 
+def test_a_repeated_l_value_draws_one_tau_star_line(tmp_path):
+    out = tmp_path / "o"
+    argv = ["rate", "--out", str(out), "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20",
+            "--tau-range", "0.01,0.4", "--tau-points", "7", "--l-set", "1,0.8,1"]
+    assert main(argv) == 0
+    svg = (out / "rate.svg").read_text()
+    assert svg.count('stroke-dasharray="5,4"') == 2
+    assert svg.count("tau* (l = 1)") == svg.count("tau* (l = 0.8)") == 1
+
+
 # ---------------------------------------------------------------------------
 # bifurcation
 # ---------------------------------------------------------------------------
@@ -263,6 +274,18 @@ def test_bifurcation_csv_and_worker_determinism(tmp_path, single_path):
     assert len(rows) == 4
     assert [float(r[0]) for r in rows[1:]] == pytest.approx([1.0, 1.005, 1.01])
     assert (out1 / "bifurcation.svg").exists()
+
+
+def test_bifurcation_artifacts_keep_their_bytes(tmp_path, single_path):
+    """Pinned from the sweep that stored every member's whole history; this one's window slides inside the tail."""
+    out = tmp_path / "o"
+    argv = ["bifurcation", "--config", single_path, "--out", str(out), "--kappa-range", "0.98,1.04", "--points", "4", "--tmax", "60"]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("bifurcation.csv", "bifurcation.svg")}
+    assert digests == {
+        "bifurcation.csv": "887f5c24aee9bc87c13baaf6f627b9c94592c179f60f346fd553219ca9d74e8e",
+        "bifurcation.svg": "430f001991a0bd6ddbd3f3d7738ca5816772f70fc1d81827f475d8d3f636ad62",
+    }
 
 
 def test_bifurcation_blow_up_reports_the_gain_as_run_alone(tmp_path, single_path, capsys):
@@ -375,7 +398,7 @@ def _no_integration(*args, **kwargs):
 )
 def test_post_processing_arguments_are_rejected_before_integrating(tmp_path, config_path, monkeypatch, capsys, argv):
     monkeypatch.setattr("ccfmlab.cli.simulate", _no_integration)
-    monkeypatch.setattr("ccfmlab.cli.simulate_batch", _no_integration)
+    monkeypatch.setattr("ccfmlab.cli.tail_envelopes", _no_integration)
     out = tmp_path / "o"
     assert main([argv[0], "--config", config_path, "--out", str(out)] + argv[1:]) == 2
     assert not out.exists()

@@ -8,6 +8,7 @@ of the zero-delay system to machine precision.
 
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ from ccfmlab.integrate import (
     settling_time,
     simulate,
     simulate_batch,
+    tail_envelopes,
+    tail_window,
     write_trajectory_csv,
     _MethodOfSteps,
     _run,
@@ -491,6 +494,88 @@ def test_envelope_window_validation():
         amplitude_envelope(traj, tail_fraction=0.0)
     with pytest.raises(InvalidConfigError):
         amplitude_envelope(traj, tail_fraction=1.5)
+
+
+# ---------------------------------------------------------------------------
+# streamed tail envelopes against the stored run
+# ---------------------------------------------------------------------------
+
+
+def _record_slides(monkeypatch) -> list:
+    """The first steps of the blocks before which a streamed window slides."""
+    slides, reach = [], _MethodOfSteps.reach
+
+    def recording(self, k0, count):
+        base = self.base
+        reach(self, k0, count)
+        if self.base != base:
+            slides.append(k0)
+
+    monkeypatch.setattr(_MethodOfSteps, "reach", recording)
+    return slides
+
+
+_STREAM_CASES = {
+    "platoon": ([four_vehicle_platoon(kappa=k) for k in (0.2, 1.0, 1.05)], 0.01, 40.0, 0.25),  # 0.2: monotone decay
+    "pre-history-and-ramp": ([_slow_start()], 0.01, 30.0, 0.5),
+    "zero-delay": ([_zero_delay_pair()], 0.01, 10.0, 0.25),
+    "whole-run": ([single_follower(kappa=k) for k in (0.98, 1.02)], 0.01, 30.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_tail_envelopes_are_the_stored_envelopes(monkeypatch, case, method):
+    """Bit for bit, with the window sliding inside the tail window; the zero-delay case takes the step path."""
+    pcs, h, horizon, tail = _STREAM_CASES[case]
+    sc = SimConfig(step=h, horizon=horizon, method=method)
+    perturbation = _perturb(pcs[0].n, v0=0.1, y0=-0.05)
+    slides = _record_slides(monkeypatch)
+    got = tail_envelopes(pcs, sc, perturbation, tail)
+    k0 = tail_window(sc.grid(), tail)
+    assert slides and slides[-1] >= k0
+    trajs = simulate_batch(pcs, sc, perturbation)
+    assert len(got) == len(trajs) == len(pcs)
+    for g, traj in zip(got, trajs):
+        w = amplitude_envelope(traj, tail)
+        window = traj.states[k0:]
+        direct = 0.5 * (window.max(axis=0) - window.min(axis=0))
+        for a in (np.concatenate((g.v, g.y)), np.concatenate((w.v, w.y))):
+            assert np.array_equal(a, direct) and np.array_equal(np.signbit(a), np.signbit(direct))
+        assert (g.t_start, g.t_end) == (w.t_start, w.t_end) == (traj.t[k0], traj.t[-1])
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_tail_envelopes_raise_the_stored_runs_error(monkeypatch, method):
+    """Member 3 leaves the domain first; member 1 later, after the window has slid, and its error is raised."""
+    pcs = [single_follower(kappa=k) for k in (1.0, 3.0, 0.5, 400.0)]
+    sc = SimConfig(step=0.01, horizon=20.0, method=method)
+    with pytest.raises(NumericalError) as stored:
+        simulate_batch(pcs, sc)
+    slides = _record_slides(monkeypatch)
+    with pytest.raises(NumericalError) as streamed:
+        tail_envelopes(pcs, sc)
+    assert _same_errors({1: streamed.value}, {1: stored.value})
+    failed_at = stored.value.t + pcs[1].vehicles[0].tau  # the failing step's time, not its delayed instant
+    assert stored.value.t > 3.0 and slides[0] * sc.step < failed_at
+
+
+def test_tail_envelopes_memory_does_not_grow_with_the_horizon():
+    """Traced peaks at T and 4T: flat within 10% streamed, about 4x stored (3.9x when written)."""
+    pcs = [four_vehicle_platoon(kappa=0.95 + 0.01 * k) for k in range(8)]
+
+    def peak(run, horizon):
+        tracemalloc.start()
+        try:
+            run(pcs, SimConfig(step=0.01, horizon=horizon, method="euler"))  # fewer allocations to trace than rk4
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(tail_envelopes, 25.0), peak(tail_envelopes, 100.0)
+    assert abs(long / short - 1.0) <= 0.1
+    short, long = peak(simulate_batch, 25.0), peak(simulate_batch, 100.0)
+    assert long >= 3.5 * short
 
 
 # ---------------------------------------------------------------------------
