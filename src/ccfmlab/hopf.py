@@ -35,13 +35,14 @@ the rho^2 parts of harmonics 2 and 0 on the ring along q*exp(i*omega0*theta);
 F21 is the rho^3 part of harmonic 1 once w20 and w11 are added, whose three
 waves come from one exponential.  A linear field gives exact zeros.  The
 correction vectors are solves on the same generator, both in one call on the
-M(2*i*omega0) and M(0) that the eigendata keep: e solves
+M(2*i*omega0) and the v-block of M(0) that the eigendata keep: e solves
 M(2*i*omega0) e = (F20, 0), and f's v-rows solve M(0)[:N, :N] f_v = F11 with
-f_y = 0, pinned by identity y-rows.  Their residuals are the health numbers
-reported.  The y-rows of M(0) f = (F11, 0) read kappa*f_i = 0, which f cannot
-meet while F11 drives the v-rows: that defect kappa*f_i is the resonance of
-the line of equilibria (v, y) = (0, c), and it is reported as a diagnostic
-rather than asserted away.
+f_y = 0, pinned by identity y-rows.  Their residuals on the full systems, with
+M(0) rebuilt from the two blocks, are the health numbers reported.  The
+y-rows of M(0) f = (F11, 0) read kappa*f_i = 0, which f cannot meet while F11
+drives the v-rows: that defect kappa*f_i is the resonance of the line of
+equilibria (v, y) = (0, c), and it is reported as a diagnostic rather than
+asserted away.
 
 ``hopf_report`` runs the public stages in turn: ``critical_eigendata``,
 ``g_coefficients``, ``manifold_corrections``, ``g_coefficients`` with the
@@ -111,7 +112,7 @@ class PointMasses:
         L = self._scatter(np.concatenate((self.mass * waves, (self.lag * self.mass * waves[0])[None])))
         eye = np.eye(self.size)
         chars = ss[:, None, None] * eye - L[:3]
-        return chars[0], chars[1:].copy(), eye + L[3]  # own array: the eigendata keep M(2s) and M(0) alone
+        return chars[0], chars[1:], eye + L[3]
 
     def _scatter(self, terms: np.ndarray) -> np.ndarray:
         """Sum each (..., mass) row of terms into its (row, col) entry of a (..., 2N, 2N) matrix."""
@@ -132,7 +133,8 @@ class CriticalEigendata:
     taus: np.ndarray
     field: VectorField  # the model at kappa
     masses: PointMasses  # its linearisation at rest
-    chars: np.ndarray  # M(2*i*omega0) and M(0), stacked, which the corrections solve on
+    M2: np.ndarray  # M(2*i*omega0), which e solves on
+    M0_v: np.ndarray  # M(0)[:N, :N], the v-block that f's v-rows solve on
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
     B: complex  # scale applied to the raw adjoint vector
@@ -226,7 +228,8 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
         taus=np.asarray(eq.taus, dtype=float),
         field=field,
         masses=masses,
-        chars=chars,
+        M2=chars[0].copy(),  # own arrays: the eigendata keep these blocks alone
+        M0_v=chars[1, :n, :n].copy(),
         q=q,
         p=p,
         B=B,
@@ -425,13 +428,16 @@ def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCo
 
     e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve M(0) f = (F11, 0),
     whose free y-components are set to zero.  Both systems are solved in one
-    call on ``eig.chars``: f's y-rows of M(0) are replaced by the identity,
-    with a zero right-hand side, which pins f_y = 0; nothing couples them to
-    the v-rows, as no mass sits in a y-column.  The residuals are those of the
-    two full 2N systems.
+    call, on the M(2*i*omega0) and the v-block of M(0) that the eigendata keep:
+    no mass sits in a y-column, so M(0)'s y-columns are zero, and the y-rows
+    read the current row alone, so their v-columns are M(2*i*omega0)'s.  f's
+    y-rows are replaced by the identity, with a zero right-hand side, which
+    pins f_y = 0.  The residuals are those of the two full 2N systems.
     """
     n = g.F20.size
-    systems = eig.chars.copy()
+    chars = np.zeros((2, 2 * n, 2 * n), dtype=complex)  # M(2*i*omega0) and M(0)
+    chars[0], chars[1, :n, :n], chars[1, n:, :n] = eig.M2, eig.M0_v, eig.M2[n:, :n]
+    systems = chars.copy()
     systems[1, n:] = np.eye(n, 2 * n, n)
     rhs = np.zeros((2, 2 * n, 1), dtype=complex)
     rhs[0, :n, 0] = g.F20
@@ -439,7 +445,7 @@ def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCo
     x = np.linalg.solve(systems, rhs)
     e, f = x[0, :, 0].copy(), x[1, :, 0].copy()  # own arrays: a report keeps the two vectors alone
     # The largest |residual| of e's system, and of f's v-rows and y-rows.
-    residuals = WResiduals(*np.maximum.reduceat(np.abs(eig.chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
+    residuals = WResiduals(*np.maximum.reduceat(np.abs(chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
     return ManifoldCorrections(e=e, f=f, g=g, eig=eig, residuals=residuals)
 
 

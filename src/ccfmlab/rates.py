@@ -5,9 +5,10 @@ the rightmost characteristic root, sigma = -Re(lambda).  The rate is read off
 the principal-branch solve behind :func:`ccfmlab.spectral.dominant_root`, at
 unit delay: u = lambda*tau depends only on the product c = kappa*beta**tau,
 and sigma = -Re(u)/tau.  :func:`rate_curve` solves its whole (l, tau) grid as
-one array, in one masked Halley iteration, and builds its points in one
-C-level pass; :func:`rate_of_convergence` is its batch of one, so the two
-agree bit for bit.  The product only labels the branch the rate lies on:
+one array, in one masked Halley iteration, and keeps the rates and branch
+codes as arrays, making each point only when it is read;
+:func:`rate_of_convergence` is its batch of one, so the two agree bit for
+bit.  The product only labels the branch the rate lies on:
 
 * c < 1/e   -- the dominant root is real, lambda = -sigma2, with
                (sigma2*tau) * exp(-sigma2*tau) = c  (smaller solution);
@@ -27,9 +28,10 @@ them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .spectral import _require_pair, _require_positive, _rightmost
 __all__ = [
     "RateResult",
     "RateCurvePoint",
+    "RateCurve",
     "rate_of_convergence",
     "optimal_delay",
     "peak_rate",
@@ -162,6 +165,45 @@ class RateCurvePoint(NamedTuple):
     branch: str  # 'real' | 'boundary' | 'complex' | 'unstable'
 
 
+class RateCurve(Sequence):
+    """The points of :func:`rate_curve`, l-major, tau-minor, made as they are read.
+
+    It keeps tuples of the caller's l and tau values, the rates as one float64
+    array and the branch codes as one int8 array.  Each point holds the
+    caller's own l and tau objects, a Python float rate and a shared label;
+    ``len``, indexing, slicing (a list), iteration and ``repr`` are the list's.
+    """
+
+    __slots__ = ("_l", "_taus", "_rate", "_code")
+
+    def __init__(self, l_values: tuple, taus: tuple, rate: np.ndarray, code: np.ndarray):
+        self._l, self._taus, self._rate, self._code = l_values, taus, rate, code
+
+    def __len__(self) -> int:
+        return self._rate.size
+
+    def __getitem__(self, i):
+        k = range(self._rate.size)[i]
+        if isinstance(k, range):
+            return [self[j] for j in k]
+        l, t = divmod(k, len(self._taus))
+        return tuple.__new__(RateCurvePoint, (self._l[l], self._taus[t], float(self._rate[k]), _LABELS[self._code[k]]))
+
+    def __iter__(self):
+        # One C-level pass over the l-major columns; tuple.__new__ builds the
+        # NamedTuple without its Python-level __new__.
+        columns = zip(
+            chain.from_iterable(map(repeat, self._l, repeat(len(self._taus)))),
+            chain.from_iterable(repeat(self._taus, len(self._l))),
+            self._rate.tolist(),
+            map(_LABELS.__getitem__, self._code.tolist()),
+        )
+        return map(tuple.__new__, repeat(RateCurvePoint), columns)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def rate_curve(
     alpha: float,
     x0dot: float,
@@ -170,7 +212,7 @@ def rate_curve(
     l_values: Sequence[float],
     taus: Iterable[float],
     kappa: float = 1.0,
-) -> list[RateCurvePoint]:
+) -> RateCurve:
     """Decay rate versus delay for each headway exponent l in l_values.
 
     The whole (l, tau) grid is one batched principal-branch solve; points come
@@ -179,8 +221,8 @@ def rate_curve(
     combinations are flagged with branch 'unstable' and a NaN rate rather than
     raising, so full sweeps always complete.
     """
-    l_values = list(l_values)
-    taus = list(taus)
+    l_values = tuple(l_values)
+    taus = tuple(taus)
     betas = np.array([_beta_star(alpha, x0dot, m, b, l) for l in l_values], dtype=float)
     tau_arr = np.array(taus, dtype=float)
     _require_pair(betas[:, None], tau_arr[None, :], kappa)
@@ -192,13 +234,4 @@ def rate_curve(
 
     a = np.repeat(kappa * betas, n_tau)
     rate, code = _decay_rates(a, np.tile(tau_arr, len(l_values)), describe)
-    # One C-level pass over the l-major columns: each point holds the caller's
-    # own l and tau objects and a shared label; tuple.__new__ builds the
-    # NamedTuple without its Python-level __new__.
-    columns = zip(
-        chain.from_iterable(map(repeat, l_values, repeat(n_tau))),
-        taus * len(l_values),
-        rate.tolist(),
-        np.array(_LABELS, dtype=object)[code].tolist(),
-    )
-    return list(map(tuple.__new__, repeat(RateCurvePoint), columns))
+    return RateCurve(l_values, taus, rate, code.astype(np.int8))

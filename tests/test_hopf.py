@@ -12,8 +12,10 @@ against sympy's derivatives of the model's flux.
 """
 
 import cmath
+import gc
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -226,9 +228,39 @@ def test_point_masses_match_the_hand_generator(critical_config):
         lins = (s * eye - M, 2 * s * eye - chars[0], -chars[1])
         checks = [(L, hand_generator(eig.beta, eig.taus, eig.kappa, x)[0]) for L, x in zip(lins, (s, 2 * s, 0.0))]
         checks.append((Mp, hand_generator(eig.beta, eig.taus, eig.kappa, s)[1]))
-        assert np.array_equal(eig.chars, chars)
+        assert np.array_equal(eig.M2, chars[0]) and np.array_equal(eig.M0_v, chars[1, : pc.n, : pc.n])
         for got, want in checks:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), pc.n
+
+
+def _held_arrays(obj) -> list:
+    """Every ndarray reachable from obj through attributes, containers and view bases."""
+    seen, stack, arrays = set(), [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+            stack.append(o.base)
+        else:
+            stack.extend(gc.get_referents(o))
+    return arrays
+
+
+def test_a_kept_report_holds_no_full_m0():
+    """An N = 8 report keeps M(2*i*omega0) and the N x N v-block of M(0): 5N**2
+    complex values in square matrices, and no 2N x 2N M(0)."""
+    pc = _random_platoon(np.random.default_rng(3), 8, *EXPONENTS[1])
+    report = hopf_report(pc)
+    n = pc.n
+    M0 = report.eig.masses.critical(1j * report.omega0)[1][1]
+    square = [a for a in _held_arrays(report) if a.ndim >= 2 and a.shape[-1] == a.shape[-2] > 1]
+    assert sum(a.size for a in square) == 5 * n * n
+    for a in square:
+        if a.shape[-1] == 2 * n:
+            assert not any(np.array_equal(m, M0) for m in a.reshape(-1, 2 * n, 2 * n))
 
 
 def _pair_roots(pc):

@@ -8,6 +8,7 @@ W function.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,43 @@ def test_rate_curve_points_hold_the_callers_objects():
         "RateCurvePoint(l=1.0, tau=0.4487989505128276, rate=nan, branch='unstable')"
     )
     assert [p.branch for p in pts if p.tau in taus[3:]] == ["complex", "unstable", "real", "complex"]
+
+
+def test_rate_curve_behaves_as_the_list_of_its_points():
+    ls = [0.5, 1.0]
+    taus = [0.0, 1.0 / (3.5 * math.e), math.pi / 7, 0.05, 0.2]
+    curve = rate_curve(0.7, 10.0, 2.0, 20.0, ls, taus)
+    points = list(curve)
+
+    def key(pts):  # nan rates compare unequal, so points are compared by their objects and bits
+        return [(id(p.l), id(p.tau), p.rate.hex(), p.branch) for p in pts]
+
+    assert len(curve) == len(points) == 10
+    assert key(curve[i] for i in range(-10, 10)) == key(points + points)
+    assert all(type(curve[i]) is RateCurvePoint for i in (0, -1))
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            curve[i]
+    for s in (slice(None), slice(2, 7), slice(None, None, -3), slice(-4, None), slice(20, 30)):
+        assert type(curve[s]) is list and key(curve[s]) == key(points[s])
+    assert key(curve) == key(points)
+    assert repr(curve) == repr(points)
+
+
+def test_rate_curve_keeps_its_rates_as_arrays():
+    """A 3 x 2000 grid keeps at most 16 bytes a point besides the caller's l and
+    tau lists: a float64 rate and an int8 branch code, with the l and tau
+    values; a list of points kept about 112."""
+    ls, taus = [0.9, 1.0, 1.1], np.linspace(0.001, 0.5, 2000).tolist()
+    rate_curve(0.7, 10.0, 2.0, 20.0, ls, taus)  # first-call set-up is not kept by the curve
+    tracemalloc.start()
+    try:
+        curve = rate_curve(0.7, 10.0, 2.0, 20.0, ls, taus)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 6000
+    assert kept <= 16 * len(curve)
 
 
 def test_rate_curve_matches_lambert_w():
