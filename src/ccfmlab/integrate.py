@@ -35,14 +35,14 @@ block where a member fails, the steps are taken one at a time, one field
 call per stage, which keeps the order of failure events: earliest step,
 then stage, then the blow-up check.
 
-:func:`simulate_batch` keeps every node.  :func:`tail_envelopes` keeps only
-a window of the newest nodes, as deep as the deepest lookup plus a few
-blocks: when the next block would run past the window's end, the rows its
-lookups still read are copied to the front.  Before each slide, and at the
-end, a sink takes the nodes made since its last call; there they reduce to
-each signal's running maximum and minimum over the tail window, so memory
-does not grow with the horizon.  The float operations are those of
-:func:`simulate_batch`, bit for bit.
+Every run keeps only a window of the newest nodes, as deep as the
+deepest lookup plus a few blocks: when the next block would run past the
+window's end, the rows its lookups still read are copied to the front.
+Before each slide, and at the end, a sink takes the nodes made since its
+last call.  :func:`simulate_batch` copies them into the states it returns,
+which hold no node derivatives; :func:`tail_envelopes` reduces them to each
+signal's running maximum and minimum over the tail window, so its memory
+does not grow with the horizon.  Both run the same float operations.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
 _RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
 _BLOWUP_LIMIT = 1e12
 _BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
-_WINDOW_BLOCKS = 8  # blocks a streamed window holds beyond its deepest lookup: at most one slide per this many
+_WINDOW_BLOCKS = 8  # blocks the history window holds beyond its deepest lookup: at most one slide per this many
 _CSV_BLOCK_ROWS = 256  # rows formatted per write; a block's arrays peak near 0.5 MiB
 
 
@@ -150,7 +150,8 @@ def simulate_batch(
     the others run on; then the lowest-index failing member's error is raised.
     """
     field, init = _prepare(pcs, sc, perturbation)
-    states, errors = _run(field, sc.step, sc.method, init, sc.steps)
+    states = np.empty((field.batch, sc.steps + 1, 2 * field.n))  # each node's state, copied in as the sink takes it
+    errors = _run(field, sc.step, sc.method, init, sc.steps, lambda k, rows: np.copyto(states[:, k : k + rows.shape[1]], rows))
     if errors:
         raise errors[min(errors)]
     t_grid = sc.grid()
@@ -171,7 +172,7 @@ def tail_envelopes(
     k0 = tail_window(t, tail_fraction)
     field, init = _prepare(pcs, sc, perturbation)
     envelope = _TailEnvelope(k0)
-    _, errors = _run(field, sc.step, sc.method, init, sc.steps, sink=envelope.add)
+    errors = _run(field, sc.step, sc.method, init, sc.steps, envelope.add)
     if errors:
         raise errors[min(errors)]
     return envelope.reports(field.n, t[k0], t[-1])
@@ -224,13 +225,12 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
     return np.stack((offsets, offsets + 1)), np.repeat(weights, 2 * len(taus), axis=3)
 
 
-def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink=None):
-    """The batch's (B, steps + 1, 2N) node states and its members' errors.
+def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink) -> dict:
+    """The batch's members' errors; ``sink(k, rows)`` takes the node states.
 
-    With a sink, the history is a sliding window, whose states are returned
-    as they stand, and ``sink(k, rows)`` takes the (B, count, 2N) states of
-    nodes k .. k + count - 1: the nodes made since its last call, before
-    each slide and at the end.
+    rows are the (B, count, 2N) states of nodes k .. k + count - 1: the
+    nodes made since its last call, before each slide of the window and at
+    the end, unless member 0 has failed.
     """
     engine = _MethodOfSteps(field, h, method, init, steps, sink)
     size = engine.block_size()
@@ -244,9 +244,9 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
                 if 0 in engine.errors:
                     break
         k += count
-    if sink is not None and 0 not in engine.errors:
+    if 0 not in engine.errors:
         engine.feed(steps + 1)
-    return engine.states, engine.errors
+    return engine.errors
 
 
 class _MethodOfSteps:
@@ -258,15 +258,15 @@ class _MethodOfSteps:
     they read only nodes that precede the block, and their headway
     derivatives as kappa*v; a step evaluates the whole field once per stage.
 
-    The history is a window of node rows, row r holding node ``base + r``.
-    It holds the whole run unless there is a sink.  Then the window holds the
-    deepest lookup's ``pre`` nodes and the current one, then room for
+    The history is a window of node rows, row r holding node ``base + r``:
+    the deepest lookup's ``pre`` nodes and the current one, then room for
     ``_WINDOW_BLOCKS`` blocks or ``pre`` steps, whichever is more, and the
-    node after them; :meth:`reach` slides it, copying pre + 1 rows at most
-    once in pre steps.
+    node after them, or the whole run if that is shorter.  :meth:`reach`
+    slides it, copying pre + 1 rows at most once in pre steps, and passes
+    the nodes made before a slide to the sink.
     """
 
-    def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink=None):
+    def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink):
         n, batch = field.n, field.batch
         self.field, self.h, self.rk4 = field, h, method == "rk4"
         taus = field.tau.tolist()
@@ -274,9 +274,8 @@ class _MethodOfSteps:
         self.pre = -int(self.offsets.min())  # steps whose lookups reach into t < 0
         self.zero = [i for i, tau in enumerate(taus) if tau == 0.0]
         size = max(self.block_size(), 1)
-        length = steps + 1
-        if sink is not None:  # room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows
-            length = min(length, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
+        # Room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows.
+        length = min(steps + 1, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
         self.sink, self.fed = sink, 0  # the first node not yet passed to the sink
         # Node values and derivatives side by side, so that one gather reads both.
         self.hist = np.zeros((batch, 2, length, 2 * n))
@@ -318,7 +317,7 @@ class _MethodOfSteps:
         Steps k0 .. k0 + count - 1 read no older node.  The window outlasts
         the first pre steps, so node 0 stays while lookups reach t < 0.
         The nodes up to k0 go to the sink first, and rows past node k0 are
-        cleared, as in a window that never slides.
+        cleared, so that they read zero as on the window's first pass.
         """
         if k0 + count - self.base < self.hist.shape[2]:
             return

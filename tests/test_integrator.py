@@ -197,6 +197,17 @@ def test_batch_raises_the_error_of_its_lowest_failing_member(method):
     assert (got.t, got.pair, got.value) == (want.t, want.pair, want.value)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_a_trajectory_keeps_no_node_derivatives(method):
+    """Each member's states are its own or a view of the batch's states alone, B*(steps + 1)*2N values."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (0.9, 1.0, 1.1)]
+    sc = SimConfig(step=0.01, horizon=20.0, method=method)
+    for batch in (simulate_batch(pcs, sc), [simulate(pcs[0], sc)]):
+        for traj in batch:
+            base = traj.states.base
+            assert base is None or (base.dtype == np.float64 and base.size == len(batch) * (sc.steps + 1) * 2 * pcs[0].n)
+
+
 # ---------------------------------------------------------------------------
 # block method of steps against the step loop
 # ---------------------------------------------------------------------------
@@ -236,6 +247,18 @@ _BLOCK_CASES = {
 }
 
 
+def _engine(field, h, method, init, steps):
+    """An engine whose sink drops what it takes, for its block size and window."""
+    return _MethodOfSteps(field, h, method, init, steps, lambda k, rows: None)
+
+
+def _stored_run(field, h, method, init, steps):
+    """``_run`` with every node's state stored through its sink, as simulate_batch stores it: the states and the errors."""
+    states = np.full((field.batch, steps + 1, 2 * field.n), np.nan)  # a node the sink never took compares unequal
+    errors = _run(field, h, method, init, steps, lambda k, rows: np.copyto(states[:, k : k + rows.shape[1]], rows))
+    return states, errors
+
+
 def _same_errors(got: dict, want: dict) -> bool:
     def key(errors):
         return {b: (type(e), str(e), e.t, e.pair, e.value) for b, e in errors.items()}
@@ -250,14 +273,15 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
     field = VectorField(*pcs)
     init = _perturb(field.n).as_vector()
     steps = int(math.ceil(horizon / h - 1e-9))
-    engine = _MethodOfSteps(field, h, method, init, steps)
+    engine = _engine(field, h, method, init, steps)
     size = engine.block_size()
+    assert engine.hist.shape[2] < steps + 1  # the window slides, so the gate covers its slides
     assert size == 0 if case == "zero-delay" else size >= 2  # a zero delay needs each stage's own state
     if case == "row-cap":
         assert size < 0.3 / h - 2  # the byte budget splits what the delays would allow
     if case == "pre-history-and-ramp":
         assert engine.pre > 3 * size and pcs[0].leader.settled_time() > 3 * size * h
-    got, got_errors = _run(field, h, method, init, steps)
+    got, got_errors = _stored_run(field, h, method, init, steps)
     want, want_errors = step_loop_run(field, h, method, init, steps)
     assert not got_errors and not want_errors
     assert np.array_equal(got, want)
@@ -274,10 +298,10 @@ def test_a_block_makes_one_field_call(monkeypatch, method):
     field = VectorField(four_vehicle_platoon())
     init = _perturb(field.n).as_vector()
     steps = 100  # 1 s at h = 0.01
-    size = _MethodOfSteps(field, 0.01, method, init, steps).block_size()
+    size = _engine(field, 0.01, method, init, steps).block_size()
     assert size >= 2
     calls.clear()
-    got, errors = _run(field, 0.01, method, init, steps)
+    got, errors = _stored_run(field, 0.01, method, init, steps)
     assert not errors and len(calls) == math.ceil(steps / size) and not whole
     want, _ = step_loop_run(field, 0.01, method, init, steps)
     assert np.array_equal(got, want)
@@ -297,11 +321,11 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(gains, method):
     field = VectorField(*pcs)
     init = _perturb(1).as_vector()
     steps = 2000
-    got, got_errors = _run(field, sc.step, method, init, steps)
+    got, got_errors = _stored_run(field, sc.step, method, init, steps)
     want, want_errors = step_loop_run(field, sc.step, method, init, steps)
     failed = gains.index(400.0)
     assert list(got_errors) == [failed] and _same_errors(got_errors, want_errors)
-    size = _MethodOfSteps(field, sc.step, method, init, steps).block_size()
+    size = _engine(field, sc.step, method, init, steps).block_size()
     step = math.floor((got_errors[failed].t + pcs[0].vehicles[0].tau) / sc.step + 1e-6)
     assert step % size > 0  # not the first step of a block
     assert isinstance(got_errors[failed], DomainBreakdownError) and got_errors[failed].quantity == "headway"
@@ -561,7 +585,12 @@ def test_tail_envelopes_raise_the_stored_runs_error(monkeypatch, method):
 
 
 def test_tail_envelopes_memory_does_not_grow_with_the_horizon():
-    """Traced peaks at T and 4T: flat within 10% streamed, about 4x stored (3.9x when written)."""
+    """Traced peaks at T and 4T: flat within 10% streamed; stored, they grow by the 3T/h more nodes' states alone.
+
+    The stored peak is the returned states plus a window as long at T as at
+    4T, so it grows by 3*B*(T/h)*2N float64 values, within 1%.  A run that
+    also kept its node derivatives would grow by at least twice that.
+    """
     pcs = [four_vehicle_platoon(kappa=0.95 + 0.01 * k) for k in range(8)]
 
     def peak(run, horizon):
@@ -575,7 +604,8 @@ def test_tail_envelopes_memory_does_not_grow_with_the_horizon():
     short, long = peak(tail_envelopes, 25.0), peak(tail_envelopes, 100.0)
     assert abs(long / short - 1.0) <= 0.1
     short, long = peak(simulate_batch, 25.0), peak(simulate_batch, 100.0)
-    assert long >= 3.5 * short
+    extra = 3 * len(pcs) * SimConfig(step=0.01, horizon=25.0).steps * 2 * pcs[0].n * 8
+    assert abs((long - short) / extra - 1.0) <= 0.01
 
 
 # ---------------------------------------------------------------------------
