@@ -25,6 +25,7 @@ from .integrate import (
     Trajectory,
     amplitude_envelope,
     settling_time,
+    settling_times,
     simulate,
     simulate_batch,
     tail_envelopes,
@@ -99,6 +100,7 @@ __all__ = [
     "rate_curve",
     "rate_of_convergence",
     "settling_time",
+    "settling_times",
     "simulate",
     "simulate_batch",
     "small_delay_condition",

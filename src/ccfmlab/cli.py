@@ -13,6 +13,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -23,15 +24,7 @@ import numpy as np
 
 from .errors import CcfmError, InvalidConfigError, NumericalError
 from .hopf import hopf_report
-from .integrate import (
-    SimConfig,
-    check_epsilon,
-    settling_time,
-    simulate,
-    tail_envelopes,
-    tail_window,
-    write_trajectory_csv,
-)
+from .integrate import SimConfig, settling_times, simulate, tail_envelopes, write_trajectory_csv
 from .model import (
     EquilibriumCoefficients,
     PlatoonConfig,
@@ -220,9 +213,7 @@ def _cmd_bifurcation(args) -> int:
         kappa_min + k * (kappa_max - kappa_min) / (args.points - 1)
         for k in range(args.points)
     ]
-    sc = _sim_config(args)
-    tail_window(sc.grid(), args.tail)  # reject a bad window before integrating
-    envelopes = tail_envelopes([pc.with_kappa(kappa) for kappa in kappas], sc, _perturbation(pc, args), args.tail)
+    envelopes = tail_envelopes([pc.with_kappa(kappa) for kappa in kappas], _sim_config(args), _perturbation(pc, args), args.tail)
     results = [(kappa, env.v.tolist()) for kappa, env in zip(kappas, envelopes)]
     out = _ensure_outdir(args.out)
     with open(os.path.join(out, "bifurcation.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -255,16 +246,9 @@ def _cmd_hopf(args) -> int:
 
 def _cmd_settling(args) -> int:
     pc = load_config(args.config)
-    check_epsilon(args.epsilon)  # before integrating
-    traj = simulate(pc, _sim_config(args), _perturbation(pc, args))
-    report = settling_time(traj, epsilon=args.epsilon)
+    report = settling_times([pc], _sim_config(args), _perturbation(pc, args), args.epsilon)[0]
     out = _ensure_outdir(args.out)
-    payload = {
-        "epsilon": report.epsilon,
-        "per_pair": list(report.per_pair),
-        "overall": report.overall,
-    }
-    _write_json(os.path.join(out, "settling.json"), payload)
+    _write_json(os.path.join(out, "settling.json"), dataclasses.asdict(report))
     shown = ", ".join("-" if t is None else f"{t:g}" for t in report.per_pair)
     overall = "-" if report.overall is None else f"{report.overall:g}"
     print(f"settling: per-pair [{shown}], overall {overall}")

@@ -38,11 +38,12 @@ then stage, then the blow-up check.
 Every run keeps only a window of the newest nodes, as deep as the
 deepest lookup plus a few blocks: when the next block would run past the
 window's end, the rows its lookups still read are copied to the front.
-Before each slide, and at the end, a sink takes the nodes made since its
-last call.  :func:`simulate_batch` copies them into the states it returns,
-which hold no node derivatives; :func:`tail_envelopes` reduces them to each
-signal's running maximum and minimum over the tail window, so its memory
-does not grow with the horizon.  Both run the same float operations.
+Before each slide, and at the end, one runner passes the nodes made since
+its last call to a sink.  :func:`simulate_batch` stores them, with no node
+derivatives.  Each trajectory metric is one reducer, built and checked
+before integrating, whose memory does not grow with the horizon:
+:func:`tail_envelopes` and :func:`settling_times` stream a run into it, and
+:func:`amplitude_envelope` and :func:`settling_time` feed it a stored run.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "tail_envelopes",
+    "settling_times",
     "settling_time",
     "amplitude_envelope",
     "tail_window",
-    "check_epsilon",
     "write_trajectory_csv",
 ]
 
@@ -149,51 +150,56 @@ def simulate_batch(
     NegativeVelocityBaseError) or blows up (NumericalError) is masked while
     the others run on; then the lowest-index failing member's error is raised.
     """
-    field, init = _prepare(pcs, sc, perturbation)
-    states = np.empty((field.batch, sc.steps + 1, 2 * field.n))  # each node's state, copied in as the sink takes it
-    errors = _run(field, sc.step, sc.method, init, sc.steps, lambda k, rows: np.copyto(states[:, k : k + rows.shape[1]], rows))
-    if errors:
-        raise errors[min(errors)]
-    t_grid = sc.grid()
-    return [Trajectory(t=t_grid, states=rows, config=pc, sim=sc) for rows, pc in zip(states, pcs)]
+    return _stream(pcs, sc, perturbation, _Store(pcs, sc))
 
 
 def tail_envelopes(
     pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None = None, tail_fraction: float = 0.25
 ) -> list[EnvelopeReport]:
-    """Each member's :func:`amplitude_envelope` of its :func:`simulate_batch` run, bit for bit, in bounded memory.
-
-    The run streams through a window of node rows, and only each member's
-    running maximum and minimum over the tail window are kept.  The window
-    rule is checked before integrating; failures are those of
-    :func:`simulate_batch`.
-    """
-    t = _Times(sc)
-    k0 = tail_window(t, tail_fraction)
-    field, init = _prepare(pcs, sc, perturbation)
-    envelope = _TailEnvelope(k0)
-    errors = _run(field, sc.step, sc.method, init, sc.steps, envelope.add)
-    if errors:
-        raise errors[min(errors)]
-    return envelope.reports(field.n, t[k0], t[-1])
+    """Each member's :func:`amplitude_envelope` of its :func:`simulate_batch` run, bit for bit, in bounded memory."""
+    return _stream(pcs, sc, perturbation, _TailEnvelope(_Times(sc), tail_fraction))
 
 
-def _prepare(pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None):
-    """The batch's field and initial state, after checking the perturbation and the step against the delays."""
+def settling_times(
+    pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None = None, epsilon: float = 0.05
+) -> list[SettlingReport]:
+    """Each member's :func:`settling_time` of its :func:`simulate_batch` run, in bounded memory."""
+    return _stream(pcs, sc, perturbation, _Settling(_Times(sc), epsilon))
+
+
+def _stream(pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState | None, sink):
+    """Check the perturbation and step, integrate into ``sink.add``, then raise the lowest-index member's error or return ``sink.reports()``."""
     field = VectorField(*pcs)
-    n = field.n
     if perturbation is None:
-        perturbation = PlatoonState.uniform_perturbation(n)
-    if perturbation.n != n:
-        raise InvalidConfigError(f"perturbation has {perturbation.n} pairs, config has {n}")
-    h = sc.step
-    positive_taus = [tau for tau in field.tau.tolist() if tau > 0]
-    if positive_taus and h > min(positive_taus) * (1.0 + 1e-9):
+        perturbation = PlatoonState.uniform_perturbation(field.n)
+    if perturbation.n != field.n:
+        raise InvalidConfigError(f"perturbation has {perturbation.n} pairs, config has {field.n}")
+    tau_min = min((tau for tau in field.tau.tolist() if tau > 0), default=math.inf)
+    if sc.step > tau_min * (1.0 + 1e-9):
         raise InvalidConfigError(
-            f"step {h:g} exceeds the smallest positive delay {min(positive_taus):g}; "
+            f"step {sc.step:g} exceeds the smallest positive delay {tau_min:g}; "
             "the method of steps requires step <= min positive tau"
         )
-    return field, perturbation.as_vector()
+    errors = _run(field, sc.step, sc.method, perturbation.as_vector(), sc.steps, sink.add)
+    if errors:
+        raise errors[min(errors)]
+    return sink.reports()
+
+
+class _Store:
+    """Every node's state, in the (B, steps + 1, 2N) array that the returned trajectories view."""
+
+    def __init__(self, pcs: list[PlatoonConfig], sc: SimConfig):
+        self.pcs, self.sc, self.states = pcs, sc, None
+
+    def add(self, k: int, rows: np.ndarray) -> None:
+        if self.states is None:  # sized by the first rows, once the batch has been checked
+            self.states = np.empty((rows.shape[0], self.sc.steps + 1, rows.shape[2]))
+        self.states[:, k : k + rows.shape[1]] = rows
+
+    def reports(self) -> list[Trajectory]:
+        t_grid = self.sc.grid()
+        return [Trajectory(t=t_grid, states=rows, config=pc, sim=self.sc) for rows, pc in zip(self.states, self.pcs)]
 
 
 _NODE = np.array([1.0, 0.0, 0.0, 0.0])  # weights that read node j itself
@@ -459,34 +465,16 @@ class SettlingReport:
     overall: float | None
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Reject a settling threshold that is not positive (NaN included), as :func:`settling_time` does."""
-    if not epsilon > 0:
-        raise InvalidConfigError(f"epsilon must be positive, got {epsilon}")
-
-
 def settling_time(traj: Trajectory, epsilon: float = 0.05) -> SettlingReport:
     """First time after which max(|v_i|, |y_i|) stays within epsilon, per pair.
 
-    Scanned from the end of the horizon; a pair that re-exceeds epsilon later
-    is not settled at the earlier excursion.  The overall time is the maximum
-    over pairs, or None if any pair never settles.
+    A pair that re-exceeds epsilon later is not settled at the earlier
+    excursion.  The overall time is the maximum over pairs, or None if any
+    pair never settles.  epsilon must be positive and finite.
     """
-    check_epsilon(epsilon)
-    n = traj.n
-    metric = np.maximum(np.abs(traj.v), np.abs(traj.y))  # (T, n)
-    times: list[float | None] = []
-    last = metric.shape[0] - 1
-    for i in range(n):
-        above = np.nonzero(metric[:, i] > epsilon)[0]
-        if above.size == 0:
-            times.append(0.0)
-        elif above[-1] == last:
-            times.append(None)
-        else:
-            times.append(float(traj.t[above[-1] + 1]))
-    overall = None if any(t is None for t in times) else max(times)  # type: ignore[type-var]
-    return SettlingReport(epsilon=epsilon, per_pair=tuple(times), overall=overall)
+    settling = _Settling(traj.t, epsilon)
+    settling.add(0, traj.states[None])  # the stored run, fed whole as a batch of one
+    return settling.reports()[0]
 
 
 @dataclass(frozen=True)
@@ -510,21 +498,46 @@ def amplitude_envelope(traj: Trajectory, tail_fraction: float = 0.25) -> Envelop
     estimates the cycle amplitude provided the tail spans at least a few
     periods.
     """
-    k0 = tail_window(traj.t, tail_fraction)
-    envelope = _TailEnvelope(k0)
+    envelope = _TailEnvelope(traj.t, tail_fraction)
     envelope.add(0, traj.states[None])
-    return envelope.reports(traj.n, float(traj.t[k0]), float(traj.t[-1]))[0]
+    return envelope.reports()[0]
+
+
+# A reducer is built on a run's time grid t, and checks its argument then.  It
+# takes node states in order as ``_run``'s sink does and reports per member.
+
+
+class _Settling:
+    """Each member's last node, per pair, at which max(|v_i|, |y_i|) exceeds epsilon."""
+
+    def __init__(self, t, epsilon: float):
+        if not 0 < epsilon < math.inf:
+            raise InvalidConfigError(f"epsilon must be positive and finite, got {epsilon}")
+        self.t, self.epsilon = t, epsilon
+        self.last = None  # -1 where no node has exceeded epsilon
+
+    def add(self, k: int, rows: np.ndarray) -> None:
+        n = rows.shape[2] // 2
+        above = np.maximum(np.abs(rows[..., :n]), np.abs(rows[..., n:])) > self.epsilon  # (B, count, N)
+        if self.last is None:
+            self.last = np.full((rows.shape[0], n), -1)
+        np.copyto(self.last, k + rows.shape[1] - 1 - above[:, ::-1].argmax(axis=1), where=above.any(axis=1))
+
+    def reports(self) -> list[SettlingReport]:
+        end = len(self.t) - 1  # a pair above epsilon at the last node has not settled
+        times = [tuple(0.0 if j < 0 else None if j == end else float(self.t[j + 1]) for j in last) for last in self.last.tolist()]
+        return [SettlingReport(self.epsilon, ts, None if None in ts else max(ts)) for ts in times]
 
 
 class _TailEnvelope:
-    """Each member's running maximum and minimum of every signal over the nodes from k0 on."""
+    """Each member's running maximum and minimum of every signal over the final tail_fraction of t."""
 
-    def __init__(self, k0: int):
-        self.k0 = k0
+    def __init__(self, t, tail_fraction: float):
+        self.k0 = tail_window(t, tail_fraction)
+        self.t_start, self.t_end = float(t[self.k0]), float(t[-1])
         self.hi = self.lo = None
 
     def add(self, k: int, rows: np.ndarray) -> None:
-        """Take in the (B, count, 2N) states of nodes k .. k + count - 1."""
         rows = rows[:, max(self.k0 - k, 0) :]
         if not rows.shape[1]:
             return
@@ -535,17 +548,18 @@ class _TailEnvelope:
             np.maximum(self.hi, hi, out=self.hi)
             np.minimum(self.lo, lo, out=self.lo)
 
-    def reports(self, n: int, t_start: float, t_end: float) -> list[EnvelopeReport]:
+    def reports(self) -> list[EnvelopeReport]:
+        n = self.hi.shape[1] // 2
         amps = 0.5 * (self.hi - self.lo)
-        return [EnvelopeReport(v=a[:n], y=a[n:], t_start=t_start, t_end=t_end) for a in amps]
+        return [EnvelopeReport(v=a[:n], y=a[n:], t_start=self.t_start, t_end=self.t_end) for a in amps]
 
 
 def tail_window(t, tail_fraction: float) -> int:
     """The first index of the final tail_fraction of the time grid t, whose window must hold at least 10 samples.
 
-    A trajectory's grid is its :meth:`SimConfig.grid`, so the window rule can
-    be checked before integrating.  t may be any increasing sequence: an
-    array, or the grid's times computed as they are read (``_Times``).
+    t may be any increasing sequence: a stored run's grid, or the grid's
+    times computed as they are read (``_Times``), so that the envelope
+    reducer checks the window rule before integrating.
     """
     if not 0 < tail_fraction <= 1:
         raise InvalidConfigError(f"tail_fraction must be in (0, 1], got {tail_fraction}")

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from ccfmlab.integrate import _MethodOfSteps
 from ccfmlab.model import LeaderProfile, PlatoonConfig, VehicleParams
 
 
@@ -106,3 +107,17 @@ def critical_config():
 @pytest.fixture
 def platoon_config():
     return four_vehicle_platoon()
+
+
+def record_slides(monkeypatch) -> list:
+    """The first steps of the blocks before which a streamed window slides."""
+    slides, reach = [], _MethodOfSteps.reach
+
+    def recording(self, k0, count):
+        base = self.base
+        reach(self, k0, count)
+        if self.base != base:
+            slides.append(k0)
+
+    monkeypatch.setattr(_MethodOfSteps, "reach", recording)
+    return slides

@@ -19,6 +19,8 @@ import pytest
 from ccfmlab.cli import main
 from ccfmlab.svg import LineChart
 
+from conftest import record_slides
+
 CONFIG = {
     "N": 4,
     "vehicles": [
@@ -380,6 +382,17 @@ def test_settling_rejects_bad_epsilon(tmp_path, config_path):
     assert code == 2
 
 
+def test_settling_artifact_keeps_its_bytes(tmp_path, config_path, monkeypatch):
+    """Pinned from the scan of the whole stored run; pair 2 settles at 8.08 s, long before the window's last slide."""
+    slides = record_slides(monkeypatch)
+    out = tmp_path / "o"
+    argv = ["settling", "--config", config_path, "--out", str(out), "--epsilon", "0.1", "--tmax", "60", "--method", "euler"]
+    assert main(argv) == 0
+    data = (out / "settling.json").read_bytes()
+    assert json.loads(data)["per_pair"] == [0.0, 8.08, None, None] and slides[-1] * 0.01 > 8.08
+    assert hashlib.sha256(data).hexdigest() == "18eced5f8d3a36ba99de8b373089b49f21d33fa537982b0ea5466e9dc5ce2f05"
+
+
 def _no_integration(*args, **kwargs):
     raise AssertionError("integrated before checking the post-processing arguments")
 
@@ -393,12 +406,13 @@ def _no_integration(*args, **kwargs):
         ["bifurcation", "--tail", "0.01", "--tmax", "5", "--ts", "0.01"],  # a window of 6 samples
         ["settling", "--epsilon", "0"],
         ["settling", "--epsilon", "nan"],
+        ["settling", "--epsilon", "inf"],
     ],
-    ids=["tail-0", "tail-above-1", "tail-nan", "tail-window-too-short", "epsilon-0", "epsilon-nan"],
+    ids=["tail-0", "tail-above-1", "tail-nan", "tail-window-too-short", "epsilon-0", "epsilon-nan", "epsilon-inf"],
 )
 def test_post_processing_arguments_are_rejected_before_integrating(tmp_path, config_path, monkeypatch, capsys, argv):
-    monkeypatch.setattr("ccfmlab.cli.simulate", _no_integration)
-    monkeypatch.setattr("ccfmlab.cli.tail_envelopes", _no_integration)
+    """Nothing is integrated, whichever entry point the command calls."""
+    monkeypatch.setattr("ccfmlab.integrate._run", _no_integration)
     out = tmp_path / "o"
     assert main([argv[0], "--config", config_path, "--out", str(out)] + argv[1:]) == 2
     assert not out.exists()

@@ -25,6 +25,7 @@ from ccfmlab.integrate import (
     Trajectory,
     amplitude_envelope,
     settling_time,
+    settling_times,
     simulate,
     simulate_batch,
     tail_envelopes,
@@ -42,7 +43,7 @@ from ccfmlab.model import (
     beta_star,
 )
 
-from conftest import four_vehicle_platoon, single_follower
+from conftest import four_vehicle_platoon, record_slides, single_follower
 from oracles import reference_simulate, step_loop_run
 
 
@@ -482,8 +483,9 @@ def test_settling_counts_the_last_excursion():
 
 def test_settling_epsilon_validation(platoon_config):
     traj = simulate(platoon_config, SimConfig(step=0.1, horizon=2.0), _perturb(4))
-    with pytest.raises(InvalidConfigError):
-        settling_time(traj, epsilon=0.0)
+    for epsilon in (0.0, math.inf):
+        with pytest.raises(InvalidConfigError):
+            settling_time(traj, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +527,6 @@ def test_envelope_window_validation():
 # ---------------------------------------------------------------------------
 
 
-def _record_slides(monkeypatch) -> list:
-    """The first steps of the blocks before which a streamed window slides."""
-    slides, reach = [], _MethodOfSteps.reach
-
-    def recording(self, k0, count):
-        base = self.base
-        reach(self, k0, count)
-        if self.base != base:
-            slides.append(k0)
-
-    monkeypatch.setattr(_MethodOfSteps, "reach", recording)
-    return slides
-
-
 _STREAM_CASES = {
     "platoon": ([four_vehicle_platoon(kappa=k) for k in (0.2, 1.0, 1.05)], 0.01, 40.0, 0.25),  # 0.2: monotone decay
     "pre-history-and-ramp": ([_slow_start()], 0.01, 30.0, 0.5),
@@ -550,16 +538,22 @@ _STREAM_CASES = {
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_tail_envelopes_are_the_stored_envelopes(monkeypatch, case, method):
-    """Bit for bit, with the window sliding inside the tail window; the zero-delay case takes the step path."""
+    """Bit for bit, with the window sliding inside the tail window; the zero-delay case takes the step path.
+
+    Streamed settling times are the stored runs' too, for two thresholds.
+    """
     pcs, h, horizon, tail = _STREAM_CASES[case]
     sc = SimConfig(step=h, horizon=horizon, method=method)
     perturbation = _perturb(pcs[0].n, v0=0.1, y0=-0.05)
-    slides = _record_slides(monkeypatch)
+    slides = record_slides(monkeypatch)
     got = tail_envelopes(pcs, sc, perturbation, tail)
     k0 = tail_window(sc.grid(), tail)
     assert slides and slides[-1] >= k0
+    settled = {eps: settling_times(pcs, sc, perturbation, eps) for eps in (0.05, 0.08)}
     trajs = simulate_batch(pcs, sc, perturbation)
     assert len(got) == len(trajs) == len(pcs)
+    for eps, reports in settled.items():
+        assert reports == [settling_time(traj, eps) for traj in trajs]
     for g, traj in zip(got, trajs):
         w = amplitude_envelope(traj, tail)
         window = traj.states[k0:]
@@ -571,21 +565,28 @@ def test_tail_envelopes_are_the_stored_envelopes(monkeypatch, case, method):
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_tail_envelopes_raise_the_stored_runs_error(monkeypatch, method):
-    """Member 3 leaves the domain first; member 1 later, after the window has slid, and its error is raised."""
+    """Member 3 leaves the domain first; member 1 later, after the window has slid, and its error is raised.
+
+    Streamed settling raises it too.
+    """
     pcs = [single_follower(kappa=k) for k in (1.0, 3.0, 0.5, 400.0)]
     sc = SimConfig(step=0.01, horizon=20.0, method=method)
     with pytest.raises(NumericalError) as stored:
         simulate_batch(pcs, sc)
-    slides = _record_slides(monkeypatch)
-    with pytest.raises(NumericalError) as streamed:
-        tail_envelopes(pcs, sc)
-    assert _same_errors({1: streamed.value}, {1: stored.value})
+    slides = record_slides(monkeypatch)
+    for run in (tail_envelopes, settling_times):
+        with pytest.raises(NumericalError) as streamed:
+            run(pcs, sc)
+        assert _same_errors({1: streamed.value}, {1: stored.value})
     failed_at = stored.value.t + pcs[1].vehicles[0].tau  # the failing step's time, not its delayed instant
     assert stored.value.t > 3.0 and slides[0] * sc.step < failed_at
+    for run in (simulate_batch, tail_envelopes, settling_times):  # an empty batch is rejected, not indexed
+        with pytest.raises(InvalidConfigError):
+            run([], sc)
 
 
 def test_tail_envelopes_memory_does_not_grow_with_the_horizon():
-    """Traced peaks at T and 4T: flat within 10% streamed; stored, they grow by the 3T/h more nodes' states alone.
+    """Traced peaks at T and 4T: flat within 10% streamed (envelopes, settling); stored, they grow by the 3T/h more nodes' states alone.
 
     The stored peak is the returned states plus a window as long at T as at
     4T, so it grows by 3*B*(T/h)*2N float64 values, within 1%.  A run that
@@ -601,8 +602,9 @@ def test_tail_envelopes_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
 
-    short, long = peak(tail_envelopes, 25.0), peak(tail_envelopes, 100.0)
-    assert abs(long / short - 1.0) <= 0.1
+    for streamed in (tail_envelopes, settling_times):
+        short, long = peak(streamed, 25.0), peak(streamed, 100.0)
+        assert abs(long / short - 1.0) <= 0.1
     short, long = peak(simulate_batch, 25.0), peak(simulate_batch, 100.0)
     extra = 3 * len(pcs) * SimConfig(step=0.01, horizon=25.0).steps * 2 * pcs[0].n * 8
     assert abs((long - short) / extra - 1.0) <= 0.01
