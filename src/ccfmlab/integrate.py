@@ -20,16 +20,24 @@ for t < 0.  Both schemes evaluate the model's one vector field,
 :class:`ccfmlab.model.VectorField`; the step size and the delay offsets in
 steps belong to the scheme.
 
+Pair i's flux reads three numbers of its delayed state: the prefix sum
+S_i = v_1 + ... + v_i, v_i and y_i (``VectorField.pair_observables``).  So
+each stored node row holds [S_N..S_2 | v | y], its state with the sums
+ahead of it, for the node's values and for its derivatives, and a lookup
+reads each pair's three columns at that pair's delayed instant, nothing
+else: rk4 interpolates S_i itself.  The field's flux on those
+(``VectorField.flux_rows``) gives the v-derivatives.
+
 The steps are taken in blocks (a block method of steps).  Only y' = kappa*v
 is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
 block of K steps with K about tau_min/h, every stage's delayed instant lies at
-or before the block's first node, so one call of the field's velocity rows
-(``VectorField.velocity_rows``) on one gather of stored history gives every
-stage's v-derivative.  Sequential sums of those give v at every stage and
-node, and the field's headway rows give y' = kappa*v of those.  A block's
-times, gather nodes and weights are slices of tables built once per run.
-The sums add in the order of a step-by-step loop, so a block is
-bit-identical to taking its steps one at a time.  Where a stage's rows need
+or before the block's first node, so one ``flux_rows`` call on one gather of
+stored history gives every stage's v-derivative.  Sequential sums of those
+give v at every stage and node, and the field's headway rows give
+y' = kappa*v of those.  A block's times, gather indices and weights are
+slices of tables built once per run.  The sums add in the order of a
+step-by-step loop, so a block is bit-identical to taking its steps one at
+a time.  Where a stage's rows need
 the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
 block where a member fails, the steps are taken one at a time, one field
 call per stage, which keeps the order of failure events: earliest step,
@@ -206,7 +214,7 @@ _NODE = np.array([1.0, 0.0, 0.0, 0.0])  # weights that read node j itself
 
 
 def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
-    """(2, S*N) offsets from step k, of nodes j and then j + 1, and (4, S, N, 2N) weights of the delayed rows.
+    """(S, N) offsets of node j from step k, and (4, S, N) weights of nodes j and j + 1.
 
     At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
     k, between nodes j and j + 1, at the same place in every step.  Euler
@@ -226,9 +234,23 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
                 weights.append(_NODE)
             else:
                 weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
-    offsets = np.array(offsets)
-    weights = np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
-    return np.stack((offsets, offsets + 1)), np.repeat(weights, 2 * len(taus), axis=3)
+    shape = (len(fractions), len(taus))
+    return np.array(offsets).reshape(shape), np.array(weights).T.reshape((4,) + shape)
+
+
+def _observed(rows: np.ndarray, n: int):
+    """S_i, v_i and y_i of each pair in (R, width, B) rows [S_N..S_2 | v | y], as (B, R, N) views.
+
+    S_1..S_N reads back from v_1's column.
+    """
+    sums, own, dev = rows[:, n - 1 :: -1], rows[:, n - 1 : 2 * n - 1], rows[:, 2 * n - 1 :]
+    return sums.transpose(2, 0, 1), own.transpose(2, 0, 1), dev.transpose(2, 0, 1)
+
+
+def _add_sums(rows: np.ndarray, n: int) -> None:
+    """Write S_2..S_N of (..., width, B) rows [S_N..S_2 | v | y] from their v, added in turn as the field adds them."""
+    if n > 1:
+        rows[..., n - 2 :: -1, :] = np.add.accumulate(rows[..., n - 1 : 2 * n - 1, :], axis=-2)[..., 1:, :]
 
 
 def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink) -> dict:
@@ -258,11 +280,20 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
 class _MethodOfSteps:
     """A batch's node history, advanced a block of steps or one step at a time.
 
-    Both routes give every stage the same delayed rows, times and float
-    operations, so they agree bit for bit.  A block evaluates all its stages'
-    velocity derivatives in one ``velocity_rows`` call, which it can because
-    they read only nodes that precede the block, and their headway
+    Both routes give every stage the same delayed observables, times and
+    float operations, so they agree bit for bit.  A block evaluates all its
+    stages' velocity derivatives in one ``flux_rows`` call, which it can
+    because they read only nodes that precede the block, and their headway
     derivatives as kappa*v; a step evaluates the whole field once per stage.
+
+    A node row is [S_N..S_2 | v | y]: the state, and ahead of it the prefix
+    sums S_i = v_1 + ... + v_i that the field's pairs read, so that
+    S_1..S_N is one view read back from v_1's column; at N = 1 the row is
+    the state.  A lookup reads each column of the row at the delayed instant
+    of the pair that the column belongs to: pair i's S_i, v_i and y_i are
+    interpolated, and nothing else.  Every array keeps the members last,
+    innermost in memory, so that one lookup copies a node's number for every
+    member at once and the field's operations run along the members.
 
     The history is a window of node rows, row r holding node ``base + r``:
     the deepest lookup's ``pre`` nodes and the current one, then room for
@@ -276,27 +307,39 @@ class _MethodOfSteps:
         n, batch = field.n, field.batch
         self.field, self.h, self.rk4 = field, h, method == "rk4"
         taus = field.tau.tolist()
-        self.offsets, weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
-        self.pre = -int(self.offsets.min())  # steps whose lookups reach into t < 0
-        self.zero = [i for i, tau in enumerate(taus) if tau == 0.0]
+        offsets, weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
+        self.pre = -int(offsets.min())  # steps whose lookups reach into t < 0
+        self.newest = int(offsets.max())  # the newest node j a lookup reads, relative to the reading step
+        pair = np.concatenate((np.arange(n - 1, 0, -1), np.arange(n), np.arange(n)))  # each column's pair
+        self.zero = np.flatnonzero(field.tau[pair] == 0.0)  # the columns that read the stage state
+        self.width = width = pair.size
+        self.reads = offsets.shape[0] * (4 if self.rk4 else 1)  # numbers a step gathers per column and member
         size = max(self.block_size(), 1)
         # Room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows.
         length = min(steps + 1, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
         self.sink, self.fed = sink, 0  # the first node not yet passed to the sink
-        # Node values and derivatives side by side, so that one gather reads both.
-        self.hist = np.zeros((batch, 2, length, 2 * n))
-        self.states, self.derivs = self.hist[:, 0], self.hist[:, 1]
-        self.states[:, 0] = init
+        # Node values and derivatives, so that one gather reads both.
+        self.hist = np.zeros((2, length, width, batch))
+        self.flat = self.hist.reshape(-1, batch)
+        self.states, self.derivs = self.hist
+        self.states[0, n - 1 :] = init[:, None]
+        _add_sums(self.states[0], n)
         self.base = 0  # the node in row 0
-        self.rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
-        # Per run, so that a block slices them: the step times, the times of a
-        # step's distinct rows from it (k1 and, under rk4, k2 = k3 and k4), and
-        # the nodes and weights of a block's steps, counted from its first.
-        self.grid = np.arange(length) * h
+        self.rows = self.states[0].copy()  # stage 1 of step 0 reads the pre-history everywhere
+        # Per run, so that a block slices them: the times of each node's
+        # distinct rows (k1 and, under rk4, k2 = k3 and k4), and, counted from
+        # a block's first step, each column's node j and the flat indices and
+        # weights of what it reads: the values of nodes j and j + 1, then
+        # their derivatives (Euler: the value of node j alone).
         self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
-        self.stage_steps = np.array([[h * 0.5], [h * 0.5], [h * 1.0]])  # h*c of rk4's k2, k3 and k4
-        self.nodes = self.offsets[:, None] + np.arange(size)[:, None]
-        self.weights = np.repeat(weights[:, None], size, axis=1)
+        self.times = np.arange(length)[:, None] * h + self.lags
+        self.stage_steps = np.array([h * 0.5, h * 0.5, h * 1.0])[:, None, None]  # h*c of rk4's k2, k3 and k4
+        self.nodes = np.arange(size)[:, None, None] + offsets[:, pair]  # (K, S, width)
+        slot, later = ((0, 0, length, length), (0, 1, 0, 1)) if self.rk4 else ((0,), (0,))
+        slot, later = np.array(slot)[:, None, None, None], np.array(later)[:, None, None, None]
+        self.origin = slot * width + np.arange(width)  # what a lookup reads of node 0 alone
+        self.index = self.origin + (later + self.nodes + self.pre) * width  # counted from node k0 - pre
+        self.weights = np.repeat(weights[:, None][..., pair, None], size, axis=1)
         self.errors: dict = {}
 
     def block_size(self) -> int:
@@ -308,13 +351,13 @@ class _MethodOfSteps:
         r = tau_min/h, that makes K = ceil(r) under Euler, which reads node
         j, and floor(r) - 1 under rk4, which also reads node j + 1 (r - 2
         when r is whole).  Zero delays read the stage state itself.  A byte
-        budget on the gathered history caps K.
+        budget on what a block gathers caps K: per step, stage fraction,
+        column and member, four numbers under rk4 and one under Euler.
         """
-        if self.zero:
+        if self.zero.size:
             return 0
-        newest = int(self.offsets[1 if self.rk4 else 0].max())  # relative to the reading step
-        size = 1 - newest - self.rk4
-        per_step = 32 * self.field.batch * self.field.n * self.offsets.size  # bytes gathered per step: a node row per offset
+        size = 1 - self.newest - 2 * self.rk4
+        per_step = 8 * self.field.batch * self.width * self.reads
         return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
 
     def reach(self, k0: int, count: int) -> None:
@@ -325,70 +368,85 @@ class _MethodOfSteps:
         The nodes up to k0 go to the sink first, and rows past node k0 are
         cleared, so that they read zero as on the window's first pass.
         """
-        if k0 + count - self.base < self.hist.shape[2]:
+        if k0 + count - self.base < self.hist.shape[1]:
             return
         self.feed(k0 + 1)
         keep, first = self.pre + 1, k0 - self.pre - self.base
-        self.hist[:, :, :keep] = self.hist[:, :, first : first + keep]
-        self.hist[:, :, keep:] = 0.0
+        self.hist[:, :keep] = self.hist[:, first : first + keep]
+        self.hist[:, keep:] = 0.0
         self.base = k0 - self.pre
-        self.grid = np.arange(self.base, self.base + self.grid.size) * self.h
+        self.times = np.arange(self.base, self.base + len(self.times))[:, None] * self.h + self.lags
 
     def feed(self, stop: int) -> None:
         """Pass the states of the nodes not yet passed, up to node stop - 1, to the sink."""
-        self.sink(self.fed, self.states[:, self.fed - self.base : stop - self.base])
+        rows = self.states[self.fed - self.base : stop - self.base, self.field.n - 1 :]
+        self.sink(self.fed, rows.transpose(2, 0, 1))
         self.fed = stop
 
     def _gather(self, k0: int, count: int) -> np.ndarray:
-        """The (B, count, S, N, 2N) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
-        n, batch = self.field.n, self.field.batch
-        nodes = self.nodes[:, :count] + (k0 - self.base)
-        w = self.weights[:, :count]
+        """The (count, S, width, B) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
+        r0 = k0 - self.base
+        index, w = self.index[:, :count], self.weights[:, :count]
         if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0 (row 0: the window has not slid)
-            early = nodes[0] < 0
-            nodes = np.where(early, 0, nodes)
-            w = np.where(early.reshape(count, -1, n, 1), _NODE[:, None, None, None, None], w)
+            early = self.nodes[:count] + r0 < 0
+            index = np.where(early, self.origin, index + (r0 - self.pre) * self.width)
+            w = np.where(early[..., None], _NODE[:, None, None, None, None], w)
+            gathered = np.take(self.flat, index, axis=0)
+        else:  # from row r0 - pre on, which is contiguous
+            gathered = np.take(self.flat[(r0 - self.pre) * self.width :], index, axis=0)
         if not self.rk4:  # Euler reads nodes, with no weights
-            return np.take(self.states, nodes[0], axis=1).reshape(batch, count, 1, n, 2 * n)
-        gathered = np.take(self.hist, nodes, axis=2).reshape(batch, 4, count, -1, n, 2 * n)
+            return gathered[0]
         gathered *= w
-        return gathered.sum(axis=1)
+        return gathered.sum(axis=0)
+
+    def _derivative(self, t: float, state: np.ndarray, rows: np.ndarray):
+        """The field's (width, B) derivative row at a stage, with its sums, and the failures."""
+        n = self.field.n
+        dv, failures = self.field.flux_rows(t, *_observed(rows[None], n))
+        dot = np.empty_like(state)
+        dot[n - 1 : 2 * n - 1] = dv[:, 0].T
+        dot[2 * n - 1 :] = self.field.headway_rows(state[n - 1 : 2 * n - 1].T).T
+        _add_sums(dot, n)
+        return dot, failures
 
     def step(self, k: int) -> None:
         """Advance step k with one field call per stage, recording each member's first failure."""
-        field, h, hist, states, errors = self.field, self.h, self.hist, self.states, self.errors
+        h, hist, states, errors, n = self.h, self.hist, self.states, self.errors, self.field.n
         r = k - self.base
-        yk = states[:, r]
+        yk = states[r]
         rows = self.rows
-        if self.zero:
-            rows[:, self.zero] = yk[:, None]
-        k1, failures = field(k * h, yk, rows)
+        if self.zero.size:
+            rows[self.zero] = yk[self.zero]
+        k1, failures = self._derivative(k * h, yk, rows)
         ks = [k1]
         if failures:
             _retire(failures, errors, (hist, rows, k1))
-        self.derivs[:, r] = k1  # node k's derivative, which the later stages' lookups may read
-        delayed = self._gather(k, 1)[:, 0]
+        self.derivs[r] = k1  # node k's derivative, which the later stages' lookups may read
+        delayed = self._gather(k, 1)[0]
         if self.rk4:
             for c, s in _RK4_STAGES:
                 ystage = yk + (h * c) * ks[-1]
-                rows = delayed[:, s]
-                if self.zero:
-                    rows[:, self.zero] = ystage[:, None]
-                dot, failures = field(k * h + c * h, ystage, rows)
+                _add_sums(ystage, n)
+                rows = delayed[s]
+                if self.zero.size:
+                    rows[self.zero] = ystage[self.zero]
+                dot, failures = self._derivative(k * h + c * h, ystage, rows)
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, delayed, *ks))
-            states[:, r + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+            states[r + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
         else:
-            states[:, r + 1] = yk + k1 * h
-        self.rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
-        if not abs(states[:, r + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
-            blown = np.flatnonzero(~(abs(states[:, r + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
+            states[r + 1] = yk + k1 * h
+        _add_sums(states[r + 1], n)
+        self.rows = delayed[-1]  # the last stage's instant is the next step's stage 1
+        new = states[r + 1, n - 1 :]
+        if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(new).max(axis=0) <= _BLOWUP_LIMIT)).tolist()
             message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
             _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
 
     def block(self, k0: int, count: int) -> bool:
-        """Advance steps k0 .. k0 + count - 1 with one ``velocity_rows`` call.
+        """Advance steps k0 .. k0 + count - 1 with one ``flux_rows`` call.
 
         The call evaluates the velocity derivatives of every stage, which
         read stored history only; sequential sums of them give v at every
@@ -401,44 +459,46 @@ class _MethodOfSteps:
         field, h, errors = self.field, self.h, self.errors
         n, batch = field.n, field.batch
         delayed = self._gather(k0, count)
-        last = delayed[:, :, -1]  # each step's last stage rows are the next step's stage 1 rows
-        rows = np.empty((batch, count, len(self.lags), n, 2 * n))  # the distinct rows of k1, k2 = k3, k4
-        rows[:, 0, 0] = self.rows
-        rows[:, 1:, 0] = last[:, :-1]
+        last = delayed[:, -1]  # each step's last stage rows are the next step's stage 1 rows
+        rows = np.empty((count, len(self.lags), self.width, batch))  # the distinct rows of k1, k2 = k3, k4
+        rows[0, 0] = self.rows
+        rows[1:, 0] = last[:-1]
         if self.rk4:
-            rows[:, :, 1:] = delayed
+            rows[:, 1:] = delayed
         r0 = k0 - self.base
-        times = self.grid[r0 : r0 + count, None] + self.lags
-        dv, failures = field.velocity_rows(times.ravel(), rows.reshape(batch, -1, n, 2 * n))
+        times = self.times[r0 : r0 + count].ravel()
+        dv, failures = field.flux_rows(times, *_observed(rows.reshape(-1, self.width, batch), n))
         if any(b not in errors for b in failures):
             return False
-        dv = dv.reshape(rows.shape[:4])
-        span = self.states[:, r0 : r0 + count + 1]
-        v, y = span[..., :n], span[..., n:]
+        dv = dv.transpose(1, 2, 0).reshape(rows.shape[:2] + (n, batch))
+        span = self.states[r0 : r0 + count + 1]
+        v, y = span[:, n - 1 : 2 * n - 1], span[:, 2 * n - 1 :]
         if self.rk4:
-            d1, d2, d4 = dv[:, :, 0], dv[:, :, 1], dv[:, :, 2]  # k3's is d2: k2's rows and time
+            d1, d2, d4 = dv[:, 0], dv[:, 1], dv[:, 2]  # k3's is d2: k2's rows and time
             twice = 2.0 * d2
-            v[:, 1:] = (h / 6.0) * (d1 + twice + twice + d4)
-            np.add.accumulate(v, axis=1, out=v)
-            v0 = v[:, :-1, None]
+            v[1:] = (h / 6.0) * (d1 + twice + twice + d4)
+            np.add.accumulate(v, axis=0, out=v)
+            v0 = v[:-1, None]
             # v of k1..k4: k2, k3 and k4 add h*c times the v-derivative of k1, k2 and k3 (d2).
-            stage = np.concatenate((v0, v0 + dv[:, :, (0, 1, 1)] * self.stage_steps), axis=2)
-            dy = field.headway_rows(stage)
-            y[:, 1:] = (h / 6.0) * (dy[:, :, 0] + 2.0 * dy[:, :, 1] + 2.0 * dy[:, :, 2] + dy[:, :, 3])
+            stage = np.concatenate((v0, v0 + dv[:, (0, 1, 1)] * self.stage_steps), axis=1)
+            dy = field.headway_rows(stage.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+            y[1:] = (h / 6.0) * (dy[:, 0] + 2.0 * dy[:, 1] + 2.0 * dy[:, 2] + dy[:, 3])
         else:
-            v[:, 1:] = dv[:, :, 0] * h
-            np.add.accumulate(v, axis=1, out=v)
-            dy = field.headway_rows(v[:, :-1, None])
-            y[:, 1:] = dy[:, :, 0] * h
-        np.add.accumulate(y, axis=1, out=y)
-        node = self.derivs[:, r0 : r0 + count]
-        node[..., :n] = dv[:, :, 0]
-        node[..., n:] = dy[:, :, 0]
-        if not abs(span[:, 1:]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
-            blown = np.flatnonzero(~(abs(span[:, 1:]).max(axis=(1, 2)) <= _BLOWUP_LIMIT)).tolist()
+            v[1:] = dv[:, 0] * h
+            np.add.accumulate(v, axis=0, out=v)
+            dy = field.headway_rows(v[:-1, None].transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+            y[1:] = dy[:, 0] * h
+        np.add.accumulate(y, axis=0, out=y)
+        node = self.derivs[r0 : r0 + count]
+        node[:, n - 1 : 2 * n - 1] = dv[:, 0]
+        node[:, 2 * n - 1 :] = dy[:, 0]
+        _add_sums(self.hist[:, r0 : r0 + count + 1], n)  # the new nodes' values and derivatives
+        new = span[1:, n - 1 :]
+        if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+            blown = np.flatnonzero(~(abs(new).max(axis=(0, 1)) <= _BLOWUP_LIMIT)).tolist()
             if any(b not in errors for b in blown):
                 return False
-        self.rows = last[:, -1]
+        self.rows = last[-1]
         return True
 
 
@@ -448,7 +508,7 @@ def _retire(failures: dict, errors: dict, arrays) -> None:
         if member not in errors:
             errors[member] = exc
             for arr in arrays:
-                arr[member] = 0.0
+                arr[..., member] = 0.0
 
 
 # ---------------------------------------------------------------------------

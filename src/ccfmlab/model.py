@@ -223,10 +223,14 @@ class VectorField:
     member's error is then that of its first failing row.
 
     The field is its velocity rows, :meth:`velocity_rows`, which read the
-    delayed rows alone and carry every domain check, plus its headway rows,
-    :meth:`headway_rows`, y_i' = kappa*v_i of the current state; a caller
-    may ask for either alone.  :meth:`rest_quotients` reads its linear part
-    at rest.
+    delayed rows alone, plus its headway rows, :meth:`headway_rows`,
+    y_i' = kappa*v_i of the current state; a caller may ask for either
+    alone.  The velocity rows are two steps.  :meth:`pair_observables` maps
+    the delayed rows to the three numbers pair i reads of its own: the
+    prefix sum S_i = v_1 + ... + v_i, v_i and y_i.  :meth:`flux_rows` maps
+    those to the v-rows and carries every domain check.  A caller that keeps
+    the observables, as the integrator does, calls the second alone.
+    :meth:`rest_quotients` reads the field's linear part at rest.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
@@ -245,10 +249,12 @@ class VectorField:
         self.l = pc.l
         self.m_int = _integer_exponent(pc.m)
         self.leader = pc.leader
-        # Per member, shaped to broadcast over the rows of a call.
+        # Per member, shaped to broadcast over the rows of a call, and with the
+        # members innermost in memory, as the integrator keeps its rows, so
+        # that an operation runs along the members and pairs at once.
         self.kappa = np.array([[[other.kappa]] for other in pcs])
-        self.alpha = np.array([[[veh.alpha for veh in other.vehicles]] for other in pcs])
-        self.b = np.array([[[veh.b for veh in other.vehicles]] for other in pcs])
+        self.alpha = np.asfortranarray([[veh.alpha for veh in other.vehicles] for other in pcs])[:, None]
+        self.b = np.asfortranarray([[veh.b for veh in other.vehicles] for other in pcs])[:, None]
         # Below 2**-54, 1 - exp(-ramp*t) rounds to 1.0: from there the leader is at v_eq exactly.
         self._settled = max(veh.tau for veh in pc.vehicles) + pc.leader.settled_time(2.0**-55)
         self._v_eq = np.array([pc.leader.v_eq] * pc.n)
@@ -264,15 +270,32 @@ class VectorField:
         """The v-rows of the derivative, (B, R, N), and the failures, from (B, R, N, 2N) delayed rows alone.
 
         ``t`` is a scalar or an (R,) array of one time per row; these are
-        the rows and failures ``__call__`` returns.
+        the rows and failures ``__call__`` returns: :meth:`flux_rows` of
+        the rows' :meth:`pair_observables`.
+        """
+        return self.flux_rows(t, *self.pair_observables(delayed))
+
+    def pair_observables(self, delayed: np.ndarray):
+        """What pair i's flux reads of its own (B, R, N, 2N) delayed row: S_i = v_1 + ... + v_i, v_i and y_i, each (B, R, N).
+
+        They are the diagonals of the row's (N, N) blocks, S_i of its prefix
+        sums; a sum of one term is that term.  The map is linear.
         """
         n = self.n
-        # Pair i reads v_1..v_i, v_i and y_i of its own delayed row: the
-        # diagonals of the (N, N) blocks.  A sum of one term is that term.
         own = delayed.diagonal(0, 2, 3)
         sums = np.add.accumulate(delayed[..., :n], axis=3).diagonal(0, 2, 3) if n > 1 else own
+        return sums, own, delayed[..., n:].diagonal(0, 2, 3)
+
+    def flux_rows(self, t: float | np.ndarray, sums: np.ndarray, own: np.ndarray, dev: np.ndarray):
+        """The v-rows of the derivative, (B, R, N), and the failures, from each pair's observables at its delayed instant.
+
+        ``sums``, ``own`` and ``dev`` are S_i, v_i and y_i of pair i, each
+        (B, R, N), as :meth:`pair_observables` gives them; ``t`` is as in
+        :meth:`velocity_rows`.  Every domain check is made here.
+        """
+        n = self.n
         speed = self._lead(t) - sums
-        head = delayed[..., n:].diagonal(0, 2, 3) + self.b
+        head = dev + self.b
         bad = head <= 0.0
         if self.m_int is None:
             bad |= speed <= 0.0
@@ -328,9 +351,9 @@ class VectorField:
         if isinstance(t, float) and t >= self._settled:
             return self._v_eq
         times = np.asarray(t, dtype=float).reshape(-1)
-        ramp = times < self._settled
-        if not np.count_nonzero(ramp):
+        if times.min(initial=math.inf) >= self._settled:  # every time of the call is past the ramp
             return self._v_eq
+        ramp = times < self._settled
         lead = np.tile(self._v_eq, (times.size, 1))
         lead[ramp] = [[self.leader.velocity(x) for x in row] for row in (times[ramp, None] - self.tau).tolist()]
         return lead

@@ -20,8 +20,10 @@ numbers by independent means and share no solver code with it:
   interpolates each delayed row with its own Hermite weights at every stage.
   ``integrate.simulate_batch`` is checked against it;
 * ``step_loop_run`` is the batched engine before the block method of steps:
-  one field call per Runge-Kutta stage and step.  ``integrate._run`` must
-  match it bit for bit, error for error;
+  one field call per Runge-Kutta stage and step.  With its pair lookup,
+  ``integrate._run`` must match it bit for bit, error for error; with its
+  whole-row lookup, which interpolates every column of each delayed row,
+  to rounding;
 * ``scalar_dominant_root`` is the principal-branch Newton solve one point at
   a time, in ``cmath``: the same seeds, stop rule, lambda-polish and checks
   as the masked array solve ``spectral._rightmost``, which is held to it;
@@ -488,7 +490,7 @@ _NODE = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None, None]  # weights that read
 
 
 def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
-    """Offsets from step k (all j, then all j + 1) and (4, S, N, 1) weights of the delayed rows.
+    """(S, N) offsets of node j from step k and (4, S, N, 1) weights of nodes j and j + 1.
 
     At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
     k, between nodes j and j + 1, at the same place in every step.  Euler
@@ -508,58 +510,97 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
                 weights.append(_NODE.ravel())
             else:
                 weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
-    offsets = np.array(offsets)
-    return np.concatenate((offsets, offsets + 1)), np.array(weights).T.reshape(4, len(fractions), len(taus), 1)
+    shape = (len(fractions), len(taus))
+    return np.array(offsets).reshape(shape), np.array(weights).T.reshape((4,) + shape + (1,))
 
 
-def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int):
+def _observe(rows: np.ndarray, n: int) -> np.ndarray:
+    """The (..., N, 3) observables S_i = v_1 + ... + v_i, v_i and y_i of each pair of (..., 2N) state rows."""
+    v = rows[..., :n]
+    return np.stack((np.add.accumulate(v, axis=-1), v, rows[..., n:]), axis=-1)
+
+
+def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, lookup: str = "pairs"):
+    """The node states and errors of a run with one field call per stage and step.
+
+    ``lookup="pairs"`` keeps each node's pair observables beside its state
+    and interpolates pair i's S_i, v_i and y_i at its delayed instant, as
+    ``integrate._run`` does, which must match it bit for bit.  ``"rows"``
+    interpolates each pair's whole delayed row and calls the field on it,
+    the lookup before that one, which sums after interpolating and so
+    agrees to rounding.
+    """
     n, batch = field.n, field.batch
+    pairs = lookup == "pairs"
     # Node values and derivatives side by side, so that one gather reads both.
     hist = np.zeros((batch, 2, steps + 1, 2 * n))
-    states, derivs = hist[:, 0], hist[:, 1]
+    states = hist[:, 0]
     states[:, 0] = init
+    seen = np.zeros((batch, 2, steps + 1, n, 3))  # the same nodes' pair observables
+    seen[:, 0, 0] = _observe(init, n)
+    source = seen if pairs else hist
     taus = field.tau.tolist()
     later = _LATER[method]
     offsets, weights = _lookup_table(taus, h, later, method == "rk4")
     pre = -int(offsets.min())  # steps whose lookups reach into t < 0
     zero = [i for i, tau in enumerate(taus) if tau == 0.0]
-    rows = np.tile(init, (batch, n, 1))  # stage 1 of step 0 reads the pre-history everywhere
+    pair = np.arange(n)
+
+    def read(state):  # what pair i reads of a stage state
+        return _observe(state, n) if pairs else np.repeat(state[:, None], n, axis=1)
+
+    def call(t, state, rows):
+        if not pairs:
+            return field(t, state, rows)
+        dv, failures = field.flux_rows(t, *(rows[:, None, :, q] for q in range(3)))
+        return np.concatenate((dv[:, 0], field.headway_rows(state[:, :n])), axis=1), failures
+
+    def record(slot, r, row):  # slot 0 holds node values, slot 1 derivatives
+        hist[:, slot, r] = row
+        seen[:, slot, r] = _observe(row, n)
+
+    rows = read(np.tile(init, (batch, 1)))  # stage 1 of step 0 reads the pre-history everywhere
     errors: dict = {}
     for k in range(steps):
         yk = states[:, k]
         if zero:
-            rows[:, zero] = yk[:, None]
-        k1, failures = field(k * h, yk, rows)
+            rows[:, zero] = read(yk)[:, zero]
+        k1, failures = call(k * h, yk, rows)
         ks = [k1]
         if failures:
-            _retire(failures, errors, (hist, rows, k1))
-        derivs[:, k] = k1  # node k's derivative, which the later stages' lookups may read
-        # One gather reads the rows of every later stage.
-        nodes, w = offsets + k, weights
+            _retire(failures, errors, (hist, seen, rows, k1))
+        record(1, k, k1)  # node k's derivative, which the later stages' lookups may read
+        # One gather reads the rows of every later stage: nodes j and j + 1 of each pair.
+        nodes, w = np.stack((offsets, offsets + 1)) + k, weights
         if k < pre:  # instants before t = 0 read the pre-history, held in node 0
-            early = nodes[: nodes.size // 2] < 0
-            nodes = np.where(np.tile(early, 2), 0, nodes)
-            w = np.where(early.reshape(len(later), n, 1), _NODE, w)
-        if method == "euler":
-            delayed = states[:, nodes[:n]][:, None]  # Euler reads nodes, with no weights
-            states[:, k + 1] = yk + k1 * h
+            early = nodes[0] < 0
+            nodes = np.where(early, 0, nodes)
+            w = np.where(early[..., None], _NODE, w)
+        if pairs:
+            own = source[:, :, nodes, pair]  # (B, 2, 2, S, N, 3): pair i's observables at its nodes
         else:
-            delayed = (hist[:, :, nodes].reshape(batch, 4, len(later), n, 2 * n) * w).sum(axis=1)
+            own = source[:, :, nodes]  # (B, 2, 2, S, N, 2N): pair i's whole rows at its nodes
+        if method == "euler":
+            delayed = own[:, 0, 0]  # Euler reads nodes, with no weights
+            new = yk + k1 * h
+        else:
+            delayed = (own.reshape((batch, 4) + own.shape[3:]) * w).sum(axis=1)
             for stage, c in enumerate(later):
                 ystage = yk + (h * c) * ks[-1]
                 rows = delayed[:, stage]
                 if zero:
-                    rows[:, zero] = ystage[:, None]
-                dot, failures = field(k * h + c * h, ystage, rows)
+                    rows[:, zero] = read(ystage)[:, zero]
+                dot, failures = call(k * h + c * h, ystage, rows)
                 ks.append(dot)
                 if failures:
-                    _retire(failures, errors, (hist, delayed, *ks))
-            states[:, k + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+                    _retire(failures, errors, (hist, seen, delayed, *ks))
+            new = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        record(0, k + 1, new)
         rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
         if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(states[:, k + 1]).max(axis=1) <= _BLOWUP_LIMIT)).tolist()
             message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
-            _retire({b: NumericalError(message) for b in blown}, errors, (hist, rows))
+            _retire({b: NumericalError(message) for b in blown}, errors, (hist, seen, rows))
         if 0 in errors:  # no member can fail with a lower index
             break
     return states, errors

@@ -7,6 +7,7 @@ of the zero-delay system to machine precision.
 """
 
 import csv
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -32,6 +33,8 @@ from ccfmlab.integrate import (
     tail_window,
     write_trajectory_csv,
     _MethodOfSteps,
+    _add_sums,
+    _observed,
     _run,
 )
 from ccfmlab.model import (
@@ -120,7 +123,7 @@ def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
 def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     """A constant field moves one step by h times that constant."""
     monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: (np.full(state.shape, 3.0), {}))
-    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, t, rows: (np.full(rows.shape[:-1], 3.0), {}))
+    monkeypatch.setattr(VectorField, "flux_rows", lambda self, t, sums, own, dev: (np.full(own.shape, 3.0), {}))
     monkeypatch.setattr(VectorField, "headway_rows", lambda self, v: np.full(v.shape, 3.0))
     pc = four_vehicle_platoon()
     traj = simulate(pc, SimConfig(step=0.01, horizon=0.01, method=method), _perturb(4))
@@ -232,8 +235,8 @@ def _slow_start():
 
 
 def _capped():
-    """Eight gains of the four-pair platoon at h = 0.002: the byte budget, not tau_min/h, sets the block."""
-    return [four_vehicle_platoon(kappa=0.85 + 0.05 * k) for k in range(8)]
+    """96 gains of the four-pair platoon at h = 0.002: the byte budget, not tau_min/h, sets the block."""
+    return [four_vehicle_platoon(kappa=0.85 + 0.0035 * k) for k in range(96)]
 
 
 _BLOCK_CASES = {
@@ -276,7 +279,7 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
     steps = int(math.ceil(horizon / h - 1e-9))
     engine = _engine(field, h, method, init, steps)
     size = engine.block_size()
-    assert engine.hist.shape[2] < steps + 1  # the window slides, so the gate covers its slides
+    assert engine.hist.shape[1] < steps + 1  # the window slides, so the gate covers its slides
     assert size == 0 if case == "zero-delay" else size >= 2  # a zero delay needs each stage's own state
     if case == "row-cap":
         assert size < 0.3 / h - 2  # the byte budget splits what the delays would allow
@@ -291,10 +294,10 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_a_block_makes_one_field_call(monkeypatch, method):
-    """Every block evaluates its stages' v-derivatives in one velocity_rows call; y' = kappa*v comes from the headway rows."""
+    """Every block evaluates its stages' v-derivatives in one flux_rows call; y' = kappa*v comes from the headway rows."""
     calls, whole = [], []
-    velocity_rows, field_call = VectorField.velocity_rows, VectorField.__call__
-    monkeypatch.setattr(VectorField, "velocity_rows", lambda self, *args: calls.append(1) or velocity_rows(self, *args))
+    flux_rows, field_call = VectorField.flux_rows, VectorField.__call__
+    monkeypatch.setattr(VectorField, "flux_rows", lambda self, *args: calls.append(1) or flux_rows(self, *args))
     monkeypatch.setattr(VectorField, "__call__", lambda self, *args: whole.append(1) or field_call(self, *args))
     field = VectorField(four_vehicle_platoon())
     init = _perturb(field.n).as_vector()
@@ -306,6 +309,65 @@ def test_a_block_makes_one_field_call(monkeypatch, method):
     assert not errors and len(calls) == math.ceil(steps / size) and not whole
     want, _ = step_loop_run(field, 0.01, method, init, steps)
     assert np.array_equal(got, want)
+
+
+def test_rk4_platoon_matches_the_whole_row_lookup():
+    """Interpolating each pair's S_i, rather than summing its interpolated v_1..v_i, moves rk4 states by rounding only.
+
+    Over 300 s the two lookups stay within 1e-14 (about 20 ulps of the
+    largest state, |y| < 2), and they do differ.
+    """
+    pc = four_vehicle_platoon()
+    got = simulate(pc, SimConfig(step=0.02, horizon=300.0, method="rk4")).states
+    want, errors = step_loop_run(VectorField(pc), 0.02, "rk4", _perturb(4).as_vector(), 15000, lookup="rows")
+    assert not errors
+    assert 0.0 < np.abs(got - want[0]).max() <= 1e-14
+
+
+# The sha256 of simulate_batch's stacked states under the whole-row lookup.
+# Euler reads nodes, whose sums are the field's own, and at N = 1 a row is
+# the state, so these runs keep their bits.
+_KEPT_BITS = {
+    "rk4-single-batch": (
+        "rk4", [single_follower(kappa=k) for k in (0.9, 1.01, 1.1)], 0.01,
+        "6466f95c16efa2f46a971593afd81424c9b1bcce0741e44e5561ce1bd383cb7c",
+    ),
+    "euler-single": ("euler", [single_follower(kappa=1.01)], 0.01, "7d755cc60b61bfd8aa396981e3a5d4b34d081f211bbaf9e8564ab1f1e318c81a"),
+    "euler-platoon-batch": (
+        "euler", [four_vehicle_platoon(kappa=k) for k in (0.9, 1.0)], 0.01,
+        "35c3a26893fc5b220ba09253d2c9bd08cef1563b70360b7277f4fb2217443be7",
+    ),
+    "euler-eight-pairs": ("euler", [_eight_pairs()], 0.02, "4761a435977ee028f43604e7913b2b305bd183d6110e7406e5f0eec71d8eea76"),
+}
+
+
+@pytest.mark.parametrize("case", list(_KEPT_BITS))
+def test_euler_and_single_pair_rk4_runs_keep_their_bits(case):
+    method, pcs, h, digest = _KEPT_BITS[case]
+    trajs = simulate_batch(pcs, SimConfig(step=h, horizon=60.0, method=method))
+    assert hashlib.sha256(np.stack([traj.states for traj in trajs]).tobytes()).hexdigest() == digest
+
+
+def test_the_engines_observable_rows_give_the_velocity_rows():
+    """Pair i's columns of an engine row, read through its views, give velocity_rows of the whole rows bit for bit."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
+    field = VectorField(*pcs)
+    rng = np.random.default_rng(13)
+    times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, 50.0])  # rest, ramp and settled leader
+    delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
+    delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
+    delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3)
+    want, want_failures = field.velocity_rows(times, delayed)
+    # Each pair's delayed row as an engine row [S_4..S_2 | v | y], members last; keep pair i's columns.
+    whole = np.zeros((6, 4, 11, 3))
+    whole[:, :, 3:] = delayed.transpose(1, 2, 3, 0)
+    _add_sums(whole, 4)
+    pair = np.array([3, 2, 1, 0, 1, 2, 3, 0, 1, 2, 3])  # the pair of each column
+    rows = whole[:, pair, np.arange(11)]
+    got, failures = field.flux_rows(times, *_observed(rows, 4))
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert list(failures) == list(want_failures) == [1]
+    assert str(failures[1]) == str(want_failures[1]) and failures[1].t == want_failures[1].t
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])

@@ -332,6 +332,28 @@ def test_velocity_rows_are_the_fields_v_rows():
     assert np.array_equal(rows, out[..., :4])
 
 
+def test_the_flux_of_the_pair_observables_is_the_velocity_rows():
+    """pair_observables reads pair i's S_i = v_1 + ... + v_i (added in turn), v_i and y_i of its own row, and flux_rows of those is velocity_rows, bit for bit."""
+    pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
+    field = VectorField(*pcs)
+    rng = np.random.default_rng(11)
+    times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, 50.0])  # rest, ramp and settled leader
+    delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
+    delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
+    sums, own, dev = field.pair_observables(delayed)
+    for b, r, i in np.ndindex(3, 6, 4):
+        row = delayed[b, r, i].tolist()
+        total = row[0]
+        for x in row[1 : i + 1]:
+            total += x
+        assert (sums[b, r, i], own[b, r, i], dev[b, r, i]) == (total, row[i], row[4 + i])
+    for t in (times, 50.0):
+        got, failures = field.flux_rows(t, sums, own, dev)
+        want, want_failures = field.velocity_rows(t, delayed)
+        assert not failures and not want_failures
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_a_scalar_time_reads_the_leader_as_a_time_per_row():
     field = VectorField(four_vehicle_platoon())
     delayed = np.random.default_rng(3).normal(size=(1, 5, 4, 8)) * 0.1
