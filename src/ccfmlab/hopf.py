@@ -26,8 +26,8 @@ exactly zero y-components; it is scaled so that <p, q> = pbar.M'(i*omega0).q = 1
 
 The expansion coefficients are Taylor coefficients of the same field,
 after Hassard, Kazarinoff & Wan (1981): g(z, zbar) = pbar.F(z q + zbar qbar + w).
-They live in the field's v-rows, which read the delayed rows alone, so those
-rows are evaluated, on a ring of real states z = rho*exp(i*psi):
+They live in the field's v-rows, ``flux_rows`` of the pair observables, so
+those are evaluated on a ring of real states z = rho*exp(i*psi):
 each z is paired with -z, which splits odd from even orders; the harmonics in
 psi split the powers z^j zbar^k of one order; and a polynomial fit in rho^2
 over radii that are powers of two removes the higher orders.  F20 and F11 are
@@ -263,12 +263,12 @@ _QUADRATIC_WEIGHTS = np.array(
 # F21 = 2*(harmonic 1)/rho**3 at rho -> 0.  The r**2 fit row sums to zero, so
 # it may take differences, which keep a linear field's zero exact.
 _CUBIC_WEIGHTS = 2.0 * np.outer(_RING_FIT[1, 1:], _RING_PHASES[1]).reshape(-1)
-# exp(i*psi_j) and its square, (A, 1, 1); the radii with the sign of z and
-# of -z, (K, 2, 1, 1, 1); and the radii squared and inverted, to broadcast.
+# exp(i*psi_j), (A, 1, 1), and its square, (A, 1); the radii with the sign
+# of z and of -z, (K, 2, 1, 1); and the radii squared and inverted, to broadcast.
 _RING_TURN = np.exp(1j * _RING_PSI)[:, None, None]
-_RING_TURN2 = _RING_TURN**2
-_RING_SIGNED = np.multiply.outer(_RING_RADII, [1.0, -1.0])[..., None, None, None]
-_RING_R2 = (_RING_RADII**2)[:, None, None, None, None]
+_RING_TURN2 = _RING_TURN[..., 0] ** 2
+_RING_SIGNED = np.multiply.outer(_RING_RADII, [1.0, -1.0])[..., None, None]
+_RING_R2 = (_RING_RADII**2)[:, None, None, None]
 _RING_INV_R = (1.0 / _RING_RADII)[:, None, None]
 # The rates of the three waves of w20 and w11, per unit omega0.
 _WAVE_RATES = np.array([1j, -1j, 2j])
@@ -286,9 +286,10 @@ class _Ring:
     The states are x = z*q*exp(i*omega0*theta) + c.c., plus
     w20 z^2/2 + w11 z zbar + c.c. for the cubic order, at
     z = R*r_k*exp(i*psi_j) for the K radii r_k and the A angles psi_j, each
-    paired with -z.  theta runs over each pair's -tau_i: the expansion
-    coefficients live in the v-rows of the field, which read the delayed rows
-    alone, so the ring asks the field for those rows only.
+    paired with -z.  The coefficients live in the field's v-rows, which read
+    each pair's observables S_i, v_i and y_i at theta = -tau_i: 3N numbers a
+    state.  They are linear, so the ring takes those of its A states at
+    radius R and of the complex w20 and w11, and scales and adds them.
     """
 
     def __init__(self, field: VectorField, q: np.ndarray, omega0: float):
@@ -299,20 +300,22 @@ class _Ring:
         self.waves = _waves(omega0, -field.tau)  # (3, N, 1)
 
     def linear_states(self) -> np.ndarray:
-        """The (K, 2, A, N, 2N) delayed rows of z*q*exp(i*omega0*theta) + c.c.
+        """The observables S_i, v_i and y_i of z*q*exp(i*omega0*theta) + c.c., stacked: (3, K, 2, A, N).
 
-        Made at each evaluation, as a report keeps its eigendata and so the
-        ring; the radii are powers of two, so the scaling is exact.
+        Those of the A states at radius R times the signed radii, powers of
+        two: the whole-row states' observables bit for bit.  Made at each
+        evaluation, as a report keeps its eigendata and so the ring.
         """
-        return self.scale * 2.0 * (_RING_TURN * (self.q * self.waves[0])).real * _RING_SIGNED
+        states = self.scale * 2.0 * (_RING_TURN * (self.q * self.waves[0])).real  # (A, N, 2N), at radius R
+        return np.array(self.field.pair_observables(states))[:, None, None] * _RING_SIGNED
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
-        """The field's v-rows on the (K, 2, A, N, 2N) delayed rows x, (K, 2, A, N)."""
+        """The field's v-rows on the (3, K, 2, A, N) observables x, (K, 2, A, N)."""
         n = self.n
-        out, failures = self.field.velocity_rows(math.inf, x.reshape(1, -1, n, 2 * n))
+        out, failures = self.field.flux_rows(math.inf, *x.reshape(3, 1, -1, n))
         if failures:
             raise NumericalError(f"the normal-form ring left the model's domain: {failures[0]}")
-        return out.reshape(x.shape[:3] + (n,))
+        return out.reshape(x.shape[1:4] + (n,))
 
     def quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """F20 and F11 (v-rows): the rho**2 parts of harmonics 2 and 0 along q."""
@@ -323,9 +326,9 @@ class _Ring:
 
     def cubic(self, corr: "ManifoldCorrections") -> np.ndarray:
         """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11 are added."""
-        w20, w11 = corr._w(self.waves)
-        w = (_RING_TURN2 * w20).real + w11.real
-        rows = self._rows(self.linear_states() + (self.scale**2 * w) * _RING_R2)
+        obs = np.array(self.field.pair_observables(corr._w(self.waves)))  # (3, 2, N): those of w20 and w11
+        w = (_RING_TURN2 * obs[:, :1]).real + obs[:, 1:].real  # (3, A, N)
+        rows = self._rows(self.linear_states() + (self.scale**2 * w)[:, None, None] * _RING_R2)
         odd = (rows[:, 0] - rows[:, 1]) * _RING_INV_R  # (F(x(z)) - F(x(-z)))/r
         return _CUBIC_WEIGHTS @ (odd[1:] - odd[0]).reshape(-1, self.n) / self.scale**3
 
@@ -405,8 +408,8 @@ class ManifoldCorrections:
         """w11 at theta; an array of K thetas gives a (K, 2N) array."""
         return self._w(_waves(self.eig.omega0, theta))[1]
 
-    def _w(self, waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """w20 and w11 from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
+    def _w(self, waves: np.ndarray) -> np.ndarray:
+        """w20 and w11, stacked, from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
         w0 = self.eig.omega0
         q0 = self.eig.q
         g = self.g
@@ -419,8 +422,10 @@ class ManifoldCorrections:
         )
         modes = (coef[..., None] * np.array((q0, q0.conj()))).reshape((2, 2) + (1,) * (waves.ndim - 2) + q0.shape)
         terms = modes * waves[:2]
-        w20, w11 = terms[:, 0] - terms[:, 1]
-        return w20 + self.e * waves[2], w11 + self.f
+        w = terms[:, 0] - terms[:, 1]
+        w[0] += self.e * waves[2]
+        w[1] += self.f
+        return w
 
 
 def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:

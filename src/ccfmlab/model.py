@@ -20,7 +20,8 @@ Index 0 refers to the leader: there is no pair 0, and the ``beta_0 v_0`` term
 is structurally absent (treated as identically zero).  The global gain
 ``kappa`` scales time and acts as the bifurcation parameter; the physical
 model has kappa = 1.  :class:`VectorField` is the one implementation of this
-right-hand side; the integrator evaluates it on a batch of state rows.
+right-hand side.  Its one input is the three numbers pair i reads of its
+delayed state, S_i = v_1 + ... + v_i, v_i and y_i: the pair observables.
 """
 
 from __future__ import annotations
@@ -209,28 +210,23 @@ class EquilibriumCoefficients:
 class VectorField:
     """The platoon's delayed vector field for B configs that share N, the delays, m, l and the leader.
 
-    ``field(t, state, delayed)`` takes the (B, 2N) rows [v_1..v_N, y_1..y_N]
-    at t, and the (B, N, 2N) rows with ``delayed[:, i-1]`` at t - tau_i, the
-    delayed instant of pair i, whose flux is pair i+1's coupling term.  It
-    returns the (B, 2N) derivative, each row from its own member's inputs
-    alone, and the error of each member that left the model's domain: a
-    headway <= 0, a zero speed base under integer m < 0, or a speed base
-    <= 0 under non-integer m.  A failed member's row is finite but void.
+    Its input is the pair observables: pair i's flux reads three numbers of
+    its state at its delayed instant t - tau_i, the prefix sum
+    S_i = v_1 + ... + v_i, v_i and y_i, and that flux is also pair i+1's
+    coupling term.  :meth:`flux_rows` maps the (B, R, N) observables of R
+    instants to the v-rows of the derivative, and :meth:`headway_rows` maps
+    the current speeds to its y-rows, y_i' = kappa*v_i.  Each row comes from
+    its own member's inputs alone, and R rows at once equal R calls, one per
+    row, bit for bit.  ``flux_rows`` carries every domain check: it returns
+    the error of each member that left the model's domain (a headway <= 0, a
+    zero speed base under integer m < 0, or a speed base <= 0 under
+    non-integer m) at its first failing row, and a failed member's row is
+    finite but void.
 
-    Many instants at once: with a (B, R, 2N) state and a (B, R, N, 2N)
-    ``delayed``, ``t`` is a scalar or an (R,) array of one time per row, and
-    the (B, R, 2N) result equals R calls, one per row, bit for bit.  A
-    member's error is then that of its first failing row.
-
-    The field is its velocity rows, :meth:`velocity_rows`, which read the
-    delayed rows alone, plus its headway rows, :meth:`headway_rows`,
-    y_i' = kappa*v_i of the current state; a caller may ask for either
-    alone.  The velocity rows are two steps.  :meth:`pair_observables` maps
-    the delayed rows to the three numbers pair i reads of its own: the
-    prefix sum S_i = v_1 + ... + v_i, v_i and y_i.  :meth:`flux_rows` maps
-    those to the v-rows and carries every domain check.  A caller that keeps
-    the observables, as the integrator does, calls the second alone.
-    :meth:`rest_quotients` reads the field's linear part at rest.
+    :meth:`pair_observables` reads the observables off whole (N, 2N) rows
+    of states, real or complex.  The integrator keeps the observables of its
+    nodes, the normal form those of its ring, and :meth:`rest_quotients`,
+    which reads the field's linear part at rest, those of its probes.
     """
 
     def __init__(self, *pcs: PlatoonConfig):
@@ -259,39 +255,26 @@ class VectorField:
         self._settled = max(veh.tau for veh in pc.vehicles) + pc.leader.settled_time(2.0**-55)
         self._v_eq = np.array([pc.leader.v_eq] * pc.n)
 
-    def __call__(self, t: float | np.ndarray, state: np.ndarray, delayed: np.ndarray):
-        n = self.n
-        shape = state.shape
-        dv, failures = self.velocity_rows(t, delayed.reshape(self.batch, -1, n, 2 * n))
-        v = state.reshape(self.batch, -1, 2 * n)[..., :n]
-        return np.concatenate((dv, self.headway_rows(v)), axis=2).reshape(shape), failures
-
-    def velocity_rows(self, t: float | np.ndarray, delayed: np.ndarray):
-        """The v-rows of the derivative, (B, R, N), and the failures, from (B, R, N, 2N) delayed rows alone.
-
-        ``t`` is a scalar or an (R,) array of one time per row; these are
-        the rows and failures ``__call__`` returns: :meth:`flux_rows` of
-        the rows' :meth:`pair_observables`.
-        """
-        return self.flux_rows(t, *self.pair_observables(delayed))
-
     def pair_observables(self, delayed: np.ndarray):
-        """What pair i's flux reads of its own (B, R, N, 2N) delayed row: S_i = v_1 + ... + v_i, v_i and y_i, each (B, R, N).
+        """What pair i's flux reads of its own delayed row: S_i = v_1 + ... + v_i, v_i and y_i, each (..., N).
 
-        They are the diagonals of the row's (N, N) blocks, S_i of its prefix
-        sums; a sum of one term is that term.  The map is linear.
+        ``delayed`` holds (..., N, 2N) real or complex rows, pair i's at
+        ``delayed[..., i-1, :]``.  The observables are the diagonals of the
+        (N, N) blocks, S_i of the v-block's prefix sums; a sum of one term is
+        that term.  The map is linear, and it acts on the real and imaginary
+        parts of complex rows apart.
         """
         n = self.n
-        own = delayed.diagonal(0, 2, 3)
-        sums = np.add.accumulate(delayed[..., :n], axis=3).diagonal(0, 2, 3) if n > 1 else own
-        return sums, own, delayed[..., n:].diagonal(0, 2, 3)
+        own = delayed.diagonal(0, -2, -1)
+        sums = np.add.accumulate(delayed[..., :n], axis=-1).diagonal(0, -2, -1) if n > 1 else own
+        return sums, own, delayed[..., n:].diagonal(0, -2, -1)
 
     def flux_rows(self, t: float | np.ndarray, sums: np.ndarray, own: np.ndarray, dev: np.ndarray):
         """The v-rows of the derivative, (B, R, N), and the failures, from each pair's observables at its delayed instant.
 
         ``sums``, ``own`` and ``dev`` are S_i, v_i and y_i of pair i, each
-        (B, R, N), as :meth:`pair_observables` gives them; ``t`` is as in
-        :meth:`velocity_rows`.  Every domain check is made here.
+        (B, R, N), as :meth:`pair_observables` gives them; ``t`` is a scalar
+        or an (R,) array of one time per row.  Every domain check is made here.
         """
         n = self.n
         speed = self._lead(t) - sums
@@ -319,7 +302,7 @@ class VectorField:
         return dv, failures
 
     def headway_rows(self, v: np.ndarray) -> np.ndarray:
-        """The y-rows of the derivative, y_i' = kappa*v_i, of (B, ..., N) speeds: the rows ``__call__`` returns."""
+        """The y-rows of the derivative, y_i' = kappa*v_i, of (B, ..., N) speeds."""
         return v * self.kappa.reshape((self.batch,) + (1,) * (v.ndim - 1))
 
     def rest_quotients(self, h: float) -> tuple[tuple[np.ndarray, ...], dict]:
@@ -340,7 +323,9 @@ class VectorField:
         probes = np.zeros((2, size, n + 1, size))  # [sweep, column, slot, column]
         probes[0, :, 0::2] = steps
         probes[1, :, 1::2] = steps
-        out, failures = self(math.inf, probes[:, :, 0], probes[:, :, 1:])
+        rows = probes.reshape(1, 2 * size, n + 1, size)  # both sweeps' probes, the rows of a batch of one
+        dv, failures = self.flux_rows(math.inf, *self.pair_observables(rows[:, :, 1:]))
+        out = np.concatenate((dv, self.headway_rows(rows[:, :, 0, :n])), axis=2).reshape(2, size, size)
         sweep, col, row = np.nonzero(out)  # views of one (3, k) array
         # v-row k reads slots k and k+1, one in each sweep; the y-rows read slot 0.
         slot = (row < n) * (row + (row + sweep) % 2)

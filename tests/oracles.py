@@ -13,6 +13,10 @@ numbers by independent means and share no solver code with it:
   Lambert-W branch) has no other root to its right;
 * ``linear_rhs`` is the linearization about equilibrium with frozen gains
   beta*_i, against which the nonlinear ``model.VectorField`` is checked;
+* ``whole_row_field`` is the field on whole state rows, the composition of
+  ``pair_observables``, ``flux_rows`` and ``headway_rows`` that the package
+  itself no longer makes: the (B, R, 2N) derivative of (B, R, 2N) current
+  rows and (B, R, N, 2N) delayed rows;
 * ``power`` is the scalar domain rule of the interaction term, against
   which the batched field's domain checks are compared;
 * ``reference_simulate`` is the scalar method-of-steps engine: one config,
@@ -514,6 +518,21 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
     return np.array(offsets).reshape(shape), np.array(weights).T.reshape((4,) + shape + (1,))
 
 
+def whole_row_field(field: VectorField, t, state: np.ndarray, delayed: np.ndarray):
+    """The derivative of whole rows, shaped as ``state``, and the failures.
+
+    ``state`` holds (B, 2N) rows [v_1..v_N, y_1..y_N] at t, or (B, R, 2N)
+    rows at R instants, and ``delayed`` the (B, N, 2N) or (B, R, N, 2N) rows
+    with ``delayed[:, i-1]`` at t - tau_i; ``t`` is a scalar or an (R,)
+    array of one time per row.  The v-rows are ``flux_rows`` of the delayed
+    rows' ``pair_observables``, the y-rows ``headway_rows`` of the current v.
+    """
+    n, batch = field.n, field.batch
+    dv, failures = field.flux_rows(t, *field.pair_observables(delayed.reshape(batch, -1, n, 2 * n)))
+    v = state.reshape(batch, -1, 2 * n)[..., :n]
+    return np.concatenate((dv, field.headway_rows(v)), axis=2).reshape(state.shape), failures
+
+
 def _observe(rows: np.ndarray, n: int) -> np.ndarray:
     """The (..., N, 3) observables S_i = v_1 + ... + v_i, v_i and y_i of each pair of (..., 2N) state rows."""
     v = rows[..., :n]
@@ -551,7 +570,7 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
 
     def call(t, state, rows):
         if not pairs:
-            return field(t, state, rows)
+            return whole_row_field(field, t, state, rows)
         dv, failures = field.flux_rows(t, *(rows[:, None, :, q] for q in range(3)))
         return np.concatenate((dv[:, 0], field.headway_rows(state[:, :n])), axis=1), failures
 

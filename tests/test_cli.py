@@ -344,6 +344,14 @@ def test_hopf_json_schema(tmp_path, single_path):
     assert data["type"] == "supercritical" and data["orbit"] == "stable"
 
 
+def test_hopf_artifact_keeps_its_bytes(tmp_path, single_path):
+    """README's ``ccfm hopf --config single.json``: hopf.json pinned from the ring that evaluated whole delayed rows."""
+    out = tmp_path / "o"
+    assert main(["hopf", "--config", single_path, "--out", str(out)]) == 0
+    data = (out / "hopf.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == "11af32f114ad937e345cb279eb77625044b2ed84e5475ee7423a5db050993ec5"
+
+
 def test_hopf_pair_override(tmp_path, config_path):
     out = tmp_path / "o"
     assert main(["hopf", "--config", config_path, "--out", str(out), "--pair", "2"]) == 0

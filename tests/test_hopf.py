@@ -13,7 +13,9 @@ against sympy's derivatives of the model's flux.
 
 import cmath
 import gc
+import hashlib
 import itertools
+import json
 import math
 import types
 
@@ -54,6 +56,7 @@ from oracles import (
     recursive_corrections,
     scalar_taylor_coefficients,
     sympy_taylor_coefficients,
+    whole_row_field,
 )
 
 TAU = math.pi / 7.0
@@ -325,30 +328,75 @@ def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
             assert abs(value - getattr(want, name)) <= 1e-13, (pc.n, name)
 
 
+def _ring_rows(eig, thetas: np.ndarray) -> np.ndarray:
+    """The ring's linear states z*q*exp(i*omega0*theta) + c.c. as whole rows at the given thetas, (K, 2, A, len(thetas), 2N)."""
+    qt = eig.q * np.exp(1j * eig.omega0 * thetas)[:, None]
+    lin = eig.ring.scale * 2.0 * (np.exp(1j * _RING_PSI)[:, None, None] * qt).real
+    return np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]
+
+
+def test_the_ring_holds_the_observables_of_its_whole_row_states(monkeypatch, critical_config):
+    """The ring's linear states are pair_observables of the whole-row states, bit for bit.  With w20
+    and w11, the ring adds the observables of the two parts, so that v_i and y_i keep their bits
+    and S_i, a sum of i terms, moves by rounding: bit for bit at N = 1, and within N ulps of the
+    ring's largest |S_i| or |v_i| at N > 1."""
+    seen = []
+    evaluate = _Ring._rows
+    monkeypatch.setattr(_Ring, "_rows", lambda self, x: seen.append(x) or evaluate(self, x))
+    for pc in _platoon_set(critical_config):
+        eig = critical_eigendata(pc)
+        field = eig.field
+        corr = manifold_corrections(eig, g_coefficients(eig))
+        seen.clear()
+        g_coefficients(eig, corr)
+        linear, cubic = eig.ring.linear_states(), seen[0]
+        assert linear.shape == cubic.shape == (3, _RING_RADII.size, 2, _RING_PSI.size, pc.n)
+        rows = _ring_rows(eig, -eig.taus)  # pair i's delayed row at theta = -tau_i
+        assert np.array_equal(linear, np.array(field.pair_observables(rows)))
+        w = (np.exp(1j * _RING_PSI)[:, None, None] ** 2 * corr.w20(-eig.taus)).real + corr.w11(-eig.taus).real
+        rows = rows + (eig.ring.scale**2 * w) * (_RING_RADII**2)[:, None, None, None, None]
+        want = np.array(field.pair_observables(rows))
+        assert np.array_equal(cubic[1:], want[1:])
+        gap = np.abs(cubic[0] - want[0]).max()
+        assert gap <= (pc.n > 1) * pc.n * np.spacing(np.abs(want[:2]).max()), pc.n
+
+
 def test_q_is_an_eigenvector_of_the_vector_field(critical_config):
     # The order-rho part of harmonic 1 on the ring is the field's linear part
     # applied to q*exp(i*omega0*theta): it must be i*omega0*q in every row,
     # the y-rows included, where y' = kappa*v(t) reads q at theta = 0 only.
-    # The ring holds the delayed rows alone, so the current row is added here
-    # and the whole field is evaluated.
+    # The ring holds the pair observables of its delayed rows alone, so the
+    # current row is added here and the whole-row field is evaluated.
     for pc in _platoon_set(critical_config):
         eig = critical_eigendata(pc)
-        ring = eig.ring
         n = pc.n
-        thetas = np.concatenate(([0.0], -eig.taus))  # now, then each pair's delayed row
-        qt = eig.q * np.exp(1j * eig.omega0 * thetas)[:, None]
-        lin = ring.scale * 2.0 * (np.exp(1j * _RING_PSI)[:, None, None] * qt).real
-        states = np.stack((lin, -lin)) * _RING_RADII[:, None, None, None, None]  # (K, 2, A, N+1, 2N)
-        assert np.array_equal(states[..., 1:, :], ring.linear_states())
+        states = _ring_rows(eig, np.concatenate(([0.0], -eig.taus)))  # now, then each pair's delayed row
         rows = states.reshape(-1, n + 1, 2 * n)
-        out, failures = eig.field(math.inf, rows[:, 0], rows[:, 1:])
+        out, failures = whole_row_field(eig.field, math.inf, rows[:, 0], rows[:, 1:])
         assert not failures
         out = out.reshape(states.shape[:3] + (2 * n,))
         odd = out[:, 0] - out[:, 1]
         h1 = (odd * _RING_PHASES[1, :, None]).sum(axis=1) / _RING_RADII[:, None]
-        linear = _RING_FIT[0] @ h1 / ring.scale
+        linear = _RING_FIT[0] @ h1 / eig.ring.scale
         want = 1j * eig.omega0 * eig.q
         assert np.max(np.abs(linear - want)) <= 1e-12 * np.max(np.abs(want)), pc.n
+
+
+# The sha256 of json.dumps(hopf_report(pc).to_dict(), sort_keys=True), pinned
+# from the ring that evaluated whole delayed rows.
+_PINNED_REPORTS = {
+    "single-l1": (single_follower, 1.0, "25a7a79bbd7d5cdf67608841442a733f5164eaa20142c9a730a1d0c8c228cf33"),
+    "single-l0.5": (single_follower, 0.5, "6d06731323ccf29be440a33b2ab598ed63c03b7157103683e46f5afe2d5e45dc"),
+    "platoon-l1": (four_vehicle_platoon, 1.0, "6de1300840f7edf7eada54687f769e6315e18517e03a9fe49db61129dc1e088d"),
+    "platoon-l0": (four_vehicle_platoon, 0.0, "6ddf17a9da9d2d0c72a12638e78465f073df3f00885e62b0c4fc32a0baf86dd9"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_REPORTS))
+def test_pinned_reports_keep_their_bits(case):
+    make, l, digest = _PINNED_REPORTS[case]
+    report = hopf_report(make(l=l)).to_dict()
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
@@ -364,16 +412,16 @@ def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
 
-    for owner, name in ((VectorField, "velocity_rows"), (np.linalg, "svd"), (np.linalg, "solve"), (_Ring, "__init__")):
+    for owner, name in ((VectorField, "flux_rows"), (np.linalg, "svd"), (np.linalg, "solve"), (_Ring, "__init__")):
         count(owner, name)
     for pc, report in zip(configs, want):
         calls.clear()
         assert hopf_report(pc).to_dict() == report
-        assert sorted(calls) == ["__init__", "solve", "svd"] + 3 * ["velocity_rows"]
+        assert sorted(calls) == ["__init__", "flux_rows", "flux_rows", "flux_rows", "solve", "svd"]
         calls.clear()
         eig = critical_eigendata(pc)
         g = g_coefficients(eig, manifold_corrections(eig, g_coefficients(eig)))
-        assert calls.count("velocity_rows") == 3
+        assert calls.count("flux_rows") == 3
         assert first_lyapunov(g, eig.omega0) == complex(report["c1_re"], report["c1_im"])
 
 

@@ -122,7 +122,6 @@ def test_negative_integer_m_at_zero_speed_is_domain_breakdown():
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_simulate_evaluates_the_model_vector_field(monkeypatch, method):
     """A constant field moves one step by h times that constant."""
-    monkeypatch.setattr(VectorField, "__call__", lambda self, t, state, rows: (np.full(state.shape, 3.0), {}))
     monkeypatch.setattr(VectorField, "flux_rows", lambda self, t, sums, own, dev: (np.full(own.shape, 3.0), {}))
     monkeypatch.setattr(VectorField, "headway_rows", lambda self, v: np.full(v.shape, 3.0))
     pc = four_vehicle_platoon()
@@ -295,18 +294,18 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_a_block_makes_one_field_call(monkeypatch, method):
     """Every block evaluates its stages' v-derivatives in one flux_rows call; y' = kappa*v comes from the headway rows."""
-    calls, whole = [], []
-    flux_rows, field_call = VectorField.flux_rows, VectorField.__call__
+    calls = []
+    flux_rows = VectorField.flux_rows
     monkeypatch.setattr(VectorField, "flux_rows", lambda self, *args: calls.append(1) or flux_rows(self, *args))
-    monkeypatch.setattr(VectorField, "__call__", lambda self, *args: whole.append(1) or field_call(self, *args))
     field = VectorField(four_vehicle_platoon())
+    assert not callable(field) and not hasattr(field, "velocity_rows")  # flux_rows is the field's one v-row entry
     init = _perturb(field.n).as_vector()
     steps = 100  # 1 s at h = 0.01
     size = _engine(field, 0.01, method, init, steps).block_size()
     assert size >= 2
     calls.clear()
     got, errors = _stored_run(field, 0.01, method, init, steps)
-    assert not errors and len(calls) == math.ceil(steps / size) and not whole
+    assert not errors and len(calls) == math.ceil(steps / size)
     want, _ = step_loop_run(field, 0.01, method, init, steps)
     assert np.array_equal(got, want)
 
@@ -349,7 +348,7 @@ def test_euler_and_single_pair_rk4_runs_keep_their_bits(case):
 
 
 def test_the_engines_observable_rows_give_the_velocity_rows():
-    """Pair i's columns of an engine row, read through its views, give velocity_rows of the whole rows bit for bit."""
+    """Pair i's columns of an engine row, read through its views, give the v-rows of the whole rows' pair observables bit for bit."""
     pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
     field = VectorField(*pcs)
     rng = np.random.default_rng(13)
@@ -357,7 +356,7 @@ def test_the_engines_observable_rows_give_the_velocity_rows():
     delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
     delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
     delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3)
-    want, want_failures = field.velocity_rows(times, delayed)
+    want, want_failures = field.flux_rows(times, *field.pair_observables(delayed))
     # Each pair's delayed row as an engine row [S_4..S_2 | v | y], members last; keep pair i's columns.
     whole = np.zeros((6, 4, 11, 3))
     whole[:, :, 3:] = delayed.transpose(1, 2, 3, 0)

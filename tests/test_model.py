@@ -27,7 +27,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, single_follower
-from oracles import linear_rhs, power
+from oracles import linear_rhs, power, whole_row_field
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_equilibrium_coefficients_from_config(platoon_config):
 
 def _eval(pc, t, state, delayed_rows):
     """One config through the batched field: flat rows in, flat derivative out."""
-    out, failures = VectorField(pc)(t, np.asarray(state)[None], np.asarray(delayed_rows)[None])
+    out, failures = whole_row_field(VectorField(pc), t, np.asarray(state)[None], np.asarray(delayed_rows)[None])
     return out[0], failures
 
 
@@ -262,7 +262,8 @@ def test_field_and_power_share_the_domain_rules(m, base):
 
 
 def test_field_with_one_time_per_row_equals_one_call_per_row():
-    """Rows before t = 0, on the leader ramp and past it: the same bits, and each member's first failing row."""
+    """flux_rows with one time per row gives, for rows before t = 0, on the leader ramp and past it, the
+    v-rows of one whole-row call per row, bit for bit, and each member's error at its first failing row."""
     pcs = [four_vehicle_platoon(kappa=k) for k in (1.0, 1.3)]
     field = VectorField(*pcs)
     times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, field._settled, 50.0])
@@ -273,15 +274,16 @@ def test_field_with_one_time_per_row_equals_one_call_per_row():
     delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
     delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3), then at row 5 (pair 1)
     delayed[1, 5, 0, 4] = -21.0
-    out, failures = field(times, state, delayed)
-    assert out.shape == state.shape and list(failures) == [1]
+    observed = field.pair_observables(delayed)
+    out, failures = field.flux_rows(times, *observed)
+    assert out.shape == (2, times.size, 4) and list(failures) == [1]
     for r, t in enumerate(times.tolist()):
-        want, want_failures = field(t, state[:, r], delayed[:, r])
-        assert np.array_equal(out[:, r], want)
+        want, want_failures = whole_row_field(field, t, state[:, r], delayed[:, r])
+        assert np.array_equal(out[:, r], want[:, :4])
         if r == 4:
             got, exp = failures[1], want_failures[1]
             assert type(got) is type(exp) and str(got) == str(exp) and (got.t, got.pair, got.value) == (exp.t, exp.pair, exp.value)
-    scalar, _ = field(50.0, state, delayed)  # one scalar time serves every row
+    scalar, _ = field.flux_rows(50.0, *observed)  # one scalar time serves every row
     assert np.array_equal(scalar[:, -1], out[:, -1])
 
 
@@ -292,7 +294,7 @@ def test_headway_rows_are_the_fields_y_rows():
     rng = np.random.default_rng(5)
     state = rng.normal(size=(3, 6, 8)) * 0.1
     delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
-    out, failures = field(np.linspace(0.0, 5.0, 6), state, delayed)
+    out, failures = whole_row_field(field, np.linspace(0.0, 5.0, 6), state, delayed)
     assert not failures
     rows = field.headway_rows(state[..., :4])
     assert rows.shape == (3, 6, 4) and np.array_equal(rows, out[..., 4:])
@@ -301,8 +303,8 @@ def test_headway_rows_are_the_fields_y_rows():
     assert np.array_equal(stages.reshape(3, 6, 4), out[..., 4:])
 
 
-def test_velocity_rows_are_the_fields_v_rows():
-    """velocity_rows gives the v-rows and the failures of a call, bit for bit, on (B, R) rows and a block's (B, K*S) rows."""
+def test_flux_rows_are_the_fields_v_rows():
+    """flux_rows of the pair observables gives the v-rows and the failures of the whole-row field, bit for bit, on (B, R) rows and a block's (B, K, S) rows."""
     pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
     field = VectorField(*pcs)
     rng = np.random.default_rng(7)
@@ -310,20 +312,20 @@ def test_velocity_rows_are_the_fields_v_rows():
     state = rng.normal(size=(3, 6, 8)) * 0.1
     delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
     delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
-    out, failures = field(times, state, delayed)
-    rows, row_failures = field.velocity_rows(times, delayed)
+    out, failures = whole_row_field(field, times, state, delayed)
+    rows, row_failures = field.flux_rows(times, *field.pair_observables(delayed))
     assert not failures and not row_failures
     assert rows.shape == (3, 6, 4) and np.array_equal(rows, out[..., :4])
     assert np.array_equal(np.signbit(rows), np.signbit(out[..., :4]))
-    block = delayed.reshape(3, 2, 3, 4, 8)  # a block's (B, K, S, N, 2N) rows, as the block passes them
-    stage_times = times.reshape(2, 3)
-    rows, _ = field.velocity_rows(stage_times.ravel(), block.reshape(3, -1, 4, 8))
+    block = delayed.reshape(3, 2, 3, 4, 8)  # a block's (B, K, S, N, 2N) rows
+    observed = [x.reshape(3, -1, 4) for x in field.pair_observables(block)]  # (B, K, S, N), as (B, K*S, N)
+    rows, _ = field.flux_rows(times, *observed)
     assert np.array_equal(rows.reshape(3, 2, 3, 4), out[..., :4].reshape(3, 2, 3, 4))
     delayed[1, 4, 2, 6] = -25.0  # member 1 leaves the domain at row 4 (pair 3), then at row 5 (pair 1)
     delayed[1, 5, 0, 4] = -21.0
     delayed[2, 2, 1, 5] = -20.0  # member 2 leaves the domain at row 2, pair 2: a headway of exactly 0
-    out, failures = field(times, state, delayed)
-    rows, row_failures = field.velocity_rows(times, delayed)
+    out, failures = whole_row_field(field, times, state, delayed)
+    rows, row_failures = field.flux_rows(times, *field.pair_observables(delayed))
     assert list(failures) == list(row_failures) == [1, 2]
     for b, got in row_failures.items():
         want = failures[b]
@@ -332,14 +334,15 @@ def test_velocity_rows_are_the_fields_v_rows():
     assert np.array_equal(rows, out[..., :4])
 
 
-def test_the_flux_of_the_pair_observables_is_the_velocity_rows():
-    """pair_observables reads pair i's S_i = v_1 + ... + v_i (added in turn), v_i and y_i of its own row, and flux_rows of those is velocity_rows, bit for bit."""
+def test_the_pair_observables_are_each_pairs_sum_speed_and_headway():
+    """pair_observables reads pair i's S_i = v_1 + ... + v_i (added in turn), v_i and y_i of its own row, and flux_rows of those is the whole-row field's v-rows, bit for bit."""
     pcs = [four_vehicle_platoon(kappa=k) for k in (0.7, 1.0, 1.3)]
     field = VectorField(*pcs)
     rng = np.random.default_rng(11)
     times = np.array([-0.2, 0.1, 0.35, 1.0, 3.0, 50.0])  # rest, ramp and settled leader
     delayed = rng.normal(size=(3, 6, 4, 8)) * 0.1
     delayed[:, 0, :, :4] = -0.05  # the leader is at rest before t = 0: keep the speed bases positive
+    state = rng.normal(size=(3, 6, 8)) * 0.1
     sums, own, dev = field.pair_observables(delayed)
     for b, r, i in np.ndindex(3, 6, 4):
         row = delayed[b, r, i].tolist()
@@ -349,17 +352,33 @@ def test_the_flux_of_the_pair_observables_is_the_velocity_rows():
         assert (sums[b, r, i], own[b, r, i], dev[b, r, i]) == (total, row[i], row[4 + i])
     for t in (times, 50.0):
         got, failures = field.flux_rows(t, sums, own, dev)
-        want, want_failures = field.velocity_rows(t, delayed)
+        want, want_failures = whole_row_field(field, t, state, delayed)
         assert not failures and not want_failures
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got, want[..., :4]) and np.array_equal(np.signbit(got), np.signbit(want[..., :4]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_the_observables_of_complex_rows_are_those_of_their_parts(n):
+    """pair_observables of complex rows has, as its real and imaginary parts, the observables of
+    those parts taken apart, bit for bit, on any leading axes."""
+    field = VectorField(PlatoonConfig(tuple(VehicleParams(0.5, 0.3, 20.0) for _ in range(n)), 2.0, 1.0, LeaderProfile(10.0)))
+    rng = np.random.default_rng(17 + n)
+    for lead in ((), (5,), (3, 2, 4)):
+        rows = rng.normal(size=lead + (n, 2 * n)) + 1j * rng.normal(size=lead + (n, 2 * n))
+        got = field.pair_observables(rows)
+        for part, take in ((rows.real, np.real), (rows.imag, np.imag)):
+            for x, want in zip(got, field.pair_observables(part)):
+                assert x.shape == lead + (n,) and np.iscomplexobj(x)
+                assert np.array_equal(take(x), want) and np.array_equal(np.signbit(take(x)), np.signbit(want))
 
 
 def test_a_scalar_time_reads_the_leader_as_a_time_per_row():
     field = VectorField(four_vehicle_platoon())
     delayed = np.random.default_rng(3).normal(size=(1, 5, 4, 8)) * 0.1
+    observed = field.pair_observables(delayed)
     for t in (0.1, 0.5, 50.0, math.inf):  # ramping, then settled
-        rows, failures = field.velocity_rows(t, delayed)
-        want, _ = field.velocity_rows(np.full(5, t), delayed)
+        rows, failures = field.flux_rows(t, *observed)
+        want, _ = field.flux_rows(np.full(5, t), *observed)
         assert not failures and np.array_equal(rows, want)
 
 
@@ -390,7 +409,7 @@ def test_rest_quotients_are_the_quotients_of_single_probes():
         h = 2.0**-60 * min(pc.leader.v_eq, min(veh.b for veh in pc.vehicles))
         slots = (n + 1) * size
         probes = h * np.eye(slots).reshape(slots, n + 1, size)
-        out, failures = field(math.inf, probes[:, 0], probes[:, 1:])
+        out, failures = whole_row_field(field, math.inf, probes[:, 0], probes[:, 1:])
         want = (out / h).reshape(n + 1, size, size)  # [slot, column, row]
         (slot, col, row, value), got_failures = field.rest_quotients(h)
         assert not failures and not got_failures
