@@ -32,16 +32,19 @@ The steps are taken in blocks (a block method of steps).  Only y' = kappa*v
 is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
 block of K steps with K about tau_min/h, every stage's delayed instant lies at
 or before the block's first node, so one ``flux_rows`` call on one gather of
-stored history gives every stage's v-derivative.  Sequential sums of those
-give v at every stage and node, and the field's headway rows give
-y' = kappa*v of those.  A block's times, gather indices and weights are
-slices of tables built once per run.  The sums add in the order of a
-step-by-step loop, so a block is bit-identical to taking its steps one at
-a time.  Where a stage's rows need
-the stage before it (a zero delay, or tau_min < 2h under rk4), and in a
-block where a member fails, the steps are taken one at a time, one field
-call per stage, which keeps the order of failure events: earliest step,
-then stage, then the blow-up check.
+stored history gives every stage's v-derivative.  Under rk4 the call also
+gives the first stage of the node after the block, whose derivative the next
+block's lookups read.  Sequential sums give v at every node, and the field's
+headway rows give each node's y' = kappa*v and, under rk4, each step of y:
+y' is linear in v, so RK4's weighted average of the stages' y' is the
+headway rows of the mean stage speed, v + h*(k1 + k2 + k3)/6.  A block's
+times, gather indices and weights are slices of tables built once per run.
+The sums add in the order of a step-by-step loop, so a block is
+bit-identical to taking its steps one at a time.  Steps are taken one at a
+time, one field call per stage, only where a stage's rows need the stage
+before it (a zero delay) and in a block where a member fails, which keeps
+the order of failure events: earliest step, then stage, then the blow-up
+check.
 
 Every run keeps only a window of the newest nodes, as deep as the
 deepest lookup plus a few blocks: when the next block would run past the
@@ -283,8 +286,10 @@ class _MethodOfSteps:
     Both routes give every stage the same delayed observables, times and
     float operations, so they agree bit for bit.  A block evaluates all its
     stages' velocity derivatives in one ``flux_rows`` call, which it can
-    because they read only nodes that precede the block, and their headway
-    derivatives as kappa*v; a step evaluates the whole field once per stage.
+    because they read only nodes up to its first, and takes y from the
+    headway rows; under rk4 the call also gives the derivative of the next
+    block's first node, which that block's lookups read.  A step evaluates
+    the whole field once per stage.
 
     A node row is [S_N..S_2 | v | y]: the state, and ahead of it the prefix
     sums S_i = v_1 + ... + v_i that the field's pairs read, so that
@@ -317,7 +322,7 @@ class _MethodOfSteps:
         size = max(self.block_size(), 1)
         # Room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows.
         length = min(steps + 1, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
-        self.sink, self.fed = sink, 0  # the first node not yet passed to the sink
+        self.sink, self.fed, self.end = sink, 0, steps  # fed: the first node not yet passed to the sink
         # Node values and derivatives, so that one gather reads both.
         self.hist = np.zeros((2, length, width, batch))
         self.flat = self.hist.reshape(-1, batch)
@@ -333,7 +338,6 @@ class _MethodOfSteps:
         # their derivatives (Euler: the value of node j alone).
         self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
         self.times = np.arange(length)[:, None] * h + self.lags
-        self.stage_steps = np.array([h * 0.5, h * 0.5, h * 1.0])[:, None, None]  # h*c of rk4's k2, k3 and k4
         self.nodes = np.arange(size)[:, None, None] + offsets[:, pair]  # (K, S, width)
         slot, later = ((0, 0, length, length), (0, 1, 0, 1)) if self.rk4 else ((0,), (0,))
         slot, later = np.array(slot)[:, None, None, None], np.array(later)[:, None, None, None]
@@ -341,22 +345,24 @@ class _MethodOfSteps:
         self.index = self.origin + (later + self.nodes + self.pre) * width  # counted from node k0 - pre
         self.weights = np.repeat(weights[:, None][..., pair, None], size, axis=1)
         self.errors: dict = {}
+        self.stale = False  # whether steps were taken since the last block; no block reads node 0's derivative
 
     def block_size(self) -> int:
         """Steps per block, or 0 where a stage's rows need the stage before it.
 
-        A block of steps k0 .. k0 + K - 1 computes node k0's derivative (its
-        first stage) and everything after, so its gathers may read node
-        values up to k0 and, under rk4, derivatives up to k0 - 1.  With
+        A block of steps k0 .. k0 + K - 1 computes everything after node k0,
+        so its gathers may read node values up to k0 and, under rk4,
+        derivatives up to k0 too: the block before evaluated node k0's first
+        stage, or, after steps, the block computes it first.  With
         r = tau_min/h, that makes K = ceil(r) under Euler, which reads node
-        j, and floor(r) - 1 under rk4, which also reads node j + 1 (r - 2
-        when r is whole).  Zero delays read the stage state itself.  A byte
-        budget on what a block gathers caps K: per step, stage fraction,
-        column and member, four numbers under rk4 and one under Euler.
+        j, and floor(r) under rk4, which also reads node j + 1 (r - 1 when r
+        is whole).  Zero delays read the stage state itself.  A byte budget
+        on what a block gathers caps K: per step, stage fraction, column and
+        member, four numbers under rk4 and one under Euler.
         """
         if self.zero.size:
             return 0
-        size = 1 - self.newest - 2 * self.rk4
+        size = 1 - self.newest - self.rk4
         per_step = 8 * self.field.batch * self.width * self.reads
         return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
 
@@ -391,9 +397,9 @@ class _MethodOfSteps:
             early = self.nodes[:count] + r0 < 0
             index = np.where(early, self.origin, index + (r0 - self.pre) * self.width)
             w = np.where(early[..., None], _NODE[:, None, None, None, None], w)
-            gathered = np.take(self.flat, index, axis=0)
+            gathered = self.flat.take(index, axis=0)
         else:  # from row r0 - pre on, which is contiguous
-            gathered = np.take(self.flat[(r0 - self.pre) * self.width :], index, axis=0)
+            gathered = self.flat[(r0 - self.pre) * self.width :].take(index, axis=0)
         if not self.rk4:  # Euler reads nodes, with no weights
             return gathered[0]
         gathered *= w
@@ -434,11 +440,16 @@ class _MethodOfSteps:
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, delayed, *ks))
-            states[r + 1] = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+            own, dev = slice(n - 1, 2 * n - 1), slice(2 * n - 1, None)
+            d1, d2, d3, d4 = (dot[own] for dot in ks)
+            states[r + 1, own] = yk[own] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            mean = yk[own] + (h / 6.0) * (d1 + (d2 + d3))  # the mean stage speed, see block()
+            states[r + 1, dev] = yk[dev] + h * self.field.headway_rows(mean.T).T
         else:
             states[r + 1] = yk + k1 * h
         _add_sums(states[r + 1], n)
         self.rows = delayed[-1]  # the last stage's instant is the next step's stage 1
+        self.stale = True  # node k + 1's derivative is not stored
         new = states[r + 1, n - 1 :]
         if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(new).max(axis=0) <= _BLOWUP_LIMIT)).tolist()
@@ -449,52 +460,68 @@ class _MethodOfSteps:
         """Advance steps k0 .. k0 + count - 1 with one ``flux_rows`` call.
 
         The call evaluates the velocity derivatives of every stage, which
-        read stored history only; sequential sums of them give v at every
-        stage and node, and the field's headway rows give y' = kappa*v of
-        each stage and each node's derivative.  Returns False if a member
-        newly fails or blows up in the block: the caller then takes its steps
-        one at a time, in the order of events of a step, overwriting what
-        the block wrote.
+        read stored history only, and under rk4 also node k0 + count's first
+        stage, whose rows are the last stage's, unless the run ends there:
+        the derivative of the next block's first node, which its lookups
+        read.  Sequential sums of them give v at every node, and the field's
+        headway rows give each node's y' = kappa*v and, under rk4, each
+        step's y from the mean of its stage speeds.  Returns False if a
+        member newly fails or blows up in the block: the caller then takes
+        its steps one at a time, in the order of events of a step,
+        overwriting what the block wrote.
         """
         field, h, errors = self.field, self.h, self.errors
-        n, batch = field.n, field.batch
-        delayed = self._gather(k0, count)
-        last = delayed[:, -1]  # each step's last stage rows are the next step's stage 1 rows
-        rows = np.empty((count, len(self.lags), self.width, batch))  # the distinct rows of k1, k2 = k3, k4
-        rows[0, 0] = self.rows
-        rows[1:, 0] = last[:-1]
-        if self.rk4:
-            rows[:, 1:] = delayed
+        n, batch, width = field.n, field.batch, self.width
         r0 = k0 - self.base
-        times = self.times[r0 : r0 + count].ravel()
-        dv, failures = field.flux_rows(times, *_observed(rows.reshape(-1, self.width, batch), n))
+        if self.stale and self.rk4:  # steps were taken: the lookups read node k0's derivative, which no block wrote
+            dot, failures = self._derivative(k0 * h, self.states[r0], self.rows)
+            if any(b not in errors for b in failures):
+                return False
+            self.derivs[r0] = dot
+            self.stale = False
+        delayed = self._gather(k0, count)
+        last = delayed[:, -1]  # each step's last stage rows are the next node's stage 1 rows
+        # Per node from k0 on, the distinct rows of k1, k2 = k3 and k4, with no k2 or k4 after the last step.
+        rows = np.empty((count + self.rk4, len(self.lags), width, batch))
+        rows[0, 0] = self.rows
+        rows[1:, 0] = last[: len(rows) - 1]
+        if self.rk4:
+            rows[:count, 1:] = delayed
+        stride = len(self.lags)
+        evaluated = stride * count + (self.rk4 and k0 + count < self.end)  # the run's last node needs no k1
+        times = self.times[r0 : r0 + len(rows)].ravel()[:evaluated]
+        dv, failures = field.flux_rows(times, *_observed(rows.reshape(-1, width, batch)[:evaluated], n))
         if any(b not in errors for b in failures):
             return False
-        dv = dv.transpose(1, 2, 0).reshape(rows.shape[:2] + (n, batch))
+        dv = dv.transpose(1, 2, 0)
         span = self.states[r0 : r0 + count + 1]
         v, y = span[:, n - 1 : 2 * n - 1], span[:, 2 * n - 1 :]
+        first = dv[::stride]  # the first stages of nodes k0 .. k0 + count, or k0 + count - 1
+        node = self.derivs[r0 : r0 + len(first)]
+        node[:, n - 1 : 2 * n - 1] = first
+        d1 = node[:count, n - 1 : 2 * n - 1]
         if self.rk4:
-            d1, d2, d4 = dv[:, 0], dv[:, 1], dv[:, 2]  # k3's is d2: k2's rows and time
+            d2, d4 = dv[1::3], dv[2::3]  # k3's is d2: k2's rows and time
             twice = 2.0 * d2
-            v[1:] = (h / 6.0) * (d1 + twice + twice + d4)
+            mean = d1 + twice
+            v[1:] = (h / 6.0) * (mean + twice + d4)
             np.add.accumulate(v, axis=0, out=v)
-            v0 = v[:-1, None]
-            # v of k1..k4: k2, k3 and k4 add h*c times the v-derivative of k1, k2 and k3 (d2).
-            stage = np.concatenate((v0, v0 + dv[:, (0, 1, 1)] * self.stage_steps), axis=1)
-            dy = field.headway_rows(stage.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
-            y[1:] = (h / 6.0) * (dy[:, 0] + 2.0 * dy[:, 1] + 2.0 * dy[:, 2] + dy[:, 3])
+            # y' = kappa*v is linear, so RK4's weighted average of the stages'
+            # headway rows is the headway rows of the mean stage speed,
+            # v + h*(k1 + k2 + k3)/6; with k3 = k2, d1 + 2*d2 is step()'s
+            # k1 + (k2 + k3) bit for bit.
+            mean *= h / 6.0
+            mean += v[:-1]
         else:
-            v[1:] = dv[:, 0] * h
+            v[1:] = d1 * h
             np.add.accumulate(v, axis=0, out=v)
-            dy = field.headway_rows(v[:-1, None].transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
-            y[1:] = dy[:, 0] * h
+            mean = v[:-1]  # Euler's one stage is the node
+        node[:, 2 * n - 1 :] = field.headway_rows(v[: len(node)].transpose(2, 0, 1)).transpose(1, 2, 0)
+        y[1:] = field.headway_rows(mean.transpose(2, 0, 1)).transpose(1, 2, 0) * h
         np.add.accumulate(y, axis=0, out=y)
-        node = self.derivs[r0 : r0 + count]
-        node[:, n - 1 : 2 * n - 1] = dv[:, 0]
-        node[:, 2 * n - 1 :] = dy[:, 0]
         _add_sums(self.hist[:, r0 : r0 + count + 1], n)  # the new nodes' values and derivatives
         new = span[1:, n - 1 :]
-        if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
+        if not np.maximum.reduce(abs(new), axis=None) <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(new).max(axis=(0, 1)) <= _BLOWUP_LIMIT)).tolist()
             if any(b not in errors for b in blown):
                 return False

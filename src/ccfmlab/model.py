@@ -48,9 +48,10 @@ __all__ = [
 ]
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise InvalidConfigError with ``msg.format(*args)`` unless cond, formatting the message only then."""
     if not cond:
-        raise InvalidConfigError(msg)
+        raise InvalidConfigError(msg.format(*args))
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class VehicleParams:
     b: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.alpha) and self.alpha > 0, f"alpha must be > 0, got {self.alpha}")
-        _require(math.isfinite(self.tau) and self.tau >= 0, f"tau must be >= 0, got {self.tau}")
-        _require(math.isfinite(self.b) and self.b > 0, f"b must be > 0, got {self.b}")
+        _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha must be > 0, got {}", self.alpha)
+        _require(math.isfinite(self.tau) and self.tau >= 0, "tau must be >= 0, got {}", self.tau)
+        _require(math.isfinite(self.b) and self.b > 0, "b must be > 0, got {}", self.b)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class LeaderProfile:
     ramp: float = 10.0
 
     def __post_init__(self):
-        _require(math.isfinite(self.v_eq) and self.v_eq > 0, f"v_eq must be > 0, got {self.v_eq}")
-        _require(math.isfinite(self.ramp) and self.ramp > 0, f"ramp must be > 0, got {self.ramp}")
+        _require(math.isfinite(self.v_eq) and self.v_eq > 0, "v_eq must be > 0, got {}", self.v_eq)
+        _require(math.isfinite(self.ramp) and self.ramp > 0, "ramp must be > 0, got {}", self.ramp)
 
     def velocity(self, t: float) -> float:
         if t <= 0.0:
@@ -106,9 +107,9 @@ class PlatoonConfig:
     def __post_init__(self):
         _require(len(self.vehicles) >= 1, "at least one follower vehicle is required")
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        _require(math.isfinite(self.m) and -2.0 <= self.m <= 2.0, f"m must lie in [-2, 2], got {self.m}")
-        _require(math.isfinite(self.l) and self.l >= 0.0, f"l must be >= 0, got {self.l}")
-        _require(math.isfinite(self.kappa) and self.kappa > 0, f"kappa must be > 0, got {self.kappa}")
+        _require(math.isfinite(self.m) and -2.0 <= self.m <= 2.0, "m must lie in [-2, 2], got {}", self.m)
+        _require(math.isfinite(self.l) and self.l >= 0.0, "l must be >= 0, got {}", self.l)
+        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0, got {}", self.kappa)
 
     @property
     def n(self) -> int:
@@ -237,7 +238,8 @@ class VectorField:
             _require(
                 (other.n, other.m, other.l, other.leader) == (pc.n, pc.m, pc.l, pc.leader)
                 and np.array_equal(other.taus, self.tau),
-                f"batch config {k} differs from config 0 in N, the delays, m, l or the leader",
+                "batch config {} differs from config 0 in N, the delays, m, l or the leader",
+                k,
             )
         self.n = pc.n
         self.batch = len(pcs)
@@ -373,21 +375,21 @@ def config_from_dict(data: dict) -> PlatoonConfig:
     if not isinstance(data, dict):
         raise InvalidConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    _require(not unknown, "unknown config keys: {}", sorted(unknown))
     for key in ("N", "vehicles", "m", "l", "leader"):
-        _require(key in data, f"config missing required key {key!r}")
+        _require(key in data, "config missing required key {!r}", key)
     vehicles_raw = data["vehicles"]
     _require(isinstance(vehicles_raw, list) and vehicles_raw, "vehicles must be a non-empty list")
     n = data["N"]
-    _require(isinstance(n, int) and not isinstance(n, bool), f"N must be an integer, got {n!r}")
-    _require(n == len(vehicles_raw), f"N = {n} but {len(vehicles_raw)} vehicle entries given")
+    _require(isinstance(n, int) and not isinstance(n, bool), "N must be an integer, got {!r}", n)
+    _require(n == len(vehicles_raw), "N = {} but {} vehicle entries given", n, len(vehicles_raw))
     vehicles = []
     for k, entry in enumerate(vehicles_raw, start=1):
-        _require(isinstance(entry, dict), f"vehicles[{k}] must be an object")
+        _require(isinstance(entry, dict), "vehicles[{}] must be an object", k)
         unknown = set(entry) - _VEHICLE_KEYS
-        _require(not unknown, f"vehicles[{k}] has unknown keys: {sorted(unknown)}")
+        _require(not unknown, "vehicles[{}] has unknown keys: {}", k, sorted(unknown))
         missing = _VEHICLE_KEYS - set(entry)
-        _require(not missing, f"vehicles[{k}] missing keys: {sorted(missing)}")
+        _require(not missing, "vehicles[{}] missing keys: {}", k, sorted(missing))
         vehicles.append(
             VehicleParams(
                 alpha=_check_number(entry["alpha"], f"vehicles[{k}].alpha"),
@@ -398,7 +400,7 @@ def config_from_dict(data: dict) -> PlatoonConfig:
     leader_raw = data["leader"]
     _require(isinstance(leader_raw, dict), "leader must be an object")
     unknown = set(leader_raw) - _LEADER_KEYS
-    _require(not unknown, f"leader has unknown keys: {sorted(unknown)}")
+    _require(not unknown, "leader has unknown keys: {}", sorted(unknown))
     _require("v_eq" in leader_raw, "leader missing required key 'v_eq'")
     leader = LeaderProfile(
         v_eq=_check_number(leader_raw["v_eq"], "leader.v_eq"),

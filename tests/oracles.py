@@ -543,11 +543,13 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
     """The node states and errors of a run with one field call per stage and step.
 
     ``lookup="pairs"`` keeps each node's pair observables beside its state
-    and interpolates pair i's S_i, v_i and y_i at its delayed instant, as
+    and interpolates pair i's S_i, v_i and y_i at its delayed instant, and
+    steps rk4's y by the headway rows of the mean stage speed, as
     ``integrate._run`` does, which must match it bit for bit.  ``"rows"``
     interpolates each pair's whole delayed row and calls the field on it,
-    the lookup before that one, which sums after interpolating and so
-    agrees to rounding.
+    the lookup before that one, which sums after interpolating, and steps y
+    by the classical average of the four stages' y', so it agrees to
+    rounding.
     """
     n, batch = field.n, field.batch
     pairs = lookup == "pairs"
@@ -614,6 +616,9 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
                 if failures:
                     _retire(failures, errors, (hist, seen, delayed, *ks))
             new = yk + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+            if pairs:  # y' = kappa*v is linear: the headway rows of the mean stage speed, as integrate does
+                mean = yk[:, :n] + (h / 6.0) * (ks[0][:, :n] + (ks[1][:, :n] + ks[2][:, :n]))
+                new[:, n:] = yk[:, n:] + h * field.headway_rows(mean)
         record(0, k + 1, new)
         rows = delayed[:, -1]  # the last stage's instant is the next step's stage 1
         if not abs(states[:, k + 1]).max() <= _BLOWUP_LIMIT:  # NaN fails this test too

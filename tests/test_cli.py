@@ -279,13 +279,13 @@ def test_bifurcation_csv_and_worker_determinism(tmp_path, single_path):
 
 
 def test_bifurcation_artifacts_keep_their_bytes(tmp_path, single_path):
-    """Pinned from the sweep that stored every member's whole history; this one's window slides inside the tail."""
+    """The SVG is pinned from the sweep that stored every member's whole history, and the CSV since rk4's y step takes the mean stage speed; this sweep's window slides inside the tail."""
     out = tmp_path / "o"
     argv = ["bifurcation", "--config", single_path, "--out", str(out), "--kappa-range", "0.98,1.04", "--points", "4", "--tmax", "60"]
     assert main(argv) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("bifurcation.csv", "bifurcation.svg")}
     assert digests == {
-        "bifurcation.csv": "887f5c24aee9bc87c13baaf6f627b9c94592c179f60f346fd553219ca9d74e8e",
+        "bifurcation.csv": "2e9b3a7484ee28503c6af3475f4ce162345a0d7c5c8b1ca2e07047242318ad92",
         "bifurcation.svg": "430f001991a0bd6ddbd3f3d7738ca5816772f70fc1d81827f475d8d3f636ad62",
     }
 
