@@ -32,19 +32,19 @@ The steps are taken in blocks (a block method of steps).  Only y' = kappa*v
 is instantaneous: every v-derivative reads the state at t - tau_i.  Over a
 block of K steps with K about tau_min/h, every stage's delayed instant lies at
 or before the block's first node, so one ``flux_rows`` call on one gather of
-stored history gives every stage's v-derivative.  Under rk4 the call also
-gives the first stage of the node after the block, whose derivative the next
-block's lookups read.  Sequential sums give v at every node, and the field's
-headway rows give each node's y' = kappa*v and, under rk4, each step of y:
-y' is linear in v, so RK4's weighted average of the stages' y' is the
-headway rows of the mean stage speed, v + h*(k1 + k2 + k3)/6.  A block's
-times, gather indices and weights are slices of tables built once per run.
-The sums add in the order of a step-by-step loop, so a block is
-bit-identical to taking its steps one at a time.  Steps are taken one at a
+stored history gives every stage's v-derivative.  Under rk4 each step's k4
+is taken at the next node's time on that node's first-stage rows, so it is
+that node's first stage: a block evaluates two rows a step, k2 (which k3
+repeats) and k4, and reads each step's k1 from the stored node derivatives.
+Sequential sums give v at every node, and the field's headway rows give
+each node's y' = kappa*v and, under rk4, each step of y: y' is linear in v,
+so RK4's weighted average of the stages' y' is the headway rows of the mean
+stage speed, v + h*(k1 + k2 + k3)/6.  The sums add in the order of a
+step-by-step loop, so a block is bit-identical to taking its steps one at a
+time, failures included: a member fails at its first failing row or
+blown-up node, whichever such a loop meets first.  Steps are taken one at a
 time, one field call per stage, only where a stage's rows need the stage
-before it (a zero delay) and in a block where a member fails, which keeps
-the order of failure events: earliest step, then stage, then the blow-up
-check.
+before it: a zero delay, or rk4 at tau_min = h.
 
 Every run keeps only a window of the newest nodes, as deep as the
 deepest lookup plus a few blocks: when the next block would run past the
@@ -83,9 +83,10 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Per scheme, the distinct stage fractions whose delayed rows are gathered
-# after stage 1; the last one's rows are the next step's stage 1 (Euler
-# evaluates no other).  rk4's k2 and k3 read the same rows, at c = 1/2.
+# Per scheme, the distinct stage fractions c whose delayed rows a step
+# gathers.  rk4's k2 and k3 read the same rows, at c = 1/2, and k4's at c = 1
+# are the next step's k1 rows; Euler's one stage reads those of c = 1 one
+# step back.
 _FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
 _RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
 _BLOWUP_LIMIT = 1e12
@@ -257,11 +258,12 @@ def _add_sums(rows: np.ndarray, n: int) -> None:
 
 
 def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink) -> dict:
-    """The batch's members' errors; ``sink(k, rows)`` takes the node states.
+    """Each failing member's first error; ``sink(k, rows)`` takes the node states.
 
     rows are the (B, count, 2N) states of nodes k .. k + count - 1: the
     nodes made since its last call, before each slide of the window and at
-    the end, unless member 0 has failed.
+    the end, unless member 0 has failed.  The run stops after the block or
+    step in which member 0 fails, whose error is raised whatever the others do.
     """
     engine = _MethodOfSteps(field, h, method, init, steps, sink)
     size = engine.block_size()
@@ -269,11 +271,10 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
     while k < steps and 0 not in engine.errors:  # no member can fail with a lower index
         count = min(max(size, 1), steps - k)
         engine.reach(k, count)
-        if not (size and engine.block(k, count)):
-            for j in range(k, k + count):
-                engine.step(j)
-                if 0 in engine.errors:
-                    break
+        if size:
+            engine.block(k, count)
+        else:
+            engine.step(k)
         k += count
     if 0 not in engine.errors:
         engine.feed(steps + 1)
@@ -281,15 +282,14 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
 
 
 class _MethodOfSteps:
-    """A batch's node history, advanced a block of steps or one step at a time.
+    """A batch's node history, advanced a block of steps or, where no block can go, one step at a time.
 
     Both routes give every stage the same delayed observables, times and
     float operations, so they agree bit for bit.  A block evaluates all its
     stages' velocity derivatives in one ``flux_rows`` call, which it can
     because they read only nodes up to its first, and takes y from the
-    headway rows; under rk4 the call also gives the derivative of the next
-    block's first node, which that block's lookups read.  A step evaluates
-    the whole field once per stage.
+    headway rows; under rk4 each step's k4 is the next node's derivative,
+    which lookups read.  A step evaluates the whole field once per stage.
 
     A node row is [S_N..S_2 | v | y]: the state, and ahead of it the prefix
     sums S_i = v_1 + ... + v_i that the field's pairs read, so that
@@ -311,54 +311,57 @@ class _MethodOfSteps:
     def __init__(self, field: VectorField, h: float, method: str, init: np.ndarray, steps: int, sink):
         n, batch = field.n, field.batch
         self.field, self.h, self.rk4 = field, h, method == "rk4"
-        taus = field.tau.tolist()
-        offsets, weights = _lookup_table(taus, h, _FRACTIONS[method], self.rk4)
+        offsets, weights = _lookup_table(field.tau.tolist(), h, _FRACTIONS[method], self.rk4)
+        if not self.rk4:
+            offsets -= 1  # Euler's one stage at node k reads the rows of c = 1 one step back
         self.pre = -int(offsets.min())  # steps whose lookups reach into t < 0
         self.newest = int(offsets.max())  # the newest node j a lookup reads, relative to the reading step
         pair = np.concatenate((np.arange(n - 1, 0, -1), np.arange(n), np.arange(n)))  # each column's pair
         self.zero = np.flatnonzero(field.tau[pair] == 0.0)  # the columns that read the stage state
         self.width = width = pair.size
         self.reads = offsets.shape[0] * (4 if self.rk4 else 1)  # numbers a step gathers per column and member
-        size = max(self.block_size(), 1)
+        blocks = self.block_size()
+        size = max(blocks, 1)
         # Room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows.
         length = min(steps + 1, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
-        self.sink, self.fed, self.end = sink, 0, steps  # fed: the first node not yet passed to the sink
+        self.sink, self.fed = sink, 0  # fed: the first node not yet passed to the sink
         # Node values and derivatives, so that one gather reads both.
         self.hist = np.zeros((2, length, width, batch))
         self.flat = self.hist.reshape(-1, batch)
         self.states, self.derivs = self.hist
         self.states[0, n - 1 :] = init[:, None]
         _add_sums(self.states[0], n)
-        self.base = 0  # the node in row 0
-        self.rows = self.states[0].copy()  # stage 1 of step 0 reads the pre-history everywhere
-        # Per run, so that a block slices them: the times of each node's
-        # distinct rows (k1 and, under rk4, k2 = k3 and k4), and, counted from
-        # a block's first step, each column's node j and the flat indices and
-        # weights of what it reads: the values of nodes j and j + 1, then
-        # their derivatives (Euler: the value of node j alone).
-        self.lags = np.array((0.0, 0.5 * h, h) if self.rk4 else (0.0,))
-        self.times = np.arange(length)[:, None] * h + self.lags
+        self._rebase(0)
+        # Per run, so that a block slices them: counted from a block's first
+        # step, each column's node j and the flat indices and weights of what
+        # it reads: the values of nodes j and j + 1, then their derivatives
+        # (Euler: the value of node j alone).  rk4's weights are full-size.
         self.nodes = np.arange(size)[:, None, None] + offsets[:, pair]  # (K, S, width)
         slot, later = ((0, 0, length, length), (0, 1, 0, 1)) if self.rk4 else ((0,), (0,))
         slot, later = np.array(slot)[:, None, None, None], np.array(later)[:, None, None, None]
         self.origin = slot * width + np.arange(width)  # what a lookup reads of node 0 alone
         self.index = self.origin + (later + self.nodes + self.pre) * width  # counted from node k0 - pre
-        self.weights = np.repeat(weights[:, None][..., pair, None], size, axis=1)
+        self.weights = np.tile(weights[:, None, :, pair, None], (1, size, 1, 1, batch if self.rk4 else 1))
         self.errors: dict = {}
-        self.stale = False  # whether steps were taken since the last block; no block reads node 0's derivative
+        self.rows = self.states[0].copy()  # a step's k1 rows under rk4; step 0's read the pre-history everywhere
+        if self.rk4 and blocks:  # a block reads its first node's derivative, the block before's last k4: seed node 0's
+            dot, failures = self._derivative(0.0, self.states[0], self.rows)
+            self.derivs[0] = dot
+            _retire(failures, self.errors, (self.hist,))
 
     def block_size(self) -> int:
         """Steps per block, or 0 where a stage's rows need the stage before it.
 
         A block of steps k0 .. k0 + K - 1 computes everything after node k0,
         so its gathers may read node values up to k0 and, under rk4,
-        derivatives up to k0 too: the block before evaluated node k0's first
-        stage, or, after steps, the block computes it first.  With
-        r = tau_min/h, that makes K = ceil(r) under Euler, which reads node
-        j, and floor(r) under rk4, which also reads node j + 1 (r - 1 when r
-        is whole).  Zero delays read the stage state itself.  A byte budget
-        on what a block gathers caps K: per step, stage fraction, column and
-        member, four numbers under rk4 and one under Euler.
+        derivatives up to k0 too: the block before's last k4, or node 0's,
+        seeded when the engine is built.  With r = tau_min/h, that makes
+        K = ceil(r) + 1 under Euler, whose stage at node k reads node
+        floor(k - r), and floor(r) under rk4, which reads nodes j and j + 1
+        around k + 1 - r (r - 1 when r is whole, so 0 at tau_min = h).  Zero
+        delays read the stage state itself.  A byte budget on what a block
+        gathers caps K: per step, stage fraction, column and member, four
+        numbers under rk4 and one under Euler.
         """
         if self.zero.size:
             return 0
@@ -380,8 +383,13 @@ class _MethodOfSteps:
         keep, first = self.pre + 1, k0 - self.pre - self.base
         self.hist[:, :keep] = self.hist[:, first : first + keep]
         self.hist[:, keep:] = 0.0
-        self.base = k0 - self.pre
-        self.times = np.arange(self.base, self.base + len(self.times))[:, None] * self.h + self.lags
+        self._rebase(k0 - self.pre)
+
+    def _rebase(self, base: int) -> None:
+        """Let row 0 hold node base, and tabulate each row's stage times: Euler's k1 at t_k, rk4's k2 = k3 at t_k + h/2 and k4 at t_{k+1}."""
+        self.base = base
+        t = np.repeat(np.arange(base, base + len(self.states) + 1) * self.h, 2)[1:-1].reshape(-1, 2)  # rows [t_k, t_{k+1}]
+        self.times = np.add(t, (0.5 * self.h, 0.0), out=t) if self.rk4 else t[:, :1]
 
     def feed(self, stop: int) -> None:
         """Pass the states of the nodes not yet passed, up to node stop - 1, to the sink."""
@@ -390,9 +398,11 @@ class _MethodOfSteps:
         self.fed = stop
 
     def _gather(self, k0: int, count: int) -> np.ndarray:
-        """The (count, S, width, B) delayed rows of every later stage fraction of steps k0 .. k0 + count - 1."""
+        """The (count, S, width, B) delayed rows of the gathered stages of steps k0 .. k0 + count - 1."""
         r0 = k0 - self.base
-        index, w = self.index[:, :count], self.weights[:, :count]
+        index, w = self.index, self.weights
+        if count < index.shape[1]:  # a short last block
+            index, w = index[:, :count], w[:, :count]
         if k0 < self.pre:  # instants before t = 0 read the pre-history, held in node 0 (row 0: the window has not slid)
             early = self.nodes[:count] + r0 < 0
             index = np.where(early, self.origin, index + (r0 - self.pre) * self.width)
@@ -403,7 +413,7 @@ class _MethodOfSteps:
         if not self.rk4:  # Euler reads nodes, with no weights
             return gathered[0]
         gathered *= w
-        return gathered.sum(axis=0)
+        return np.add.reduce(gathered)
 
     def _derivative(self, t: float, state: np.ndarray, rows: np.ndarray):
         """The field's (width, B) derivative row at a stage, with its sums, and the failures."""
@@ -416,11 +426,15 @@ class _MethodOfSteps:
         return dot, failures
 
     def step(self, k: int) -> None:
-        """Advance step k with one field call per stage, recording each member's first failure."""
+        """Advance step k with one field call per stage, recording each member's first failure.
+
+        The route of zero delays, whose rows hold the stage state, and of rk4
+        at tau_min = h: k1 is evaluated on its own, on rows rk4 carries.
+        """
         h, hist, states, errors, n = self.h, self.hist, self.states, self.errors, self.field.n
         r = k - self.base
         yk = states[r]
-        rows = self.rows
+        rows = self.rows if self.rk4 else self._gather(k, 1)[0, 0]
         if self.zero.size:
             rows[self.zero] = yk[self.zero]
         k1, failures = self._derivative(k * h, yk, rows)
@@ -428,15 +442,15 @@ class _MethodOfSteps:
         if failures:
             _retire(failures, errors, (hist, rows, k1))
         self.derivs[r] = k1  # node k's derivative, which the later stages' lookups may read
-        delayed = self._gather(k, 1)[0]
         if self.rk4:
+            delayed = self._gather(k, 1)[0]
             for c, s in _RK4_STAGES:
                 ystage = yk + (h * c) * ks[-1]
                 _add_sums(ystage, n)
                 rows = delayed[s]
                 if self.zero.size:
                     rows[self.zero] = ystage[self.zero]
-                dot, failures = self._derivative(k * h + c * h, ystage, rows)
+                dot, failures = self._derivative(self.times[r, s], ystage, rows)
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, delayed, *ks))
@@ -445,66 +459,40 @@ class _MethodOfSteps:
             states[r + 1, own] = yk[own] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             mean = yk[own] + (h / 6.0) * (d1 + (d2 + d3))  # the mean stage speed, see block()
             states[r + 1, dev] = yk[dev] + h * self.field.headway_rows(mean.T).T
+            self.rows = delayed[-1]  # k4's rows are the next step's k1 rows, but for the stage state
         else:
             states[r + 1] = yk + k1 * h
         _add_sums(states[r + 1], n)
-        self.rows = delayed[-1]  # the last stage's instant is the next step's stage 1
-        self.stale = True  # node k + 1's derivative is not stored
         new = states[r + 1, n - 1 :]
         if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
             blown = np.flatnonzero(~(abs(new).max(axis=0) <= _BLOWUP_LIMIT)).tolist()
             message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
             _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
 
-    def block(self, k0: int, count: int) -> bool:
-        """Advance steps k0 .. k0 + count - 1 with one ``flux_rows`` call.
+    def block(self, k0: int, count: int) -> None:
+        """Advance steps k0 .. k0 + count - 1 with one ``flux_rows`` call, recording each member's first failure.
 
-        The call evaluates the velocity derivatives of every stage, which
-        read stored history only, and under rk4 also node k0 + count's first
-        stage, whose rows are the last stage's, unless the run ends there:
-        the derivative of the next block's first node, which its lookups
-        read.  Sequential sums of them give v at every node, and the field's
-        headway rows give each node's y' = kappa*v and, under rk4, each
-        step's y from the mean of its stage speeds.  Returns False if a
-        member newly fails or blows up in the block: the caller then takes
-        its steps one at a time, in the order of events of a step,
-        overwriting what the block wrote.
+        The call evaluates the gathered rows as they are: each step's k1
+        under Euler, and under rk4 its k2 (which k3 repeats) and k4, which
+        is stored as the next node's derivative, so that each step's k1 is
+        its node's.  Sequential sums give v at every node, and the headway
+        rows each node's y' and, under rk4, each step of y.
         """
-        field, h, errors = self.field, self.h, self.errors
-        n, batch, width = field.n, field.batch, self.width
+        field, h, n = self.field, self.h, self.field.n
         r0 = k0 - self.base
-        if self.stale and self.rk4:  # steps were taken: the lookups read node k0's derivative, which no block wrote
-            dot, failures = self._derivative(k0 * h, self.states[r0], self.rows)
-            if any(b not in errors for b in failures):
-                return False
-            self.derivs[r0] = dot
-            self.stale = False
         delayed = self._gather(k0, count)
-        last = delayed[:, -1]  # each step's last stage rows are the next node's stage 1 rows
-        # Per node from k0 on, the distinct rows of k1, k2 = k3 and k4, with no k2 or k4 after the last step.
-        rows = np.empty((count + self.rk4, len(self.lags), width, batch))
-        rows[0, 0] = self.rows
-        rows[1:, 0] = last[: len(rows) - 1]
-        if self.rk4:
-            rows[:count, 1:] = delayed
-        stride = len(self.lags)
-        evaluated = stride * count + (self.rk4 and k0 + count < self.end)  # the run's last node needs no k1
-        times = self.times[r0 : r0 + len(rows)].ravel()[:evaluated]
-        dv, failures = field.flux_rows(times, *_observed(rows.reshape(-1, width, batch)[:evaluated], n))
-        if any(b not in errors for b in failures):
-            return False
-        dv = dv.transpose(1, 2, 0)
+        times = self.times[r0 : r0 + count]
+        dv, failures = field.flux_rows(times.reshape(-1), *_observed(delayed.reshape(-1, self.width, field.batch), n))
+        dv = dv.transpose(1, 2, 0)  # (count * S, N, B)
         span = self.states[r0 : r0 + count + 1]
         v, y = span[:, n - 1 : 2 * n - 1], span[:, 2 * n - 1 :]
-        first = dv[::stride]  # the first stages of nodes k0 .. k0 + count, or k0 + count - 1
-        node = self.derivs[r0 : r0 + len(first)]
-        node[:, n - 1 : 2 * n - 1] = first
-        d1 = node[:count, n - 1 : 2 * n - 1]
         if self.rk4:
-            d2, d4 = dv[1::3], dv[2::3]  # k3's is d2: k2's rows and time
+            node = self.derivs[r0 : r0 + count + 1]
+            d2, d4 = dv[0::2], dv[1::2]  # k3's is d2: k2's rows and time
+            node[1:, n - 1 : 2 * n - 1] = d4
             twice = 2.0 * d2
-            mean = d1 + twice
-            v[1:] = (h / 6.0) * (mean + twice + d4)
+            mean = node[:-1, n - 1 : 2 * n - 1] + twice  # d1 + 2*d2
+            np.multiply(mean + twice + d4, h / 6.0, out=v[1:])
             np.add.accumulate(v, axis=0, out=v)
             # y' = kappa*v is linear, so RK4's weighted average of the stages'
             # headway rows is the headway rows of the mean stage speed,
@@ -512,21 +500,30 @@ class _MethodOfSteps:
             # k1 + (k2 + k3) bit for bit.
             mean *= h / 6.0
             mean += v[:-1]
+            node[1:, 2 * n - 1 :] = field.headway_rows(v[1:].transpose(2, 0, 1)).transpose(1, 2, 0)
         else:
-            v[1:] = d1 * h
+            np.multiply(dv, h, out=v[1:])
             np.add.accumulate(v, axis=0, out=v)
             mean = v[:-1]  # Euler's one stage is the node
-        node[:, 2 * n - 1 :] = field.headway_rows(v[: len(node)].transpose(2, 0, 1)).transpose(1, 2, 0)
-        y[1:] = field.headway_rows(mean.transpose(2, 0, 1)).transpose(1, 2, 0) * h
+        np.multiply(field.headway_rows(mean.transpose(2, 0, 1)).transpose(1, 2, 0), h, out=y[1:])
         np.add.accumulate(y, axis=0, out=y)
-        _add_sums(self.hist[:, r0 : r0 + count + 1], n)  # the new nodes' values and derivatives
+        _add_sums(self.hist[: 1 + self.rk4, r0 + 1 : r0 + count + 1], n)  # the new nodes' values and, under rk4, derivatives
         new = span[1:, n - 1 :]
-        if not np.maximum.reduce(abs(new), axis=None) <= _BLOWUP_LIMIT:  # NaN fails this test too
-            blown = np.flatnonzero(~(abs(new).max(axis=(0, 1)) <= _BLOWUP_LIMIT)).tolist()
-            if any(b not in errors for b in blown):
-                return False
-        self.rows = last[-1]
-        return True
+        if not failures and np.maximum.reduce(abs(new), axis=None) <= _BLOWUP_LIMIT:  # NaN fails this test
+            return
+        # A newly failing member fails at its first failing row, whose time less its pair's delay is the error's t,
+        # or its first node past the limit, whichever a step loop meets first: a step's stages come before its node.
+        events = {}
+        for b, exc in failures.items():
+            if b not in self.errors:
+                row = int(np.searchsorted(times.reshape(-1) - field.tau[exc.pair - 1], exc.t))
+                events[b] = (row // times.shape[1], exc)
+        over = ~(abs(new).max(axis=1) <= _BLOWUP_LIMIT)  # (count, B): node k0 + q + 1 is past the limit
+        for b in np.flatnonzero(over.any(axis=0)).tolist():
+            q = int(over[:, b].argmax())
+            if b not in self.errors and q < events.get(b, (count,))[0]:
+                events[b] = (q, NumericalError(f"trajectory blew up at t = {(k0 + q + 1) * h:.6g}"))
+        _retire({b: exc for b, (q, exc) in events.items()}, self.errors, (self.hist,))
 
 
 def _retire(failures: dict, errors: dict, arrays) -> None:

@@ -338,12 +338,11 @@ class VectorField:
         if isinstance(t, float) and t >= self._settled:
             return self._v_eq
         times = np.asarray(t, dtype=float).reshape(-1)
-        if times.min(initial=math.inf) >= self._settled:  # every time of the call is past the ramp
+        if np.minimum.reduce(times, initial=math.inf) >= self._settled:  # every time of the call is past the ramp
             return self._v_eq
-        ramp = times < self._settled
-        lead = np.tile(self._v_eq, (times.size, 1))
-        lead[ramp] = [[self.leader.velocity(x) for x in row] for row in (times[ramp, None] - self.tau).tolist()]
-        return lead
+        # Past _settled - tau_i, velocity rounds to v_eq itself, so the rows past the ramp need no mask.
+        lead = [self.leader.velocity(x) for x in (times[:, None] - self.tau).ravel().tolist()]
+        return np.array(lead).reshape(times.size, self.n)
 
     def _error(self, times: np.ndarray, b: int, speed: np.ndarray, head: np.ndarray, bad: np.ndarray) -> NumericalError:
         r, i = divmod(int(np.argmax(bad[b])), self.n)  # the first failing row, then its lowest pair

@@ -543,13 +543,14 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
     """The node states and errors of a run with one field call per stage and step.
 
     ``lookup="pairs"`` keeps each node's pair observables beside its state
-    and interpolates pair i's S_i, v_i and y_i at its delayed instant, and
-    steps rk4's y by the headway rows of the mean stage speed, as
+    and interpolates pair i's S_i, v_i and y_i at its delayed instant, takes
+    rk4's k4 at t_{k+1}, the time of the next step's k1, which reads the same
+    rows, and steps rk4's y by the headway rows of the mean stage speed, as
     ``integrate._run`` does, which must match it bit for bit.  ``"rows"``
     interpolates each pair's whole delayed row and calls the field on it,
-    the lookup before that one, which sums after interpolating, and steps y
-    by the classical average of the four stages' y', so it agrees to
-    rounding.
+    the lookup before that one, which sums after interpolating, takes k4 at
+    k*h + h, and steps y by the classical average of the four stages' y', so
+    it agrees to rounding.
     """
     n, batch = field.n, field.batch
     pairs = lookup == "pairs"
@@ -611,7 +612,8 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
                 rows = delayed[:, stage]
                 if zero:
                     rows[:, zero] = read(ystage)[:, zero]
-                dot, failures = call(k * h + c * h, ystage, rows)
+                t = (k + 1) * h if pairs and c == 1.0 else k * h + c * h  # the pair lookup takes k4 at t_{k+1}, the next k1's time
+                dot, failures = call(t, ystage, rows)
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, seen, delayed, *ks))

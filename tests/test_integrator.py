@@ -283,7 +283,7 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
     if case == "zero-delay":
         assert size == 0  # a zero delay needs each stage's own state
     elif case == "tau-under-two-steps":
-        assert size == (1 if method == "rk4" else 2)  # tau_min/h = 1.5
+        assert size == (1 if method == "rk4" else 3)  # tau_min/h = 1.5: Euler's stage at node k0 + 2 reads node k0
     else:
         assert size >= 2
     if case == "row-cap":
@@ -301,9 +301,11 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
 def test_a_block_makes_one_field_call(monkeypatch, method):
     """Every block evaluates its stages' v-derivatives in one flux_rows call; y' = kappa*v comes from the headway rows.
 
-    Each step's rows are k1 and, under rk4, k2 = k3 and k4; an rk4 block also
-    evaluates the k1 rows of the node after it, except after the run's last
-    step, where the step loop evaluates none.
+    A step's rows are its k1 under Euler, and its k2 = k3 and k4 under rk4,
+    whose k4 is the next node's first stage: so an rk4 block of K steps
+    evaluates 2K rows.  Its first step's k1 is its first node's stored
+    derivative, which under rk4 the engine seeds for node 0 with a call of
+    one row when it is built.
     """
     calls = []  # the rows of each call
     flux_rows = VectorField.flux_rows
@@ -316,8 +318,8 @@ def test_a_block_makes_one_field_call(monkeypatch, method):
     assert size >= 2
     calls.clear()
     got, errors = _stored_run(field, 0.01, method, init, steps)
-    assert not errors and len(calls) == math.ceil(steps / size)
-    assert sum(calls) == (3 * steps + len(calls) - 1 if method == "rk4" else steps)
+    counts = [min(size, steps - k) for k in range(0, steps, size)]
+    assert not errors and calls == ([1] + [2 * count for count in counts] if method == "rk4" else counts)
     want, _ = step_loop_run(field, 0.01, method, init, steps)
     assert np.array_equal(got, want)
 
@@ -391,11 +393,10 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
     """At kappa = 400 the headway of the single follower reaches zero at about t = 1.0, and at kappa = 20 at about t = 2.4.
 
     That is step 103 (Euler) or 102 (rk4) at h = 0.01, inside the blocks that
-    start at steps 90 and 88, and step 239 or 236, inside those that start
-    at 225 and 220.  Each error must be the step loop's, to the value and
-    the message, and the other members must run on unharmed: in a batch, a
-    block follows each stepped replay, and under rk4 it first computes the
-    derivative of its first node, which no block wrote.
+    start at steps 92 and 88, and step 239 or 236, inside those that start
+    at 230 and 220.  Each error must be the step loop's, to the value and
+    the message, read off the failing block's own call, and the other
+    members must run on unharmed: no step is taken.
     """
     taken = []
     for name in ("block", "step"):
@@ -411,8 +412,7 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
     want, want_errors = step_loop_run(field, sc.step, method, init, steps)
     failed = [b for b, kappa in enumerate(gains) if kappa in (20.0, 400.0)]
     assert sorted(got_errors) == failed and _same_errors(got_errors, want_errors)
-    replays = sum(1 for a, b in zip(taken, taken[1:]) if (a, b) == ("step", "block"))
-    assert replays == (len(failed) if len(gains) > 1 else 0)
+    assert "step" not in taken and "block" in taken
     size = _engine(field, sc.step, method, init, steps).block_size()
     for b in failed:
         step = math.floor((got_errors[b].t + pcs[0].vehicles[0].tau) / sc.step + 1e-6)
@@ -423,6 +423,28 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
     with pytest.raises(DomainBreakdownError) as exc:
         simulate_batch(pcs, sc)
     assert _same_errors({failed[0]: exc.value}, {failed[0]: want_errors[failed[0]]})
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_mid_block_blow_up_matches_the_step_loop(method):
+    """At l = 0 and kappa = 5 this follower's speed passes the blow-up limit at t = 2.05 (Euler) or 2.03 (rk4).
+
+    That is inside a block, whose own nodes show it.  At kappa = 0.8 the
+    headway reaches zero at t = 2.0 or 1.98 instead.  Each error must be the
+    step loop's, and the other members must run on unharmed.
+    """
+    vehicles = (VehicleParams(alpha=0.7, tau=0.45, b=20.0),)
+    pcs = [PlatoonConfig(vehicles=vehicles, m=2.0, l=0.0, leader=LeaderProfile(v_eq=10.0), kappa=k) for k in (0.1, 5.0, 0.05, 0.8)]
+    field = VectorField(*pcs)
+    init = _perturb(1).as_vector()
+    got, got_errors = _stored_run(field, 0.01, method, init, 400)
+    want, want_errors = step_loop_run(field, 0.01, method, init, 400)
+    assert sorted(got_errors) == sorted(want_errors) == [1, 3]
+    assert type(got_errors[1]) is NumericalError and str(got_errors[1]) == str(want_errors[1])
+    assert _same_errors({3: got_errors[3]}, {3: want_errors[3]})
+    size = _engine(field, 0.01, method, init, 400).block_size()
+    assert round(float(str(got_errors[1]).split("= ")[-1]) / 0.01) % size > 1  # the blown-up node is not a block's first
+    assert np.array_equal(got[[0, 2]], want[[0, 2]])
 
 
 # ---------------------------------------------------------------------------
