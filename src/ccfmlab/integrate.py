@@ -43,8 +43,9 @@ stage speed, v + h*(k1 + k2 + k3)/6.  The sums add in the order of a
 step-by-step loop, so a block is bit-identical to taking its steps one at a
 time, failures included: a member fails at its first failing row or
 blown-up node, whichever such a loop meets first.  Steps are taken one at a
-time, one field call per stage, only where a stage's rows need the stage
-before it: a zero delay, or rk4 at tau_min = h.
+time, one field call per stage, only under rk4 with a zero delay, where a
+stage's rows need the stage before it; Euler's zero-delay pair reads its
+node, so its blocks are one step long.
 
 Every run keeps only a window of the newest nodes, as deep as the
 deepest lookup plus a few blocks: when the next block would run past the
@@ -85,9 +86,8 @@ __all__ = [
 
 # Per scheme, the distinct stage fractions c whose delayed rows a step
 # gathers.  rk4's k2 and k3 read the same rows, at c = 1/2, and k4's at c = 1
-# are the next step's k1 rows; Euler's one stage reads those of c = 1 one
-# step back.
-_FRACTIONS = {"euler": (1.0,), "rk4": (0.5, 1.0)}
+# are the next step's k1 rows; Euler's one stage reads those of c = 0.
+_FRACTIONS = {"euler": (0.0,), "rk4": (0.5, 1.0)}
 _RK4_STAGES = ((0.5, 0), (0.5, 0), (1.0, 1))  # (c, fraction index) of k2, k3 and k4
 _BLOWUP_LIMIT = 1e12
 _BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
@@ -282,7 +282,7 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
 
 
 class _MethodOfSteps:
-    """A batch's node history, advanced a block of steps or, where no block can go, one step at a time.
+    """A batch's node history, advanced a block of steps or, under rk4 with a zero delay, one step at a time.
 
     Both routes give every stage the same delayed observables, times and
     float operations, so they agree bit for bit.  A block evaluates all its
@@ -312,10 +312,8 @@ class _MethodOfSteps:
         n, batch = field.n, field.batch
         self.field, self.h, self.rk4 = field, h, method == "rk4"
         offsets, weights = _lookup_table(field.tau.tolist(), h, _FRACTIONS[method], self.rk4)
-        if not self.rk4:
-            offsets -= 1  # Euler's one stage at node k reads the rows of c = 1 one step back
         self.pre = -int(offsets.min())  # steps whose lookups reach into t < 0
-        self.newest = int(offsets.max())  # the newest node j a lookup reads, relative to the reading step
+        self.newest = int((offsets + (weights[1] != 0)).max())  # the newest node a lookup weights, relative to the reading step
         pair = np.concatenate((np.arange(n - 1, 0, -1), np.arange(n), np.arange(n)))  # each column's pair
         self.zero = np.flatnonzero(field.tau[pair] == 0.0)  # the columns that read the stage state
         self.width = width = pair.size
@@ -343,31 +341,34 @@ class _MethodOfSteps:
         self.index = self.origin + (later + self.nodes + self.pre) * width  # counted from node k0 - pre
         self.weights = np.tile(weights[:, None, :, pair, None], (1, size, 1, 1, batch if self.rk4 else 1))
         self.errors: dict = {}
-        self.rows = self.states[0].copy()  # a step's k1 rows under rk4; step 0's read the pre-history everywhere
+        self.rows = self.states[0].copy()  # a step's k1 rows; step 0's read the pre-history everywhere
         if self.rk4 and blocks:  # a block reads its first node's derivative, the block before's last k4: seed node 0's
             dot, failures = self._derivative(0.0, self.states[0], self.rows)
             self.derivs[0] = dot
             _retire(failures, self.errors, (self.hist,))
 
     def block_size(self) -> int:
-        """Steps per block, or 0 where a stage's rows need the stage before it.
+        """Steps per block, or 0 under rk4 with a zero delay, whose stage rows need the stage before them.
 
         A block of steps k0 .. k0 + K - 1 computes everything after node k0,
-        so its gathers may read node values up to k0 and, under rk4,
+        so its gathers may weight node values up to k0 and, under rk4,
         derivatives up to k0 too: the block before's last k4, or node 0's,
-        seeded when the engine is built.  With r = tau_min/h, that makes
-        K = ceil(r) + 1 under Euler, whose stage at node k reads node
-        floor(k - r), and floor(r) under rk4, which reads nodes j and j + 1
-        around k + 1 - r (r - 1 when r is whole, so 0 at tau_min = h).  Zero
-        delays read the stage state itself.  A byte budget on what a block
-        gathers caps K: per step, stage fraction, column and member, four
-        numbers under rk4 and one under Euler.
+        seeded when the engine is built.  So K = 1 - newest, the newest node
+        that a step's lookups weight, counted from the step.  With
+        r = tau_min/h that is ceil(r) + 1 under Euler, whose stage at node k
+        reads node floor(k - r), and node k itself at a zero delay; and
+        floor(r) under rk4, which weights nodes j and j + 1 around k + 1 - r,
+        or node j alone where the instant is on it.  A byte budget on what a
+        block gathers caps K: per step, stage fraction, column and member,
+        four numbers under rk4 and one under Euler.  K is at least 1: rk4's
+        k4 weights node k + 1 only where h is within rounding of tau_min,
+        by about 1e-18, and that node, not yet made, reads 0 as in a step
+        loop.
         """
-        if self.zero.size:
+        if self.rk4 and self.zero.size:
             return 0
-        size = 1 - self.newest - self.rk4
         per_step = 8 * self.field.batch * self.width * self.reads
-        return max(0, min(size, max(1, _BLOCK_BYTES // per_step)))
+        return max(1, min(1 - self.newest, _BLOCK_BYTES // per_step))
 
     def reach(self, k0: int, count: int) -> None:
         """Slide the window, if node k0 + count lies past its end, to start at node k0 - pre.
@@ -426,42 +427,36 @@ class _MethodOfSteps:
         return dot, failures
 
     def step(self, k: int) -> None:
-        """Advance step k with one field call per stage, recording each member's first failure.
+        """Advance rk4 step k with one field call per stage, recording each member's first failure.
 
-        The route of zero delays, whose rows hold the stage state, and of rk4
-        at tau_min = h: k1 is evaluated on its own, on rows rk4 carries.
+        The route of rk4 with a zero delay, whose pair reads each stage's own
+        state: k1 is evaluated on its own, on the rows of the step before's k4.
         """
         h, hist, states, errors, n = self.h, self.hist, self.states, self.errors, self.field.n
         r = k - self.base
         yk = states[r]
-        rows = self.rows if self.rk4 else self._gather(k, 1)[0, 0]
-        if self.zero.size:
-            rows[self.zero] = yk[self.zero]
-        k1, failures = self._derivative(k * h, yk, rows)
+        self.rows[self.zero] = yk[self.zero]
+        k1, failures = self._derivative(k * h, yk, self.rows)
         ks = [k1]
         if failures:
-            _retire(failures, errors, (hist, rows, k1))
+            _retire(failures, errors, (hist, self.rows, k1))
         self.derivs[r] = k1  # node k's derivative, which the later stages' lookups may read
-        if self.rk4:
-            delayed = self._gather(k, 1)[0]
-            for c, s in _RK4_STAGES:
-                ystage = yk + (h * c) * ks[-1]
-                _add_sums(ystage, n)
-                rows = delayed[s]
-                if self.zero.size:
-                    rows[self.zero] = ystage[self.zero]
-                dot, failures = self._derivative(self.times[r, s], ystage, rows)
-                ks.append(dot)
-                if failures:
-                    _retire(failures, errors, (hist, delayed, *ks))
-            own, dev = slice(n - 1, 2 * n - 1), slice(2 * n - 1, None)
-            d1, d2, d3, d4 = (dot[own] for dot in ks)
-            states[r + 1, own] = yk[own] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            mean = yk[own] + (h / 6.0) * (d1 + (d2 + d3))  # the mean stage speed, see block()
-            states[r + 1, dev] = yk[dev] + h * self.field.headway_rows(mean.T).T
-            self.rows = delayed[-1]  # k4's rows are the next step's k1 rows, but for the stage state
-        else:
-            states[r + 1] = yk + k1 * h
+        delayed = self._gather(k, 1)[0]
+        for c, s in _RK4_STAGES:
+            ystage = yk + (h * c) * ks[-1]
+            _add_sums(ystage, n)
+            rows = delayed[s]
+            rows[self.zero] = ystage[self.zero]
+            dot, failures = self._derivative(self.times[r, s], ystage, rows)
+            ks.append(dot)
+            if failures:
+                _retire(failures, errors, (hist, delayed, *ks))
+        own, dev = slice(n - 1, 2 * n - 1), slice(2 * n - 1, None)
+        d1, d2, d3, d4 = (dot[own] for dot in ks)
+        states[r + 1, own] = yk[own] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        mean = yk[own] + (h / 6.0) * (d1 + (d2 + d3))  # the mean stage speed, see block()
+        states[r + 1, dev] = yk[dev] + h * self.field.headway_rows(mean.T).T
+        self.rows = delayed[-1]  # k4's rows are the next step's k1 rows, but for the stage state
         _add_sums(states[r + 1], n)
         new = states[r + 1, n - 1 :]
         if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too

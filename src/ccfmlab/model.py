@@ -179,13 +179,16 @@ def _integer_exponent(exponent: float) -> int | None:
 def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float:
     """Equilibrium interaction gain beta* = alpha * x0dot**m / b**l.
 
-    Requires x0dot > 0 and b > 0 (the equilibrium has every vehicle cruising
-    at the leader speed with headway deviation zero).
+    Requires 0 < x0dot < inf and 0 < b < inf (the equilibrium has every
+    vehicle cruising at the leader speed with headway deviation zero), and
+    finite m and l, which a base of 1 or an exponent of 0 would otherwise hide.
     """
-    if not x0dot > 0:
-        raise InvalidConfigError(f"equilibrium speed must be > 0, got {x0dot}")
-    if not b > 0:
-        raise InvalidConfigError(f"desired headway must be > 0, got {b}")
+    if not 0 < x0dot < math.inf:
+        raise InvalidConfigError(f"equilibrium speed must be positive and finite, got {x0dot}")
+    if not 0 < b < math.inf:
+        raise InvalidConfigError(f"desired headway must be positive and finite, got {b}")
+    if not (math.isfinite(m) and math.isfinite(l)):
+        raise InvalidConfigError(f"exponents m and l must be finite, got m = {m}, l = {l}")
     return alpha * x0dot**m / b**l
 
 

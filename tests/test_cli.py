@@ -216,6 +216,19 @@ def test_rate_artifacts(tmp_path):
             assert math.isnan(float(r[2]))
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--x0", "1", "--m", "nan"], ["--x0", "inf", "--m", "0"], ["--x0", "10", "--m", "2", "--b", "inf", "--l-set", "0"]],
+    ids=["m-nan-at-x0-1", "x0-inf", "b-inf-at-l-0"],
+)
+def test_rate_rejects_non_finite_speeds_headways_and_exponents(tmp_path, capsys, flags):
+    """A base of 1 (x0 = 1) or an exponent of 0 once hid a non-finite factor of beta*: the run wrote a curve."""
+    out = tmp_path / "o"
+    assert main(["rate", "--out", str(out), "--alpha", "0.5", "--b", "20", "--l-set", "1"] + flags) == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 def test_rate_empty_l_set_writes_header_only(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -248,6 +248,7 @@ _BLOCK_CASES = {
     "row-cap": (_capped(), 0.002, 6.0),
     "zero-delay": ([_zero_delay_pair()], 0.01, 20.0),
     "tau-under-two-steps": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.015))], 0.01, 20.0),
+    "tau-equals-h": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.01))], 0.01, 20.0),
 }
 
 
@@ -265,14 +266,14 @@ def _stored_run(field, h, method, init, steps):
 
 def _same_errors(got: dict, want: dict) -> bool:
     def key(errors):
-        return {b: (type(e), str(e), e.t, e.pair, e.value) for b, e in errors.items()}
+        return {b: (type(e), str(e), *(getattr(e, name, None) for name in ("t", "pair", "value"))) for b, e in errors.items()}  # a blow-up has its message alone
 
     return key(got) == key(want)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
-def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
+def test_block_engine_is_bit_identical_to_the_step_loop(monkeypatch, case, method):
     pcs, h, horizon = _BLOCK_CASES[case]
     field = VectorField(*pcs)
     init = _perturb(field.n).as_vector()
@@ -281,18 +282,26 @@ def test_block_engine_is_bit_identical_to_the_step_loop(case, method):
     size = engine.block_size()
     assert engine.hist.shape[1] < steps + 1  # the window slides, so the gate covers its slides
     if case == "zero-delay":
-        assert size == 0  # a zero delay needs each stage's own state
+        assert size == (0 if method == "rk4" else 1)  # rk4's stages need their own states; Euler's reads node k
     elif case == "tau-under-two-steps":
         assert size == (1 if method == "rk4" else 3)  # tau_min/h = 1.5: Euler's stage at node k0 + 2 reads node k0
+    elif case == "tau-equals-h":
+        assert size == (1 if method == "rk4" else 2)  # the last k4 reads node k0 alone
+    elif case == "tau-over-h-integer":
+        assert size == (30 if method == "rk4" else 31)  # tau/h = 30: the last k4 reads node k0 alone
     else:
         assert size >= 2
     if case == "row-cap":
         assert size < 0.3 / h - 2  # the byte budget splits what the delays would allow
     if case == "pre-history-and-ramp":
         assert engine.pre > 3 * size and pcs[0].leader.settled_time() > 3 * size * h
+    stepped = []
+    step = _MethodOfSteps.step
+    monkeypatch.setattr(_MethodOfSteps, "step", lambda self, k: stepped.append(k) or step(self, k))
     got, got_errors = _stored_run(field, h, method, init, steps)
     want, want_errors = step_loop_run(field, h, method, init, steps)
     assert not got_errors and not want_errors
+    assert bool(stepped) == (case == "zero-delay" and method == "rk4")  # the one run that no block can take
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # the CSV writes -0 and 0 apart
 
@@ -429,9 +438,10 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
 def test_mid_block_blow_up_matches_the_step_loop(method):
     """At l = 0 and kappa = 5 this follower's speed passes the blow-up limit at t = 2.05 (Euler) or 2.03 (rk4).
 
-    That is inside a block, whose own nodes show it.  At kappa = 0.8 the
-    headway reaches zero at t = 2.0 or 1.98 instead.  Each error must be the
-    step loop's, and the other members must run on unharmed.
+    That is inside the blocks that start at steps 184 (Euler, 46 steps) and
+    180 (rk4, 45 steps: tau/h = 45 is whole), whose own nodes show it.  At
+    kappa = 0.8 the headway reaches zero at t = 2.0 or 1.98 instead.  Each
+    error must be the step loop's, and the other members must run on unharmed.
     """
     vehicles = (VehicleParams(alpha=0.7, tau=0.45, b=20.0),)
     pcs = [PlatoonConfig(vehicles=vehicles, m=2.0, l=0.0, leader=LeaderProfile(v_eq=10.0), kappa=k) for k in (0.1, 5.0, 0.05, 0.8)]
@@ -445,6 +455,40 @@ def test_mid_block_blow_up_matches_the_step_loop(method):
     size = _engine(field, 0.01, method, init, 400).block_size()
     assert round(float(str(got_errors[1]).split("= ")[-1]) / 0.01) % size > 1  # the blown-up node is not a block's first
     assert np.array_equal(got[[0, 2]], want[[0, 2]])
+
+
+def _random_batch(rng, h):
+    """1-3 pairs, each with a delay of 0, h less a rounding, h, 2h, a whole 3h..12h or any in [h, 12h], and 1-4 gains."""
+    taus = [float(rng.choice([0.0, h / (1 + 1e-9), h, 2 * h, h * rng.integers(3, 13), rng.uniform(h, 12 * h)])) for _ in range(rng.integers(1, 4))]
+    vehicles = tuple(VehicleParams(alpha=float(rng.uniform(0.2, 1.0)), tau=tau, b=float(rng.uniform(15.0, 25.0))) for tau in taus)
+    m, l = float(rng.choice([2.0, 1.0, 0.5, 0.0, -1.0])), float(rng.choice([0.0, 1.0, 2.0]))
+    leader = LeaderProfile(v_eq=10.0, ramp=float(rng.choice([0.5, 10.0])))
+    return [PlatoonConfig(vehicles=vehicles, m=m, l=l, leader=leader, kappa=float(g)) for g in rng.choice([0.3, 1.0, 5.0, 20.0, 400.0], rng.integers(1, 5))]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_random_batches_match_the_step_loop(method):
+    """Seeded random batches: the block route's states, signs of zero and errors are the step loop's.
+
+    The step loop stops after member 0's failing step, so where member 0
+    fails the block route may also name members that fail later in its block.
+    """
+    rng = np.random.default_rng(2801)
+    failed = 0
+    for _ in range(16):
+        pcs = _random_batch(rng, 0.01)
+        field = VectorField(*pcs)
+        init = _perturb(field.n, v0=float(rng.uniform(-0.3, 0.3))).as_vector()
+        got, got_errors = _stored_run(field, 0.01, method, init, 200)
+        want, want_errors = step_loop_run(field, 0.01, method, init, 200)
+        assert _same_errors({b: got_errors[b] for b in want_errors if b in got_errors}, want_errors)
+        failed += bool(want_errors)
+        if 0 in want_errors:
+            continue
+        assert got_errors.keys() == want_errors.keys()
+        ok = [b for b in range(field.batch) if b not in want_errors]
+        assert np.array_equal(got[ok], want[ok]) and np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
+    assert failed >= 4
 
 
 # ---------------------------------------------------------------------------

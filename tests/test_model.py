@@ -162,6 +162,16 @@ def test_beta_star_reference_values():
     )
 
 
+@pytest.mark.parametrize(
+    "args", [(0.5, 10.0, 2.0, 1.0, math.nan), (0.5, 1.0, math.nan, 20.0, 1.0), (0.5, 1.0, math.inf, 20.0, 1.0), (0.5, math.inf, 0.0, 20.0, 1.0), (0.5, 10.0, 2.0, math.inf, 0.0)]
+)
+def test_beta_star_requires_finite_arguments(args):
+    """A base of 1 or an exponent of 0 would hide a non-finite factor: beta_star(0.5, 10, 2, 1, nan) gave 50."""
+    with pytest.raises(InvalidConfigError, match="finite"):
+        beta_star(*args)
+    assert beta_star(0.5, 1.0, 2.0, 1.0, 1.0) == 0.5  # bases of 1 with finite exponents stand
+
+
 @given(
     alpha=st.floats(0.01, 5.0),
     x0dot=st.floats(0.5, 40.0),
