@@ -234,7 +234,7 @@ def _cmd_bifurcation(args) -> int:
 
 def _cmd_hopf(args) -> int:
     pc = load_config(args.config)
-    report = hopf_report(pc, pair=args.pair, n_branch=args.branch)
+    report = hopf_report(pc, pair=args.pair)
     out = _ensure_outdir(args.out)
     _write_json(os.path.join(out, "hopf.json"), report.to_dict())
     print(
@@ -316,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pair", type=int, default=None, help="1-based pair (default: first to turn critical)")
-    p.add_argument("--branch", type=int, default=0, help="crossing branch index (even)")
     p.set_defaults(func=_cmd_hopf)
 
     p = sub.add_parser("settling", help="settling times of a simulated trajectory")

@@ -1,8 +1,10 @@
 """Hopf normal form on the center manifold of the critical pair.
 
-At the critical gain kappa_cr of a chosen pair the linearization has a single
-imaginary eigenvalue pair +/- i*omega0.  Projecting the dynamics onto the
-corresponding two-dimensional center manifold gives a scalar complex ODE
+At the first crossing of a chosen pair, kappa_cr*beta*tau = pi/2, the
+linearization has a single imaginary eigenvalue pair +/- i*omega0; at the
+later ones, (2n+1)*pi/2, the pair's own principal root is already unstable.
+Projecting the dynamics onto the corresponding two-dimensional center
+manifold gives a scalar complex ODE
 
     dz/dt = i*omega0*z + g20 z^2/2 + g11 z zbar + g02 zbar^2/2 + g21 z^2 zbar/2 + ...
 
@@ -13,7 +15,9 @@ whose first Lyapunov coefficient
 decides the bifurcation: mu2 = -Re c1 / alpha'(0) > 0 means the limit cycle
 exists past the critical gain (supercritical), and beta2 = 2*Re c1 < 0 means
 it is orbitally stable.  The emerging cycle amplitude in the critical pair's
-relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).
+relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).  When another
+pair has a larger product beta*tau, it is already past its own crossing at
+this gain, so no cycle born at the chosen pair attracts: orbit is 'unstable'.
 
 Construction notes.  The generator's point masses are read off
 ``model.VectorField`` at rest (``PointMasses``) by ``rest_quotients``, one
@@ -126,7 +130,6 @@ class CriticalEigendata:
     """Critical eigenstructure of one pair at its Hopf point."""
 
     pair: int
-    n_branch: int
     omega0: float
     kappa: float
     beta: np.ndarray
@@ -158,10 +161,10 @@ def _pick_pair(eq: EquilibriumCoefficients) -> int:
     return int(products.argmax()) + 1
 
 
-def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> CriticalEigendata:
+def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEigendata:
     """Eigenvectors and inner-product normalization at criticality.
 
-    The analysis is evaluated at the critical gain of the selected pair
+    The analysis is evaluated at the first crossing of the selected pair
     (default: the pair with the largest beta**tau, which turns critical at the
     smallest gain), regardless of the gain stored in the config.
     """
@@ -174,7 +177,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
     tau_p = float(eq.taus[pair - 1])
     if tau_p <= 0:
         raise InvalidConfigError(f"pair {pair} has zero delay; it has no Hopf point")
-    hp = hopf_point(float(eq.beta[pair - 1]), tau_p, n=n_branch)
+    hp = hopf_point(float(eq.beta[pair - 1]), tau_p)
     omega0, kappa = hp.omega0, hp.kappa_cr
 
     field = VectorField(pc.with_kappa(kappa))
@@ -221,7 +224,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None, n_branch: int
 
     return CriticalEigendata(
         pair=pair,
-        n_branch=n_branch,
         omega0=omega0,
         kappa=kappa,
         beta=np.asarray(eq.beta, dtype=float),
@@ -501,15 +503,15 @@ class HopfReport:
         }
 
 
-def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -> HopfReport:
-    """Run the normal-form pipeline at the critical gain of one pair, its four stages in turn."""
-    eig = critical_eigendata(pc, pair, n_branch)
+def hopf_report(pc: PlatoonConfig, pair: int | None = None) -> HopfReport:
+    """Run the normal-form pipeline at the first crossing of one pair, its four stages in turn."""
+    eig = critical_eigendata(pc, pair)
     corr = manifold_corrections(eig, g_coefficients(eig))
     g = g_coefficients(eig, corr)
     c1 = first_lyapunov(g, eig.omega0)
     bstar = float(eig.beta[eig.pair - 1])
     tau_p = float(eig.taus[eig.pair - 1])
-    aprime = _crossing_speed(bstar, tau_p, eig.omega0, n_branch)
+    aprime = _crossing_speed(bstar, tau_p, eig.omega0, 0)
     scale = max(1.0, abs(g.g20), abs(g.g11), abs(c1))
     if abs(c1.real) <= 1e-12 * scale:
         kind = orbit = "degenerate"
@@ -520,6 +522,9 @@ def hopf_report(pc: PlatoonConfig, pair: int | None = None, n_branch: int = 0) -
         beta2 = 2.0 * c1.real
         kind = "supercritical" if mu2 > 0 else "subcritical"
         orbit = "stable" if beta2 < 0 else "unstable"
+    products = eig.beta * eig.taus
+    if (products > products[eig.pair - 1]).any():  # another pair is past its crossing: no cycle born here attracts
+        orbit = "unstable"
     return HopfReport(
         pair=eig.pair,
         omega0=eig.omega0,

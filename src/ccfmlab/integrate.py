@@ -223,7 +223,8 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
     At fraction c, pair i's delayed instant lies c - tau_i/h steps from node
     k, between nodes j and j + 1, at the same place in every step.  Euler
     reads node j; rk4 weights the values and h times the derivatives at j and
-    j + 1, unless the instant is within 1e-9 steps of node j.
+    j + 1, unless the instant is within 2e-9 steps of node j: more than the
+    step check's slack of 1e-9, so no weight falls on node k + 1, not yet made.
     """
     offsets, weights = [], []
     for c in fractions:
@@ -234,7 +235,7 @@ def _lookup_table(taus: list, h: float, fractions: tuple, hermite: bool):
             t2 = th * th
             t3 = t2 * th
             offsets.append(j)
-            if not hermite or tau == 0.0 or th < 1e-9:
+            if not hermite or tau == 0.0 or th < 2e-9:
                 weights.append(_NODE)
             else:
                 weights.append((2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, h * (t3 - 2.0 * t2 + th), h * (t3 - t2)))
@@ -359,11 +360,8 @@ class _MethodOfSteps:
         reads node floor(k - r), and node k itself at a zero delay; and
         floor(r) under rk4, which weights nodes j and j + 1 around k + 1 - r,
         or node j alone where the instant is on it.  A byte budget on what a
-        block gathers caps K: per step, stage fraction, column and member,
-        four numbers under rk4 and one under Euler.  K is at least 1: rk4's
-        k4 weights node k + 1 only where h is within rounding of tau_min,
-        by about 1e-18, and that node, not yet made, reads 0 as in a step
-        loop.
+        block gathers caps K, at one step at least: per step, stage fraction,
+        column and member, four numbers under rk4 and one under Euler.
         """
         if self.rk4 and self.zero.size:
             return 0

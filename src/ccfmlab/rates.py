@@ -74,9 +74,8 @@ class RateResult:
     regime: str
 
 
-# Branch labels, shared by every point so a sweep makes no new strings.
-_REAL, _BOUNDARY, _COMPLEX, _UNSTABLE = "real", "boundary", "complex", "unstable"
-_LABELS = (_REAL, _BOUNDARY, _COMPLEX, _UNSTABLE)
+# Branch labels by code, shared by every point so a sweep makes no new strings.
+_LABELS = ("real", "boundary", "complex", "unstable")
 
 
 def _decay_rates(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
@@ -107,42 +106,35 @@ def _decay_rates(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str])
 def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> RateResult:
     """Asymptotic decay rate of one pair (requires a stable pair).
 
-    A batch of one for the solve behind :func:`rate_curve`.  Raises
-    UnstableRegimeError when kappa*beta**tau >= pi/2: no decay rate exists
-    there.
+    A batch of one for the solve behind :func:`rate_curve`, whose branch code
+    fills the result: sigma1 is 1/tau (None at tau = 0), sigma2 the rate on
+    the real branch and sigma3 on the complex one, both at the boundary.
+    Raises UnstableRegimeError when kappa*beta**tau >= pi/2: no decay rate
+    exists there.
     """
     _require_pair(beta_star, tau, kappa)
     a = kappa * beta_star
-    ts = 1.0 / (a * math.e)
     rate, code = _decay_rates(
         np.array([a], dtype=float),
         np.array([tau], dtype=float),
         lambda i: f"beta*={beta_star}, tau={tau}, kappa={kappa}",
     )
-    dominant, branch = float(rate[0]), _LABELS[code[0]]
-    if tau == 0.0:
-        return RateResult(
-            product=0.0, sigma1=None, sigma2=dominant, sigma3=None, dominant=dominant,
-            branch=_REAL, tau_star=ts, regime="below",
-        )
-    c = a * tau
-    if branch == _UNSTABLE:
+    code = int(code[0])
+    c = a * tau if tau else 0.0
+    if code == 3:  # unstable
         raise UnstableRegimeError(
             f"kappa*beta**tau = {c:.6g} >= pi/2: the pair is not asymptotically stable"
         )
-    if branch == _BOUNDARY:
-        return RateResult(
-            product=c, sigma1=dominant, sigma2=dominant, sigma3=dominant, dominant=dominant,
-            branch=_BOUNDARY, tau_star=ts, regime="at",
-        )
-    if branch == _REAL:
-        return RateResult(
-            product=c, sigma1=1.0 / tau, sigma2=dominant, sigma3=None, dominant=dominant,
-            branch=_REAL, tau_star=ts, regime="below",
-        )
+    dominant = float(rate[0])
     return RateResult(
-        product=c, sigma1=1.0 / tau, sigma2=None, sigma3=dominant, dominant=dominant,
-        branch=_COMPLEX, tau_star=ts, regime="above",
+        product=c,
+        sigma1=1.0 / tau if tau else None,
+        sigma2=dominant if code <= 1 else None,
+        sigma3=dominant if code >= 1 else None,
+        dominant=dominant,
+        branch=_LABELS[code],
+        tau_star=1.0 / (a * math.e),
+        regime=("below", "at", "above")[code],
     )
 
 

@@ -70,7 +70,7 @@ PAIRING = 1.0 + 1j * math.pi / 2.0  # <p_raw, q> for the threshold config
 
 def test_eigendata_exact_hand_values(critical_config):
     eig = critical_eigendata(critical_config)
-    assert eig.pair == 1 and eig.n_branch == 0
+    assert eig.pair == 1
     assert eig.omega0 == pytest.approx(3.5, rel=1e-14)
     assert eig.kappa == pytest.approx(1.0, rel=1e-14)
 
@@ -496,15 +496,25 @@ def test_first_lyapunov_formula_consistency(critical_config):
     assert first_lyapunov(g, w0) == rep.c1
 
 
-def test_higher_branch_report(critical_config):
-    rep = hopf_report(critical_config, n_branch=2)
-    assert rep.omega0 == pytest.approx(17.5, rel=1e-13)
-    assert rep.kappa_cr == pytest.approx(5.0, rel=1e-13)
-    assert rep.kind == "supercritical"
-    assert rep.c1 == pytest.approx(
-        -0.3155711034025603 - 0.10329606394894222j, rel=1e-9
-    )
-    assert rep.mu2 * rep.alpha_prime == pytest.approx(-rep.c1.real, rel=1e-12)
+def test_orbit_is_unstable_where_another_pair_crosses_first():
+    """A report at pair p's kappa_cr calls its orbit unstable when another pair is already past pi/2 there.
+
+    On the platoon, pair 3 has the largest product: at the critical gains of
+    pairs 1, 2 and 4 its rightmost root lies in the right half-plane, so no
+    cycle born at those pairs attracts.  The normal form itself is unchanged:
+    each report stays supercritical with beta2 < 0 and predicts an amplitude.
+    """
+    pc = four_vehicle_platoon()
+    eq = EquilibriumCoefficients.from_config(pc)
+    for pair in (1, 2, 3, 4):
+        rep = hopf_report(pc, pair=pair)
+        overtaken = any(
+            dominant_root(b, t, rep.kappa_cr).lam.real > 0 for i, (b, t) in enumerate(zip(eq.beta, eq.taus)) if i != pair - 1
+        )
+        assert overtaken == (pair != 3)
+        assert rep.orbit == ("unstable" if overtaken else "stable")
+        assert rep.kind == "supercritical" and rep.beta2 < 0
+        assert predicted_amplitude(rep, 1.01 * rep.kappa_cr) is not None
 
 
 def test_degenerate_exponents_collapse_everything():

@@ -249,6 +249,7 @@ _BLOCK_CASES = {
     "zero-delay": ([_zero_delay_pair()], 0.01, 20.0),
     "tau-under-two-steps": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.015))], 0.01, 20.0),
     "tau-equals-h": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.01))], 0.01, 20.0),
+    "tau-within-slack": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.01 / (1 + 1e-9)))], 0.01, 20.0),
 }
 
 
@@ -285,8 +286,9 @@ def test_block_engine_is_bit_identical_to_the_step_loop(monkeypatch, case, metho
         assert size == (0 if method == "rk4" else 1)  # rk4's stages need their own states; Euler's reads node k
     elif case == "tau-under-two-steps":
         assert size == (1 if method == "rk4" else 3)  # tau_min/h = 1.5: Euler's stage at node k0 + 2 reads node k0
-    elif case == "tau-equals-h":
+    elif case in ("tau-equals-h", "tau-within-slack"):
         assert size == (1 if method == "rk4" else 2)  # the last k4 reads node k0 alone
+        assert engine.newest <= 0  # no lookup weights a node that is not made yet
     elif case == "tau-over-h-integer":
         assert size == (30 if method == "rk4" else 31)  # tau/h = 30: the last k4 reads node k0 alone
     else:
