@@ -42,10 +42,9 @@ so RK4's weighted average of the stages' y' is the headway rows of the mean
 stage speed, v + h*(k1 + k2 + k3)/6.  The sums add in the order of a
 step-by-step loop, so a block is bit-identical to taking its steps one at a
 time, failures included: a member fails at its first failing row or
-blown-up node, whichever such a loop meets first.  Steps are taken one at a
-time, one field call per stage, only under rk4 with a zero delay, where a
-stage's rows need the stage before it; Euler's zero-delay pair reads its
-node, so its blocks are one step long.
+blown-up node, whichever such a loop meets first.  A zero-delay pair reads
+its stage's own state, so its blocks are one step long, and under rk4 that
+step makes one field call a stage, k1 included.
 
 Every run keeps only a window of the newest nodes, as deep as the
 deepest lookup plus a few blocks: when the next block would run past the
@@ -263,19 +262,16 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
 
     rows are the (B, count, 2N) states of nodes k .. k + count - 1: the
     nodes made since its last call, before each slide of the window and at
-    the end, unless member 0 has failed.  The run stops after the block or
-    step in which member 0 fails, whose error is raised whatever the others do.
+    the end, unless member 0 has failed.  The run stops after the block in
+    which member 0 fails, whose error is raised whatever the others do.
     """
     engine = _MethodOfSteps(field, h, method, init, steps, sink)
     size = engine.block_size()
     k = 0
     while k < steps and 0 not in engine.errors:  # no member can fail with a lower index
-        count = min(max(size, 1), steps - k)
+        count = min(size, steps - k)
         engine.reach(k, count)
-        if size:
-            engine.block(k, count)
-        else:
-            engine.step(k)
+        engine.block(k, count)
         k += count
     if 0 not in engine.errors:
         engine.feed(steps + 1)
@@ -283,14 +279,13 @@ def _run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int
 
 
 class _MethodOfSteps:
-    """A batch's node history, advanced a block of steps or, under rk4 with a zero delay, one step at a time.
+    """A batch's node history, advanced a block of steps at a time.
 
-    Both routes give every stage the same delayed observables, times and
-    float operations, so they agree bit for bit.  A block evaluates all its
-    stages' velocity derivatives in one ``flux_rows`` call, which it can
-    because they read only nodes up to its first, and takes y from the
-    headway rows; under rk4 each step's k4 is the next node's derivative,
-    which lookups read.  A step evaluates the whole field once per stage.
+    A block evaluates all its stages' velocity derivatives in one
+    ``flux_rows`` call, which it can because they read only nodes up to its
+    first, and takes y from the headway rows; under rk4 each step's k4 is
+    the next node's derivative, which lookups read.  Under rk4 with a zero
+    delay a block is one step, whose stages are evaluated in turn.
 
     A node row is [S_N..S_2 | v | y]: the state, and ahead of it the prefix
     sums S_i = v_1 + ... + v_i that the field's pairs read, so that
@@ -319,8 +314,7 @@ class _MethodOfSteps:
         self.zero = np.flatnonzero(field.tau[pair] == 0.0)  # the columns that read the stage state
         self.width = width = pair.size
         self.reads = offsets.shape[0] * (4 if self.rk4 else 1)  # numbers a step gathers per column and member
-        blocks = self.block_size()
-        size = max(blocks, 1)
+        size = self.block_size()
         # Room for a few blocks, and for pre steps at least, after a slide's pre + 1 rows.
         length = min(steps + 1, self.pre + 2 + max(_WINDOW_BLOCKS * size, self.pre))
         self.sink, self.fed = sink, 0  # fed: the first node not yet passed to the sink
@@ -343,28 +337,26 @@ class _MethodOfSteps:
         self.weights = np.tile(weights[:, None, :, pair, None], (1, size, 1, 1, batch if self.rk4 else 1))
         self.errors: dict = {}
         self.rows = self.states[0].copy()  # a step's k1 rows; step 0's read the pre-history everywhere
-        if self.rk4 and blocks:  # a block reads its first node's derivative, the block before's last k4: seed node 0's
+        if self.rk4:  # a block reads its first node's derivative, the block before's last k4: seed node 0's
             dot, failures = self._derivative(0.0, self.states[0], self.rows)
             self.derivs[0] = dot
-            _retire(failures, self.errors, (self.hist,))
+            _retire(failures, self.errors, (self.hist, self.rows))
 
     def block_size(self) -> int:
-        """Steps per block, or 0 under rk4 with a zero delay, whose stage rows need the stage before them.
+        """Steps per block, K = 1 - newest: 1 with a zero delay, whose lookups read node k.
 
         A block of steps k0 .. k0 + K - 1 computes everything after node k0,
         so its gathers may weight node values up to k0 and, under rk4,
         derivatives up to k0 too: the block before's last k4, or node 0's,
-        seeded when the engine is built.  So K = 1 - newest, the newest node
-        that a step's lookups weight, counted from the step.  With
-        r = tau_min/h that is ceil(r) + 1 under Euler, whose stage at node k
-        reads node floor(k - r), and node k itself at a zero delay; and
-        floor(r) under rk4, which weights nodes j and j + 1 around k + 1 - r,
-        or node j alone where the instant is on it.  A byte budget on what a
-        block gathers caps K, at one step at least: per step, stage fraction,
-        column and member, four numbers under rk4 and one under Euler.
+        seeded when the engine is built.  newest is the newest node that a
+        step's lookups weight, counted from the step.  With r = tau_min/h, K
+        is ceil(r) + 1 under Euler, whose stage at node k reads node
+        floor(k - r), and floor(r) under rk4, which weights nodes j and j + 1
+        around k + 1 - r, or node j alone where the instant is on it.  A byte
+        budget on what a block gathers caps K, at one step at least: per
+        step, stage fraction, column and member, four numbers under rk4 and
+        one under Euler.
         """
-        if self.rk4 and self.zero.size:
-            return 0
         per_step = 8 * self.field.batch * self.width * self.reads
         return max(1, min(1 - self.newest, _BLOCK_BYTES // per_step))
 
@@ -424,73 +416,70 @@ class _MethodOfSteps:
         _add_sums(dot, n)
         return dot, failures
 
-    def step(self, k: int) -> None:
-        """Advance rk4 step k with one field call per stage, recording each member's first failure.
+    def _stages(self, k: int):
+        """The (1, N, B) v-rows of rk4 step k's k2, k3 and k4, one field call a stage, and each member's first failure.
 
         The route of rk4 with a zero delay, whose pair reads each stage's own
-        state: k1 is evaluated on its own, on the rows of the step before's k4.
+        state.  k1 is evaluated on the carried rows, the step before's k4
+        rows with the node's state, and stored as node k's derivative before
+        the later stages' rows are gathered, since their lookups may weight it.
         """
-        h, hist, states, errors, n = self.h, self.hist, self.states, self.errors, self.field.n
+        h, n = self.h, self.field.n
         r = k - self.base
-        yk = states[r]
+        yk = self.states[r]
         self.rows[self.zero] = yk[self.zero]
-        k1, failures = self._derivative(k * h, yk, self.rows)
-        ks = [k1]
-        if failures:
-            _retire(failures, errors, (hist, self.rows, k1))
-        self.derivs[r] = k1  # node k's derivative, which the later stages' lookups may read
+        dot, failures = self._derivative(k * h, yk, self.rows)
+        self.derivs[r] = dot
         delayed = self._gather(k, 1)[0]
+        found = []
         for c, s in _RK4_STAGES:
-            ystage = yk + (h * c) * ks[-1]
+            ystage = yk + (h * c) * dot
             _add_sums(ystage, n)
             rows = delayed[s]
             rows[self.zero] = ystage[self.zero]
-            dot, failures = self._derivative(self.times[r, s], ystage, rows)
-            ks.append(dot)
-            if failures:
-                _retire(failures, errors, (hist, delayed, *ks))
-        own, dev = slice(n - 1, 2 * n - 1), slice(2 * n - 1, None)
-        d1, d2, d3, d4 = (dot[own] for dot in ks)
-        states[r + 1, own] = yk[own] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        mean = yk[own] + (h / 6.0) * (d1 + (d2 + d3))  # the mean stage speed, see block()
-        states[r + 1, dev] = yk[dev] + h * self.field.headway_rows(mean.T).T
+            dot, more = self._derivative(self.times[r, s], ystage, rows)
+            found.append(dot[None, n - 1 : 2 * n - 1])
+            failures = {**more, **failures}  # a member's first failure wins
         self.rows = delayed[-1]  # k4's rows are the next step's k1 rows, but for the stage state
-        _add_sums(states[r + 1], n)
-        new = states[r + 1, n - 1 :]
-        if not abs(new).max() <= _BLOWUP_LIMIT:  # NaN fails this test too
-            blown = np.flatnonzero(~(abs(new).max(axis=0) <= _BLOWUP_LIMIT)).tolist()
-            message = f"trajectory blew up at t = {(k + 1) * h:.6g}"
-            _retire({b: NumericalError(message) for b in blown}, errors, (hist, self.rows))
+        return (*found, failures)
 
     def block(self, k0: int, count: int) -> None:
-        """Advance steps k0 .. k0 + count - 1 with one ``flux_rows`` call, recording each member's first failure.
+        """Advance steps k0 .. k0 + count - 1, recording each member's first failure.
 
-        The call evaluates the gathered rows as they are: each step's k1
-        under Euler, and under rk4 its k2 (which k3 repeats) and k4, which
-        is stored as the next node's derivative, so that each step's k1 is
-        its node's.  Sequential sums give v at every node, and the headway
-        rows each node's y' and, under rk4, each step of y.
+        One ``flux_rows`` call evaluates the gathered rows as they are: each
+        step's k1 under Euler, and under rk4 its k2 (which k3 repeats) and
+        k4, which is stored as the next node's derivative, so that each
+        step's k1 is its node's.  Under rk4 with a zero delay, :meth:`_stages`
+        gives the one step's k2, k3 and k4 instead.  Sequential sums give v at
+        every node, and the headway rows each node's y' and, under rk4, each
+        step of y.
         """
         field, h, n = self.field, self.h, self.field.n
         r0 = k0 - self.base
-        delayed = self._gather(k0, count)
         times = self.times[r0 : r0 + count]
-        dv, failures = field.flux_rows(times.reshape(-1), *_observed(delayed.reshape(-1, self.width, field.batch), n))
-        dv = dv.transpose(1, 2, 0)  # (count * S, N, B)
+        if self.rk4 and self.zero.size:  # one step, each stage on its own state
+            d2, d3, d4, failures = self._stages(k0)
+        else:
+            delayed = self._gather(k0, count)
+            dv, failures = field.flux_rows(times.reshape(-1), *_observed(delayed.reshape(-1, self.width, field.batch), n))
+            dv = dv.transpose(1, 2, 0)  # (count * S, N, B)
+            d2 = d3 = dv[0::2]  # rk4's k3 is k2: k2's rows and time
+            d4 = dv[1::2]
         span = self.states[r0 : r0 + count + 1]
         v, y = span[:, n - 1 : 2 * n - 1], span[:, 2 * n - 1 :]
         if self.rk4:
             node = self.derivs[r0 : r0 + count + 1]
-            d2, d4 = dv[0::2], dv[1::2]  # k3's is d2: k2's rows and time
             node[1:, n - 1 : 2 * n - 1] = d4
             twice = 2.0 * d2
             mean = node[:-1, n - 1 : 2 * n - 1] + twice  # d1 + 2*d2
-            np.multiply(mean + twice + d4, h / 6.0, out=v[1:])
+            np.multiply(mean + (twice if d3 is d2 else 2.0 * d3) + d4, h / 6.0, out=v[1:])
             np.add.accumulate(v, axis=0, out=v)
             # y' = kappa*v is linear, so RK4's weighted average of the stages'
             # headway rows is the headway rows of the mean stage speed,
-            # v + h*(k1 + k2 + k3)/6; with k3 = k2, d1 + 2*d2 is step()'s
-            # k1 + (k2 + k3) bit for bit.
+            # v + h*(k1 + k2 + k3)/6; with k3 = k2, d1 + 2*d2 is
+            # d1 + (d2 + d3) bit for bit.
+            if d3 is not d2:
+                mean = node[:-1, n - 1 : 2 * n - 1] + (d2 + d3)
             mean *= h / 6.0
             mean += v[:-1]
             node[1:, 2 * n - 1 :] = field.headway_rows(v[1:].transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -516,7 +505,7 @@ class _MethodOfSteps:
             q = int(over[:, b].argmax())
             if b not in self.errors and q < events.get(b, (count,))[0]:
                 events[b] = (q, NumericalError(f"trajectory blew up at t = {(k0 + q + 1) * h:.6g}"))
-        _retire({b: exc for b, (q, exc) in events.items()}, self.errors, (self.hist,))
+        _retire({b: exc for b, (q, exc) in events.items()}, self.errors, (self.hist, self.rows))
 
 
 def _retire(failures: dict, errors: dict, arrays) -> None:

@@ -113,6 +113,7 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
     exists there.
     """
     _require_pair(beta_star, tau, kappa)
+    beta_star, tau, kappa = float(beta_star), float(tau), float(kappa)  # so that every field is a Python float
     a = kappa * beta_star
     rate, code = _decay_rates(
         np.array([a], dtype=float),

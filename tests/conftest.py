@@ -121,3 +121,21 @@ def record_slides(monkeypatch) -> list:
 
     monkeypatch.setattr(_MethodOfSteps, "reach", recording)
     return slides
+
+
+# Each test file's summed call time, printed after every run, so that the
+# suite's cost per file can be compared between changes.
+_CALL_SECONDS: dict = {}
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        path = report.nodeid.split("::", 1)[0]
+        _CALL_SECONDS[path] = _CALL_SECONDS.get(path, 0.0) + report.duration
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _CALL_SECONDS:
+        terminalreporter.write_sep("=", "call time per test file")
+        for path, seconds in sorted(_CALL_SECONDS.items(), key=lambda item: -item[1]):
+            terminalreporter.write_line(f"{seconds:7.2f}s {path}")

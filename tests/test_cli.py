@@ -103,6 +103,17 @@ def test_simulate_blow_up_exit_code(tmp_path, single_path):
     assert code == 3
 
 
+def test_zero_delay_rk4_artifact_keeps_its_bytes(tmp_path):
+    """The platoon's first three pairs with delays 0, 0.3 and 0.01: rk4 blocks of one step, each stage on its own state."""
+    cfg = dict(CONFIG, N=3, vehicles=[dict(v, tau=t) for v, t in zip(CONFIG["vehicles"], (0.0, 0.3, 0.01))])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--method", "rk4", "--tmax", "60"]) == 0
+    data = (out / "simulate.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == "7bece2b0d962166db0c9cc0f3d5532cc4f661e8331c71ba01a9690b45661f65b"
+
+
 @pytest.mark.parametrize("flags", [["--perturb-v", "nan"], ["--perturb-y", "inf"]])
 def test_simulate_rejects_a_non_finite_perturbation(tmp_path, config_path, capsys, flags):
     """A configuration error (exit 2), not a blow-up of the integration (exit 3)."""
@@ -371,6 +382,17 @@ def test_hopf_pair_override(tmp_path, config_path):
     data = json.loads((out / "hopf.json").read_text())
     assert data["pair"] == 2
     assert data["kappa_cr"] == pytest.approx(math.pi / (2.0 * 3.0 * 0.4), rel=1e-12)
+
+
+def test_hopf_at_a_double_hopf_point_exits_3(tmp_path, capsys):
+    """Pairs 1 and 4 share the product 1.5, so both are critical at one gain: no report is written."""
+    cfg = dict(CONFIG, vehicles=[dict(v, tau=t) for v, t in zip(CONFIG["vehicles"], (0.6, 0.4, 0.3, 0.375))])
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(cfg))
+    for extra in ([], ["--pair", "4"]):
+        assert main(["hopf", "--config", str(path), "--out", str(tmp_path / "o")] + extra) == 3
+        assert capsys.readouterr().err == "ccfm: numerical failure: critical eigenspace is degenerate (two pairs critical at once)\n"
+    assert not (tmp_path / "o" / "hopf.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,24 @@ def test_two_simultaneously_critical_pairs_rejected():
         critical_eigendata(pc)
 
 
+@pytest.mark.parametrize("pair", [None, 1, 4])
+def test_a_double_hopf_point_at_two_frequencies_is_rejected(pair):
+    """Pairs 1 and 4 share the largest product, 1.5: at kappa_cr = pi/3 both are critical, at 2.618 and 4.189 rad/s.
+
+    M(i*omega0) then has a one-dimensional kernel, but the center manifold is
+    four-dimensional, so no report of one pair's normal form holds.  Pairs 2
+    and 4 of the default platoon tie at 1.2 below pair 3, and are reported
+    with an unstable orbit (test_orbit_is_unstable_where_another_pair_crosses_first).
+    """
+    pc = four_vehicle_platoon(taus=(0.6, 0.4, 0.3, 0.375))
+    products = EquilibriumCoefficients.from_config(pc).products
+    assert products[0] == products[3] == 1.5 and products[1:3].max() < 1.5
+    for run in (critical_eigendata, hopf_report):
+        with pytest.raises(NumericalError, match=r"^critical eigenspace is degenerate \(two pairs critical at once\)$"):
+            run(pc, pair=pair)
+    assert critical_eigendata(pc, pair=2).pair == 2  # an untied pair keeps its report
+
+
 # ---------------------------------------------------------------------------
 # quadratic and cubic normal-form stages
 # ---------------------------------------------------------------------------

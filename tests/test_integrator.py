@@ -250,6 +250,7 @@ _BLOCK_CASES = {
     "tau-under-two-steps": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.015))], 0.01, 20.0),
     "tau-equals-h": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.01))], 0.01, 20.0),
     "tau-within-slack": ([four_vehicle_platoon(taus=(0.5, 0.4, 0.4488, 0.01 / (1 + 1e-9)))], 0.01, 20.0),
+    "zero-delay-and-h": ([four_vehicle_platoon(taus=(0.0, 0.01, 0.4488, 0.3))], 0.01, 20.0),  # rk4's k2 weights node k's derivative, whose v_2 row reads pair 1
 }
 
 
@@ -282,8 +283,8 @@ def test_block_engine_is_bit_identical_to_the_step_loop(monkeypatch, case, metho
     engine = _engine(field, h, method, init, steps)
     size = engine.block_size()
     assert engine.hist.shape[1] < steps + 1  # the window slides, so the gate covers its slides
-    if case == "zero-delay":
-        assert size == (0 if method == "rk4" else 1)  # rk4's stages need their own states; Euler's reads node k
+    if case in ("zero-delay", "zero-delay-and-h"):
+        assert size == 1  # rk4's stages read their own states; Euler's reads node k
     elif case == "tau-under-two-steps":
         assert size == (1 if method == "rk4" else 3)  # tau_min/h = 1.5: Euler's stage at node k0 + 2 reads node k0
     elif case in ("tau-equals-h", "tau-within-slack"):
@@ -297,13 +298,13 @@ def test_block_engine_is_bit_identical_to_the_step_loop(monkeypatch, case, metho
         assert size < 0.3 / h - 2  # the byte budget splits what the delays would allow
     if case == "pre-history-and-ramp":
         assert engine.pre > 3 * size and pcs[0].leader.settled_time() > 3 * size * h
-    stepped = []
-    step = _MethodOfSteps.step
-    monkeypatch.setattr(_MethodOfSteps, "step", lambda self, k: stepped.append(k) or step(self, k))
+    staged = []
+    stages = _MethodOfSteps._stages
+    monkeypatch.setattr(_MethodOfSteps, "_stages", lambda self, k: staged.append(k) or stages(self, k))
     got, got_errors = _stored_run(field, h, method, init, steps)
     want, want_errors = step_loop_run(field, h, method, init, steps)
     assert not got_errors and not want_errors
-    assert bool(stepped) == (case == "zero-delay" and method == "rk4")  # the one run that no block can take
+    assert bool(staged) == (case.startswith("zero-delay") and method == "rk4")  # one field call a stage only where stages read their own states
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # the CSV writes -0 and 0 apart
 
@@ -407,10 +408,10 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
     start at steps 92 and 88, and step 239 or 236, inside those that start
     at 230 and 220.  Each error must be the step loop's, to the value and
     the message, read off the failing block's own call, and the other
-    members must run on unharmed: no step is taken.
+    members must run on unharmed: no stage is evaluated alone.
     """
     taken = []
-    for name in ("block", "step"):
+    for name in ("block", "_stages"):
         monkeypatch.setattr(
             _MethodOfSteps, name, lambda self, *args, _orig=getattr(_MethodOfSteps, name), _name=name: taken.append(_name) or _orig(self, *args)
         )
@@ -423,7 +424,7 @@ def test_mid_block_domain_breakdown_matches_the_step_loop(monkeypatch, gains, me
     want, want_errors = step_loop_run(field, sc.step, method, init, steps)
     failed = [b for b, kappa in enumerate(gains) if kappa in (20.0, 400.0)]
     assert sorted(got_errors) == failed and _same_errors(got_errors, want_errors)
-    assert "step" not in taken and "block" in taken
+    assert "_stages" not in taken and "block" in taken
     size = _engine(field, sc.step, method, init, steps).block_size()
     for b in failed:
         step = math.floor((got_errors[b].t + pcs[0].vehicles[0].tau) / sc.step + 1e-6)
@@ -457,6 +458,24 @@ def test_mid_block_blow_up_matches_the_step_loop(method):
     size = _engine(field, 0.01, method, init, 400).block_size()
     assert round(float(str(got_errors[1]).split("= ")[-1]) / 0.01) % size > 1  # the blown-up node is not a block's first
     assert np.array_equal(got[[0, 2]], want[[0, 2]])
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_zero_delay_failures_match_the_step_loop(method):
+    """At kappa = 60 and 5 the delayed pair behind the zero-delay pair loses its headway, at t = 0.59 and 2.55 (Euler) or 0.575 and 2.505 (rk4).
+
+    Under rk4 each fails at a k2 stage of a one-step block.  The errors must
+    be the step loop's, and members 0 and 3 must run on unharmed.
+    """
+    pcs = [_zero_delay_pair().with_kappa(k) for k in (0.8, 60.0, 5.0, 1.0)]
+    field = VectorField(*pcs)
+    init = _perturb(2).as_vector()
+    got, got_errors = _stored_run(field, 0.01, method, init, 2000)
+    want, want_errors = step_loop_run(field, 0.01, method, init, 2000)
+    assert sorted(got_errors) == sorted(want_errors) == [1, 2] and _same_errors(got_errors, want_errors)
+    assert all(isinstance(e, DomainBreakdownError) and e.pair == 2 for e in got_errors.values())
+    ok = [0, 3]
+    assert np.array_equal(got[ok], want[ok]) and np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
 
 
 def _random_batch(rng, h):
@@ -694,7 +713,7 @@ _STREAM_CASES = {
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_tail_envelopes_are_the_stored_envelopes(monkeypatch, case, method):
-    """Bit for bit, with the window sliding inside the tail window; the zero-delay case takes the step path.
+    """Bit for bit, with the window sliding inside the tail window; the zero-delay case's rk4 blocks are one step long.
 
     Streamed settling times are the stored runs' too, for two thresholds.
     """

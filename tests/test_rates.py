@@ -7,6 +7,7 @@ the primary correctness check here, alongside frozen values from the Lambert
 W function.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -92,6 +93,23 @@ def test_zero_delay_rate_is_the_gain():
     assert res.dominant == 3.5 and res.branch == "real"
     res = rate_of_convergence(3.5, 0.0, kappa=2.0)
     assert res.dominant == pytest.approx(7.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "tau, branch", [(0.03, "real"), (1.0 / (5.25 * math.e), "boundary"), (0.2, "complex"), (0.0, "real")], ids=["real", "boundary", "complex", "no-delay"]
+)
+def test_numpy_scalar_arguments_give_python_floats(tau, branch):
+    """Every float field is a Python float with the plain-float call's bits, whatever the arguments' numpy type."""
+    want = dataclasses.asdict(rate_of_convergence(3.5, tau, 1.5))
+    assert want["branch"] == branch
+    for cast in (np.float64, np.array):
+        got = dataclasses.asdict(rate_of_convergence(cast(3.5), cast(tau), cast(1.5)))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, float):
+                assert type(got[name]) is float and got[name].hex() == value.hex(), name
+            else:
+                assert got[name] == value, name
 
 
 def test_underflowed_product_gives_the_gain():
