@@ -65,15 +65,27 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _write_table(path: str, header: list[str], rows) -> None:
+    """Write the header, then one line per row: each number as "%.17g" formats it, each label as it is."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell if isinstance(cell, str) else "%.17g" % cell for cell in row) + "\n")
+
+
 def _thin(idx_count: int, cap: int = 2000) -> int:
     return max(1, idx_count // cap)
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
+def _grid(text: str, flag: str, points: int, points_flag: str) -> tuple[float, float, list[float]]:
+    """Parse the 'lo,hi' of flag; return lo, hi and the sweep of points evenly spaced values from lo to hi."""
     values = _parse_float_list(text, flag)
     if len(values) != 2 or not values[0] < values[1]:
         raise InvalidConfigError(f"{flag} expects 'lo,hi' with lo < hi, got {text!r}")
-    return values[0], values[1]
+    if points < 2:
+        raise InvalidConfigError(f"{points_flag} must be at least 2")
+    lo, hi = values
+    return lo, hi, [lo + k * (hi - lo) / (points - 1) for k in range(points)]
 
 
 def _add_sim_flags(p: argparse.ArgumentParser, method: str = "euler") -> None:
@@ -135,14 +147,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_stability_chart(args) -> int:
-    m_min, m_max = _parse_range(args.m_range, "--m-range")
-    if args.m_points < 2:
-        raise InvalidConfigError("--m-points must be at least 2")
+    m_grid = [m for m in _grid(args.m_range, "--m-range", args.m_points, "--m-points")[2] if abs(m) > 1e-9]  # the boundary is undefined at m = 0
     l_values = _parse_float_list(args.l_set, "--l-set")
-    m_grid = [
-        m_min + k * (m_max - m_min) / (args.m_points - 1) for k in range(args.m_points)
-    ]
-    m_grid = [m for m in m_grid if abs(m) > 1e-9]  # the boundary is undefined at m = 0
     rows = []
     for l in l_values:
         for m in m_grid:
@@ -154,10 +160,7 @@ def _cmd_stability_chart(args) -> int:
                 x0_boundary = float("inf")
             rows.append(("neg" if m < 0 else "pos", l, m, x0_boundary))
     out = _ensure_outdir(args.out)
-    with open(os.path.join(out, "stability-chart.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("panel,l,m,x0dot_boundary\n")
-        for panel, l, m, x0b in rows:
-            fh.write("%s,%.17g,%.17g,%.17g\n" % (panel, l, m, x0b))
+    _write_table(os.path.join(out, "stability-chart.csv"), ["panel", "l", "m", "x0dot_boundary"], rows)
     chart = LineChart(
         title=f"Stability boundary (b = {args.b:g}, c = {args.c:g})",
         xlabel="m",
@@ -174,22 +177,13 @@ def _cmd_stability_chart(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    tau_min, tau_max = _parse_range(args.tau_range, "--tau-range")
+    tau_min, tau_max, taus = _grid(args.tau_range, "--tau-range", args.tau_points, "--tau-points")
     if tau_min <= 0:
         raise InvalidConfigError("--tau-range must start above 0")
-    if args.tau_points < 2:
-        raise InvalidConfigError("--tau-points must be at least 2")
     l_values = _parse_float_list(args.l_set, "--l-set", allow_empty=True)
-    taus = [
-        tau_min + k * (tau_max - tau_min) / (args.tau_points - 1)
-        for k in range(args.tau_points)
-    ]
     points = rate_curve(args.alpha, args.x0, args.m, args.b, l_values, taus, kappa=args.kappa)
     out = _ensure_outdir(args.out)
-    with open(os.path.join(out, "rate.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("l,tau,rate,branch\n")
-        for pt in points:
-            fh.write("%.17g,%.17g,%.17g,%s\n" % (pt.l, pt.tau, pt.rate, pt.branch))
+    _write_table(os.path.join(out, "rate.csv"), ["l", "tau", "rate", "branch"], points)
     chart = LineChart(title="Decay rate vs delay", xlabel="tau", ylabel="rate")
     for k, l in enumerate(l_values):  # points are l-major: each l value has its own slice
         series = points[k * len(taus) : (k + 1) * len(taus)]
@@ -204,31 +198,19 @@ def _cmd_rate(args) -> int:
 
 def _cmd_bifurcation(args) -> int:
     pc = load_config(args.config)
-    if args.points < 2:
-        raise InvalidConfigError("--points must be at least 2")
-    kappa_min, kappa_max = _parse_range(args.kappa_range, "--kappa-range")
+    kappa_min, kappa_max, kappas = _grid(args.kappa_range, "--kappa-range", args.points, "--points")
     if args.workers < 1:
         raise InvalidConfigError("--workers must be >= 1")
-    kappas = [
-        kappa_min + k * (kappa_max - kappa_min) / (args.points - 1)
-        for k in range(args.points)
-    ]
     envelopes = tail_envelopes([pc.with_kappa(kappa) for kappa in kappas], _sim_config(args), _perturbation(pc, args), args.tail)
-    results = [(kappa, env.v.tolist()) for kappa, env in zip(kappas, envelopes)]
+    rows = [(kappa, *env.v.tolist()) for kappa, env in zip(kappas, envelopes)]
     out = _ensure_outdir(args.out)
-    with open(os.path.join(out, "bifurcation.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("kappa," + ",".join(f"amp_v_{i + 1}" for i in range(pc.n)) + "\n")
-        for kappa, amps in results:
-            fh.write("%.17g," % kappa + ",".join("%.17g" % a for a in amps) + "\n")
+    _write_table(os.path.join(out, "bifurcation.csv"), ["kappa"] + [f"amp_v_{i + 1}" for i in range(pc.n)], rows)
     chart = LineChart(title="Limit-cycle amplitude vs gain", xlabel="kappa", ylabel="amplitude")
     for i in range(pc.n):
-        chart.add([r[0] for r in results], [r[1][i] for r in results], label=f"v_{i + 1}")
+        chart.add(kappas, [r[i + 1] for r in rows], label=f"v_{i + 1}")
     chart.write(os.path.join(out, "bifurcation.svg"))
-    peak = max(max(amps) for _, amps in results)
-    print(
-        f"bifurcation: {len(results)} gains in [{kappa_min:g}, {kappa_max:g}], "
-        f"largest tail amplitude = {peak:.6g}"
-    )
+    peak = max(max(r[1:]) for r in rows)
+    print(f"bifurcation: {len(rows)} gains in [{kappa_min:g}, {kappa_max:g}], largest tail amplitude = {peak:.6g}")
     return 0
 
 

@@ -18,8 +18,8 @@ it is orbitally stable.  The emerging cycle amplitude in the critical pair's
 relative velocity grows like 2*sqrt((kappa - kappa_cr)/mu2).  When another
 pair has a larger product beta*tau, it is already past its own crossing at
 this gain, so no cycle born at the chosen pair attracts: orbit is 'unstable'.
-Two pairs that share the largest product make a double Hopf point, whose
-center manifold is four-dimensional; no report is made there.
+Two pairs that share a product make a double Hopf point, whose center
+manifold is four-dimensional; no report is made there.
 
 Construction notes.  The generator's point masses are read off
 ``model.VectorField`` at rest (``PointMasses``) by ``rest_quotients``, one
@@ -170,7 +170,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEi
     (default: the pair with the largest beta**tau, which turns critical at the
     smallest gain), regardless of the gain stored in the config.  Raises
     NumericalError at a double Hopf point: a second critical mode at the same
-    frequency, or another pair sharing the largest product to 1e-12.
+    frequency, or another pair sharing the chosen pair's product to 1e-12.
     """
     eq = EquilibriumCoefficients.from_config(pc)
     n = pc.n
@@ -196,7 +196,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEi
         )
     products = eq.products
     tied = abs(products - products[pair - 1]) <= 1e-12 * products[pair - 1]  # critical at this gain too, at its own frequency
-    if sing[-2] < 1e-8 * sing[0] or (np.count_nonzero(tied) > 1 and not (products[~tied] > products[pair - 1]).any()):
+    if sing[-2] < 1e-8 * sing[0] or np.count_nonzero(tied) > 1:
         raise NumericalError("critical eigenspace is degenerate (two pairs critical at once)")
     q = Vh[-1].conj()
     if abs(q[pair - 1]) < 1e-12:

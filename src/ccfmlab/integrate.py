@@ -450,14 +450,16 @@ class _MethodOfSteps:
         step's k1 under Euler, and under rk4 its k2 (which k3 repeats) and
         k4, which is stored as the next node's derivative, so that each
         step's k1 is its node's.  Under rk4 with a zero delay, :meth:`_stages`
-        gives the one step's k2, k3 and k4 instead.  Sequential sums give v at
-        every node, and the headway rows each node's y' and, under rk4, each
-        step of y.
+        gives the one step's k2, k3 and k4 instead, and evaluates the next
+        node's derivative afresh as that step's k1, so none is stored here.
+        Sequential sums give v at every node, and the headway rows each node's
+        y' and, under rk4, each step of y.
         """
         field, h, n = self.field, self.h, self.field.n
         r0 = k0 - self.base
         times = self.times[r0 : r0 + count]
-        if self.rk4 and self.zero.size:  # one step, each stage on its own state
+        stored = self.rk4 and not self.zero.size  # whether k4 is stored as the next node's derivative
+        if self.rk4 and not stored:  # one step, each stage on its own state
             d2, d3, d4, failures = self._stages(k0)
         else:
             delayed = self._gather(k0, count)
@@ -469,7 +471,8 @@ class _MethodOfSteps:
         v, y = span[:, n - 1 : 2 * n - 1], span[:, 2 * n - 1 :]
         if self.rk4:
             node = self.derivs[r0 : r0 + count + 1]
-            node[1:, n - 1 : 2 * n - 1] = d4
+            if stored:
+                node[1:, n - 1 : 2 * n - 1] = d4
             twice = 2.0 * d2
             mean = node[:-1, n - 1 : 2 * n - 1] + twice  # d1 + 2*d2
             np.multiply(mean + (twice if d3 is d2 else 2.0 * d3) + d4, h / 6.0, out=v[1:])
@@ -482,14 +485,15 @@ class _MethodOfSteps:
                 mean = node[:-1, n - 1 : 2 * n - 1] + (d2 + d3)
             mean *= h / 6.0
             mean += v[:-1]
-            node[1:, 2 * n - 1 :] = field.headway_rows(v[1:].transpose(2, 0, 1)).transpose(1, 2, 0)
+            if stored:
+                node[1:, 2 * n - 1 :] = field.headway_rows(v[1:].transpose(2, 0, 1)).transpose(1, 2, 0)
         else:
             np.multiply(dv, h, out=v[1:])
             np.add.accumulate(v, axis=0, out=v)
             mean = v[:-1]  # Euler's one stage is the node
         np.multiply(field.headway_rows(mean.transpose(2, 0, 1)).transpose(1, 2, 0), h, out=y[1:])
         np.add.accumulate(y, axis=0, out=y)
-        _add_sums(self.hist[: 1 + self.rk4, r0 + 1 : r0 + count + 1], n)  # the new nodes' values and, under rk4, derivatives
+        _add_sums(self.hist[: 1 + stored, r0 + 1 : r0 + count + 1], n)  # the new nodes' values and stored derivatives
         new = span[1:, n - 1 :]
         if not failures and np.maximum.reduce(abs(new), axis=None) <= _BLOWUP_LIMIT:  # NaN fails this test
             return

@@ -155,6 +155,7 @@ def classify_platoon(eq: EquilibriumCoefficients, kappa: float = 1.0) -> list[St
 # ---------------------------------------------------------------------------
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the smallest normal double
 # Series for the principal solution of u*exp(u) = p about the branch point
 # p = -1/e, in powers of s = sqrt(2*(1 + e*p)).
 _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0, -221.0 / 8505.0)
@@ -281,11 +282,13 @@ def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> Character
     iteration and returns lambda = u/tau.  Raises RootSolveError unless the
     residual is below 1e-12 relative to max(1, |lambda|) and u lies on the
     principal branch.  The complex member of a conjugate pair
-    with positive imaginary part is returned.
+    with positive imaginary part is returned.  A delay below the smallest
+    normal double, where 1/tau overflows, gives the delay-free root -kappa*beta*,
+    whose residual rounds to zero there.
     """
     _require_pair(beta_star, tau, kappa)
     a = kappa * beta_star
-    if tau == 0.0:
+    if tau < _TINY:
         return CharacteristicRoot(lam=complex(-a, 0.0), residual=0.0, verified=True, right_count=0)
     lam, residual = _rightmost(
         np.array([a], dtype=float),

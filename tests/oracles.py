@@ -534,10 +534,15 @@ def whole_row_field(field: VectorField, t, state: np.ndarray, delayed: np.ndarra
     return np.concatenate((dv, field.headway_rows(v)), axis=2).reshape(state.shape), failures
 
 
-def _observe(rows: np.ndarray, n: int) -> np.ndarray:
-    """The (..., N, 3) observables S_i = v_1 + ... + v_i, v_i and y_i of each pair of (..., 2N) state rows."""
+def _observe(rows: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., N, 3) observables S_i = v_1 + ... + v_i, v_i and y_i of each pair of (..., 2N) state rows, into out if given."""
+    if out is None:
+        out = np.empty(rows.shape[:-1] + (n, 3))
     v = rows[..., :n]
-    return np.stack((np.add.accumulate(v, axis=-1), v, rows[..., n:]), axis=-1)
+    np.add.accumulate(v, axis=-1, out=out[..., 0])
+    out[..., 1] = v
+    out[..., 2] = rows[..., n:]
+    return out
 
 
 def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, steps: int, lookup: str = "pairs"):
@@ -565,6 +570,7 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
     taus = field.tau.tolist()
     later = _LATER[method]
     offsets, weights = _lookup_table(taus, h, later, method == "rk4")
+    around = np.stack((offsets, offsets + 1))  # nodes j and j + 1 of each pair and later stage, from step 0
     pre = -int(offsets.min())  # steps whose lookups reach into t < 0
     zero = [i for i, tau in enumerate(taus) if tau == 0.0]
     pair = np.arange(n)
@@ -572,15 +578,20 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
     def read(state):  # what pair i reads of a stage state
         return _observe(state, n) if pairs else np.repeat(state[:, None], n, axis=1)
 
-    def call(t, state, rows):
+    derivatives = np.empty((len(later) + 1, batch, 2 * n))  # a step's stage derivatives, each filled in place
+
+    def call(t, state, rows, stage):
         if not pairs:
             return whole_row_field(field, t, state, rows)
         dv, failures = field.flux_rows(t, *(rows[:, None, :, q] for q in range(3)))
-        return np.concatenate((dv[:, 0], field.headway_rows(state[:, :n])), axis=1), failures
+        dot = derivatives[stage]
+        dot[:, :n] = dv[:, 0]
+        dot[:, n:] = field.headway_rows(state[:, :n])
+        return dot, failures
 
     def record(slot, r, row):  # slot 0 holds node values, slot 1 derivatives
         hist[:, slot, r] = row
-        seen[:, slot, r] = _observe(row, n)
+        _observe(row, n, seen[:, slot, r])
 
     rows = read(np.tile(init, (batch, 1)))  # stage 1 of step 0 reads the pre-history everywhere
     errors: dict = {}
@@ -588,13 +599,13 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
         yk = states[:, k]
         if zero:
             rows[:, zero] = read(yk)[:, zero]
-        k1, failures = call(k * h, yk, rows)
+        k1, failures = call(k * h, yk, rows, 0)
         ks = [k1]
         if failures:
             _retire(failures, errors, (hist, seen, rows, k1))
         record(1, k, k1)  # node k's derivative, which the later stages' lookups may read
         # One gather reads the rows of every later stage: nodes j and j + 1 of each pair.
-        nodes, w = np.stack((offsets, offsets + 1)) + k, weights
+        nodes, w = around + k, weights
         if k < pre:  # instants before t = 0 read the pre-history, held in node 0
             early = nodes[0] < 0
             nodes = np.where(early, 0, nodes)
@@ -614,7 +625,7 @@ def step_loop_run(field: VectorField, h: float, method: str, init: np.ndarray, s
                 if zero:
                     rows[:, zero] = read(ystage)[:, zero]
                 t = (k + 1) * h if pairs and c == 1.0 else k * h + c * h  # the pair lookup takes k4 at t_{k+1}, the next k1's time
-                dot, failures = call(t, ystage, rows)
+                dot, failures = call(t, ystage, rows, stage + 1)
                 ks.append(dot)
                 if failures:
                     _retire(failures, errors, (hist, seen, delayed, *ks))

@@ -200,6 +200,17 @@ def test_stability_chart_rejects_non_finite_values(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+def test_stability_chart_writes_an_overflowing_boundary_as_inf(tmp_path):
+    """Near m = 0 the boundary (threshold * b**l)**(1/m) leaves the doubles: inf at m = 0.01 once l >= 1, and 0 at m = -0.01."""
+    out = tmp_path / "o"
+    assert main(["stability-chart", "--out", str(out), "--c", "0.01", "--m-range=-0.02,0.02", "--m-points", "5"]) == 0
+    rows = _read_csv(out / "stability-chart.csv")
+    assert [r for r in rows if r[3] == "inf"] == [["pos", "1", "0.0099999999999999985", "inf"], ["pos", "1.5", "0.0099999999999999985", "inf"]]
+    assert len(rows) == 13  # m = 0 is left out of each l's four points
+    data = (out / "stability-chart.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == "7efb4261de858fac5e6392330b7b61c59b8e31341f711f4e108e8f28cf7df7ee"
+
+
 # ---------------------------------------------------------------------------
 # rate
 # ---------------------------------------------------------------------------
@@ -378,10 +389,19 @@ def test_hopf_artifact_keeps_its_bytes(tmp_path, single_path):
 
 def test_hopf_pair_override(tmp_path, config_path):
     out = tmp_path / "o"
-    assert main(["hopf", "--config", config_path, "--out", str(out), "--pair", "2"]) == 0
+    assert main(["hopf", "--config", config_path, "--out", str(out), "--pair", "1"]) == 0
     data = json.loads((out / "hopf.json").read_text())
-    assert data["pair"] == 2
-    assert data["kappa_cr"] == pytest.approx(math.pi / (2.0 * 3.0 * 0.4), rel=1e-12)
+    assert data["pair"] == 1
+    assert data["kappa_cr"] == pytest.approx(math.pi / (2.0 * 2.5 * 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("pair", ["2", "4"])
+def test_hopf_at_a_tie_below_the_onset_exits_3(tmp_path, config_path, capsys, pair):
+    """Pairs 2 and 4 share the product 1.2, behind pair 3's onset: a double Hopf point, so no report is written."""
+    out = tmp_path / "o"
+    assert main(["hopf", "--config", config_path, "--out", str(out), "--pair", pair]) == 3
+    assert capsys.readouterr().err == "ccfm: numerical failure: critical eigenspace is degenerate (two pairs critical at once)\n"
+    assert not (out / "hopf.json").exists()
 
 
 def test_hopf_at_a_double_hopf_point_exits_3(tmp_path, capsys):
@@ -470,6 +490,41 @@ def test_shortest_tail_window_still_runs(tmp_path, single_path):
 
 
 # ---------------------------------------------------------------------------
+# argument errors
+# ---------------------------------------------------------------------------
+
+RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["stability-chart", "--c", "0.3", "--l-set", "a,b"], "--l-set expects comma-separated numbers, got 'a,b'"),
+        (["stability-chart", "--c", "0.3", "--l-set", ","], "--l-set must contain at least one value"),
+        (["stability-chart", "--c", "0.3", "--m-points", "1"], "--m-points must be at least 2"),
+        (RATE + ["--tau-range", "0,0.6"], "--tau-range must start above 0"),
+        (RATE + ["--tau-points", "1"], "--tau-points must be at least 2"),
+        (["bifurcation", "--config", "<config>", "--points", "1"], "--points must be at least 2"),
+    ],
+    ids=["l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1"],
+)
+def test_an_invalid_argument_exits_2_with_its_message(tmp_path, config_path, capsys, argv, message):
+    out = tmp_path / "o"
+    argv = [config_path if a == "<config>" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ccfm: configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_out_under_a_regular_file_exits_2(tmp_path, config_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "o")
+    assert main(["classify", "--config", config_path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"ccfm: configuration error: cannot create output directory {out!r}: ")
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------
 
@@ -481,7 +536,7 @@ def test_a_failed_parse_leaves_the_next_command_as_in_a_fresh_process(tmp_path, 
         main(["hopf", "--config", config_path, "--pair", "two"])
     assert failed.value.code == 2
     capsys.readouterr()
-    argv = ["hopf", "--config", config_path, "--pair", "2"]
+    argv = ["hopf", "--config", config_path, "--pair", "1"]
     assert main(argv + ["--out", str(tmp_path / "here")]) == 0
     here = capsys.readouterr()
     script = "import sys; from ccfmlab.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -548,6 +603,15 @@ def test_line_chart_bytes_are_pinned():
     chart.add([math.nan, 2.75], [0.5, 0.5], label="c")
     chart.vlines.append((1.25, "mark"))
     assert chart.render() == PINNED_CHART
+
+
+def test_a_one_point_line_chart_spans_one_unit_from_its_point():
+    """A lone point has no span: each axis runs one unit up from it, so the point sits at the plot's lower left, inside the y padding."""
+    chart = LineChart(width=320, height=200)
+    chart.add([2.0], [3.0])
+    svg = chart.render()
+    assert '<circle cx="64" cy="148.545" r="2" fill="#1f77b4"/>' in svg
+    assert "polyline" not in svg
 
 
 def test_line_chart_rejects_series_of_unequal_length():

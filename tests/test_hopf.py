@@ -117,6 +117,20 @@ def test_default_pair_selection_is_largest_product(platoon_config):
     assert eig1.kappa == pytest.approx(math.pi / (2.0 * 2.5 * 0.5), rel=1e-13)
 
 
+def test_a_pair_without_a_hopf_point_is_rejected():
+    """Pairs outside 1..N, a pair with no delay, and a platoon with no delay at all have no crossing to report at."""
+    pc = four_vehicle_platoon(taus=(0.0, 0.4, 0.4488, 0.3))
+    cases = [
+        (pc, 0, r"^pair must be in 1\.\.4, got 0$"),
+        (pc, 5, r"^pair must be in 1\.\.4, got 5$"),
+        (pc, 1, r"^pair 1 has zero delay; it has no Hopf point$"),
+        (four_vehicle_platoon(taus=(0.0,) * 4), None, r"^no pair has a positive delay; there is no Hopf point$"),
+    ]
+    for config, pair, message in cases:
+        with pytest.raises(InvalidConfigError, match=message):
+            hopf_report(config, pair=pair)
+
+
 def test_two_simultaneously_critical_pairs_rejected():
     vehicles = (
         VehicleParams(alpha=0.7, tau=0.4, b=20.0),
@@ -132,9 +146,10 @@ def test_a_double_hopf_point_at_two_frequencies_is_rejected(pair):
     """Pairs 1 and 4 share the largest product, 1.5: at kappa_cr = pi/3 both are critical, at 2.618 and 4.189 rad/s.
 
     M(i*omega0) then has a one-dimensional kernel, but the center manifold is
-    four-dimensional, so no report of one pair's normal form holds.  Pairs 2
-    and 4 of the default platoon tie at 1.2 below pair 3, and are reported
-    with an unstable orbit (test_orbit_is_unstable_where_another_pair_crosses_first).
+    four-dimensional, so no report of one pair's normal form holds.  A tie
+    below the largest product is rejected too: pairs 2 and 4 of the default
+    platoon tie at 1.2 behind pair 3
+    (test_orbit_is_unstable_where_another_pair_crosses_first).
     """
     pc = four_vehicle_platoon(taus=(0.6, 0.4, 0.3, 0.375))
     products = EquilibriumCoefficients.from_config(pc).products
@@ -514,17 +529,30 @@ def test_first_lyapunov_formula_consistency(critical_config):
     assert first_lyapunov(g, w0) == rep.c1
 
 
+def test_first_lyapunov_needs_the_cubic_coefficients(critical_config):
+    """The quadratic stage leaves g21 unset: c1 is asked of coefficients that cannot give it."""
+    g = g_coefficients(critical_eigendata(critical_config))
+    assert g.g21 is None
+    with pytest.raises(InvalidConfigError, match="g21 is missing"):
+        first_lyapunov(g, TAU)
+
+
 def test_orbit_is_unstable_where_another_pair_crosses_first():
     """A report at pair p's kappa_cr calls its orbit unstable when another pair is already past pi/2 there.
 
-    On the platoon, pair 3 has the largest product: at the critical gains of
-    pairs 1, 2 and 4 its rightmost root lies in the right half-plane, so no
-    cycle born at those pairs attracts.  The normal form itself is unchanged:
-    each report stays supercritical with beta2 < 0 and predicts an amplitude.
+    On the platoon, pair 3 has the largest product: at the critical gain of
+    pair 1 its rightmost root lies in the right half-plane, so no cycle born
+    at pair 1 attracts.  The normal form itself is unchanged: each report
+    stays supercritical with beta2 < 0 and predicts an amplitude.  Pairs 2
+    and 4 tie at product 1.2, a double Hopf point, and get no report.
     """
     pc = four_vehicle_platoon()
     eq = EquilibriumCoefficients.from_config(pc)
-    for pair in (1, 2, 3, 4):
+    for pair in (2, 4):
+        for run in (critical_eigendata, hopf_report):
+            with pytest.raises(NumericalError, match=r"^critical eigenspace is degenerate \(two pairs critical at once\)$"):
+                run(pc, pair=pair)
+    for pair in (1, 3):
         rep = hopf_report(pc, pair=pair)
         overtaken = any(
             dominant_root(b, t, rep.kappa_cr).lam.real > 0 for i, (b, t) in enumerate(zip(eq.beta, eq.taus)) if i != pair - 1

@@ -92,6 +92,11 @@ def test_step_larger_than_smallest_delay_rejected(platoon_config):
     simulate(platoon_config, SimConfig(step=0.3, horizon=3.0), _perturb(4))
 
 
+def test_a_perturbation_of_another_size_is_rejected(platoon_config):
+    with pytest.raises(InvalidConfigError, match=r"^perturbation has 3 pairs, config has 4$"):
+        simulate(platoon_config, SimConfig(step=0.05, horizon=1.0), _perturb(3))
+
+
 def test_sim_config_validation():
     with pytest.raises(InvalidConfigError):
         SimConfig(step=0.0)

@@ -67,6 +67,12 @@ def test_leader_settled_time_brackets_tolerance():
     assert abs(lead.velocity(0.9 * ts) - 10.0) > 1e-9 * 10.0
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0])
+def test_leader_settled_time_needs_a_tolerance_inside_the_unit_interval(tol):
+    with pytest.raises(InvalidConfigError, match=r"tol must be in \(0, 1\)"):
+        LeaderProfile(v_eq=10.0).settled_time(tol)
+
+
 def test_platoon_config_validation_and_props():
     pc = four_vehicle_platoon()
     assert pc.n == 4
@@ -520,6 +526,11 @@ def test_config_dict_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(InvalidConfigError):
         config_from_dict(data)
+
+
+def test_config_from_dict_needs_an_object():
+    with pytest.raises(InvalidConfigError, match=r"^config must be a JSON object, got list$"):
+        config_from_dict([])
 
 
 def test_load_config_file(tmp_path):

@@ -147,6 +147,13 @@ def test_dominant_root_zero_delay_exact():
     assert root.lam == pytest.approx(-4.2, rel=1e-15)
 
 
+@pytest.mark.parametrize("tau", [5e-324, 1e-320, 1e-310])
+def test_a_subnormal_delay_gives_the_delay_free_root(tau):
+    """Below the smallest normal double, 1/tau overflows: the root is the tau = 0 one, -kappa*beta*."""
+    root = dominant_root(0.3, tau)
+    assert root.lam == -0.3 + 0.0j and root.residual == 0.0
+
+
 def test_dominant_root_deterministic():
     a = dominant_root(1.9, 0.61)
     b = dominant_root(1.9, 0.61)
