@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
 from .model import EquilibriumCoefficients, PlatoonConfig, VectorField
-from .spectral import _crossing_speed, hopf_point
+from .spectral import hopf_point, transversality
 
 __all__ = [
     "PointMasses",
@@ -515,9 +515,7 @@ def hopf_report(pc: PlatoonConfig, pair: int | None = None) -> HopfReport:
     corr = manifold_corrections(eig, g_coefficients(eig))
     g = g_coefficients(eig, corr)
     c1 = first_lyapunov(g, eig.omega0)
-    bstar = float(eig.beta[eig.pair - 1])
-    tau_p = float(eig.taus[eig.pair - 1])
-    aprime = _crossing_speed(bstar, tau_p, eig.omega0, 0)
+    aprime = transversality(float(eig.beta[eig.pair - 1]), float(eig.taus[eig.pair - 1]))
     scale = max(1.0, abs(g.g20), abs(g.g11), abs(c1))
     if abs(c1.real) <= 1e-12 * scale:
         kind = orbit = "degenerate"

@@ -92,6 +92,7 @@ _BLOWUP_LIMIT = 1e12
 _BLOCK_BYTES = 1 << 20  # a block's gathered history, its largest array
 _WINDOW_BLOCKS = 8  # blocks the history window holds beyond its deepest lookup: at most one slide per this many
 _CSV_BLOCK_ROWS = 256  # rows formatted per write; a block's arrays peak near 0.5 MiB
+_INDEX_MAX = np.iinfo(np.intp).max  # a step count or delay in steps past it indexes no array
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,8 @@ class SimConfig:
             raise InvalidConfigError(f"step must be positive, got {self.step}")
         if not (self.horizon >= self.step and math.isfinite(self.horizon)):
             raise InvalidConfigError(f"horizon must be at least one step, got {self.horizon}")
+        if not self.horizon / self.step < _INDEX_MAX:
+            raise InvalidConfigError(f"horizon {self.horizon:g} is {self.horizon / self.step:.3g} steps of {self.step:g}, too many to index")
         if self.method not in _FRACTIONS:
             raise InvalidConfigError(f"method must be one of {tuple(_FRACTIONS)}, got {self.method!r}")
 
@@ -191,6 +194,9 @@ def _stream(pcs: list[PlatoonConfig], sc: SimConfig, perturbation: PlatoonState 
             f"step {sc.step:g} exceeds the smallest positive delay {tau_min:g}; "
             "the method of steps requires step <= min positive tau"
         )
+    deepest = max(field.tau.tolist()) / sc.step
+    if not 2 * deepest * (3 * field.n - 1) < _INDEX_MAX:  # its flat offset over rows of 3N - 1 numbers, with as much to spare for the window
+        raise InvalidConfigError(f"the largest delay is {deepest:.3g} steps of {sc.step:g}, too many to index")
     errors = _run(field, sc.step, sc.method, perturbation.as_vector(), sc.steps, sink.add)
     if errors:
         raise errors[min(errors)]

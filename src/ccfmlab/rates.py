@@ -1,14 +1,13 @@
 """Exponential convergence rates of a stable pair, and their dependence on delay.
 
 For a stable pair the asymptotic decay e^{-sigma*t} of perturbations is set by
-the rightmost characteristic root, sigma = -Re(lambda).  The rate is read off
-the principal-branch solve behind :func:`ccfmlab.spectral.dominant_root`, at
-unit delay: u = lambda*tau depends only on the product c = kappa*beta**tau,
-and sigma = -Re(u)/tau.  :func:`rate_curve` solves its whole (l, tau) grid as
-one array, in one masked Halley iteration, and keeps the rates and branch
-codes as arrays, making each point only when it is read;
+the rightmost characteristic root, sigma = -Re(lambda), and the rate is -Re of
+the lambda that :func:`ccfmlab.spectral.dominant_root` returns, bit for bit:
+both come from one principal-branch solve.  :func:`rate_curve` solves its
+whole (l, tau) grid as one array, in one masked Halley iteration, and keeps
+the rates and branch codes as arrays, making each point only when it is read;
 :func:`rate_of_convergence` is its batch of one, so the two agree bit for
-bit.  The product only labels the branch the rate lies on:
+bit.  The product c = kappa*beta**tau only labels the branch the rate lies on:
 
 * c < 1/e   -- the dominant root is real, lambda = -sigma2, with
                (sigma2*tau) * exp(-sigma2*tau) = c  (smaller solution);
@@ -81,25 +80,19 @@ _LABELS = ("real", "boundary", "complex", "unstable")
 def _decay_rates(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """Decay rates and branch codes (indices into _LABELS) of 1-d arrays a = kappa*beta*, tau.
 
-    c = 0 gives the rate a (its limit; c also underflows to 0 for tiny
-    positive tau), the boundary c = 1/e gives 1/tau, and an unstable point
-    gives nan.  Every other point is one element of a single principal-branch
-    solve at unit delay (u = lambda*tau depends only on c), read back as
-    -Re(u)/tau.
+    Every stable point's rate is -Re(lambda) of its root from one batched
+    :func:`ccfmlab.spectral._rightmost` solve, the one behind
+    :func:`ccfmlab.spectral.dominant_root`; an unstable point gives nan.  The
+    product c = a*tau only labels the branch.
     """
     c = a * tau
     code = np.where(c < _INV_E, 0, 2)
     code[np.abs(c - _INV_E) <= _BOUNDARY_TOL] = 1
     code[c >= _HALF_PI] = 3
     rate = np.full(c.shape, np.nan)
-    zero = c == 0.0
-    rate[zero] = a[zero]
-    boundary = code == 1
-    rate[boundary] = 1.0 / tau[boundary]
-    idx = np.flatnonzero(~zero & ((code == 0) | (code == 2)))
-    if idx.size:
-        u, _ = _rightmost(c[idx], np.ones(idx.size), lambda i: describe(int(idx[i])))
-        rate[idx] = -u.real / tau[idx]
+    idx = np.flatnonzero(code != 3)
+    lam, _ = _rightmost(a[idx], tau[idx], lambda i: describe(int(idx[i])))
+    rate[idx] = -lam.real
     return rate, code
 
 
@@ -121,7 +114,7 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
         lambda i: f"beta*={beta_star}, tau={tau}, kappa={kappa}",
     )
     code = int(code[0])
-    c = a * tau if tau else 0.0
+    c = a * tau
     if code == 3:  # unstable
         raise UnstableRegimeError(
             f"kappa*beta**tau = {c:.6g} >= pi/2: the pair is not asymptotically stable"

@@ -16,14 +16,17 @@ principal Lambert-W branch (Shinozaki & Mori, Automatica 42, 2006; Corless
 et al., "On the Lambert W function", 1996).  It is computed by Halley's
 iteration on u*exp(u) = -kappa*beta**tau with u = lambda*tau, seeded by a
 square-root series at the branch point and by the asymptotic form of W_0
-beyond it; lambda = u/tau needs no polish on F itself.  A root that passes
-the residual check and lies on the principal branch (|Im u| < pi, and
-u >= -1 when real) is rightmost by that theorem.
+beyond it; lambda, each part of u divided by tau, needs no polish on F
+itself, and a product below the smallest normal double has the root
+-kappa*beta*.  A root that passes the residual check and lies on the
+principal branch (|Im u| < pi, and u >= -1 when real) is rightmost by that
+theorem.
 
 The solve is array-first: a masked Halley iteration over a whole array of
 arguments, in which each element takes exactly the steps it would take
-alone, so a batch never changes a member's bits.  :func:`dominant_root` is
-its batch of one and ``rates.rate_curve`` a batch of a whole (l, tau) grid.
+alone, so a batch never changes a member's bits.  It is the one route from
+a pair to its root: :func:`dominant_root` is its batch of one and
+``rates.rate_curve``, whose rates are -Re(lambda), a batch of a (l, tau) grid.
 """
 
 from __future__ import annotations
@@ -231,18 +234,24 @@ def _principal_uexpu(p: np.ndarray) -> np.ndarray:
 
 
 def _rightmost(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Rightmost roots of lambda + a*exp(-lambda*tau) = 0 for 1-d arrays a, tau > 0.
+    """Rightmost roots of lambda + a*exp(-lambda*tau) = 0 for 1-d arrays a > 0, tau >= 0.
 
-    Solves u*exp(u) = -a*tau on the principal branch and returns lambda =
-    u/tau, unpolished: Halley's iteration leaves u within a few eps of W_0,
-    and Newton steps on F itself would move lambda by no more.  Raises
-    RootSolveError at the first element whose residual exceeds
-    1e-12*max(1, |lambda|) or whose u is off the principal branch;
-    ``describe(i)`` names element i in the caller's terms.  Returns the
-    roots, each with Im >= 0, and their residuals.
+    Solves u*exp(u) = -c, c = a*tau, on the principal branch and divides the
+    real and imaginary parts of u by tau, unpolished: Halley's iteration
+    leaves u within a few eps of W_0, and Newton steps on F itself would move
+    lambda by no more.  A product below the smallest normal double (a zero
+    delay, or a product that underflows or is subnormal) gives the exact root
+    -a, as exp(-lambda*tau) rounds to 1 there.  Raises RootSolveError at the
+    first element whose residual exceeds 1e-12*max(1, |lambda|) or whose u is
+    off the principal branch; ``describe(i)`` names element i in the caller's
+    terms.  Returns the roots, each with Im >= 0, and their residuals.
     """
-    u = _principal_uexpu(-(a * tau))
-    lam = u / tau
+    c = a * tau
+    u = _principal_uexpu(-c)
+    normal = c >= _TINY
+    lam = np.empty(c.shape, dtype=complex)
+    lam.real = np.divide(u.real, tau, out=-a, where=normal)
+    lam.imag = np.divide(np.abs(u.imag), tau, out=np.zeros(c.shape), where=normal)  # the conjugate with Im >= 0
     residual = np.abs(lam + a * np.exp(-lam * tau))
     # A double-precision lambda carries a residual near |lambda|*eps, so the
     # bound scales with |lambda|.
@@ -256,7 +265,7 @@ def _rightmost(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str]) -
         else:
             what = f"root lambda*tau = {complex(u[i])!r} is off the principal Lambert-W branch"
         raise RootSolveError(f"{what} for {describe(i)}")
-    return np.where(lam.imag < 0, lam.conj(), lam), residual
+    return lam, residual
 
 
 @dataclass(frozen=True)
@@ -279,19 +288,16 @@ def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> Character
     """Rightmost characteristic root of one pair: a batch of one for the array solver.
 
     Solves u*exp(u) = -kappa*beta_star*tau (u = lambda*tau) by seeded Halley
-    iteration and returns lambda = u/tau.  Raises RootSolveError unless the
-    residual is below 1e-12 relative to max(1, |lambda|) and u lies on the
-    principal branch.  The complex member of a conjugate pair
-    with positive imaginary part is returned.  A delay below the smallest
-    normal double, where 1/tau overflows, gives the delay-free root -kappa*beta*,
-    whose residual rounds to zero there.
+    iteration and divides each part of u by tau.  Raises RootSolveError
+    unless the residual is below 1e-12 relative to max(1, |lambda|) and u
+    lies on the principal branch.  The complex member of a conjugate pair
+    with positive imaginary part is returned.  A product below the smallest
+    normal double, a zero or subnormal delay among them, gives the exact
+    delay-free root -kappa*beta*, with residual 0.
     """
     _require_pair(beta_star, tau, kappa)
-    a = kappa * beta_star
-    if tau < _TINY:
-        return CharacteristicRoot(lam=complex(-a, 0.0), residual=0.0, verified=True, right_count=0)
     lam, residual = _rightmost(
-        np.array([a], dtype=float),
+        np.array([kappa * beta_star], dtype=float),
         np.array([tau], dtype=float),
         lambda i: f"beta*={beta_star}, tau={tau}, kappa={kappa}",
     )
@@ -393,11 +399,7 @@ def transversality(beta_star: float, tau: float, n: int = 0) -> float:
 
     which is strictly positive: the root pair always crosses rightward.
     """
-    return _crossing_speed(beta_star, tau, hopf_point(beta_star, tau, n=n).omega0, n)
-
-
-def _crossing_speed(beta_star: float, tau: float, omega0: float, n: int) -> float:
-    """transversality's closed form at the crossing frequency omega0 of branch n."""
+    omega0 = hopf_point(beta_star, tau, n=n).omega0
     w2 = tau * tau * omega0 * omega0
     return 2.0 * beta_star * w2 / ((2 * n + 1) * math.pi * (1.0 + w2))
 

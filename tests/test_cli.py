@@ -251,6 +251,18 @@ def test_rate_rejects_non_finite_speeds_headways_and_exponents(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
+def test_rate_artifacts_keep_their_bytes(tmp_path):
+    """README's ``ccfm rate`` example: rate.csv and rate.svg pinned."""
+    out = tmp_path / "o"
+    argv = ["rate", "--out", str(out), "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20", "--l-set", "0.8,1.0,1.2"]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("rate.csv", "rate.svg")}
+    assert digests == {
+        "rate.csv": "06da833f73238cc82e00ff35e4ff15108567a93e80ff8b89a2bfa58464c3bfa6",
+        "rate.svg": "4aafed8879b66dea1d787bf72750b68d0275b6d90e95523492222036de13067b",
+    }
+
+
 def test_rate_empty_l_set_writes_header_only(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -106,6 +106,24 @@ def test_sim_config_validation():
         SimConfig(method="rk2")
 
 
+def test_a_step_count_past_the_largest_index_is_rejected():
+    """1e302 steps fit no np.intp: the grid and the stored states could not be made."""
+    with pytest.raises(InvalidConfigError, match=r"^horizon 1e\+300 is 1e\+302 steps of 0\.01, too many to index$"):
+        SimConfig(step=0.01, horizon=1e300)
+    with pytest.raises(InvalidConfigError, match="too many to index"):
+        SimConfig(step=1e-300, horizon=1e10)  # the ratio overflows to inf
+
+
+def test_a_delay_of_more_steps_than_the_largest_index_is_rejected(platoon_config):
+    """tau = 0.5 is 5e19 steps of 1e-20, which fit no np.intp.  5e18 steps fit one, but not their history's
+    flat offset over rows of 3N - 1 = 11 numbers; 4e17 steps, inside the bound, run."""
+    for h, steps in ((1e-20, "5e\\+19"), (1e-19, "5e\\+18")):
+        with pytest.raises(InvalidConfigError, match=rf"^the largest delay is {steps} steps of {h:g}, too many to index$"):
+            simulate(platoon_config, SimConfig(step=h, horizon=10 * h, method="rk4"), _perturb(4))
+    traj = simulate(platoon_config, SimConfig(step=1.25e-18, horizon=1.25e-17, method="rk4"), _perturb(4))
+    assert traj.states.shape == (11, 8) and np.all(np.isfinite(traj.states))
+
+
 def test_blow_up_raises_numerical_error():
     pc = single_follower(kappa=400.0)
     with pytest.raises(NumericalError):

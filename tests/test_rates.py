@@ -1,8 +1,9 @@
 """Decay-rate computations.
 
-The rate module reads the decay rate off the complex dominant root; the
-oracle in ``oracles.py`` solves the real branch equations by safeguarded
-Newton iteration.  The two routes share no solver code, so their agreement is
+The rate module reads the decay rate off the dominant root, as -Re(lambda)
+of the root that ``dominant_root`` returns, bit for bit.  The oracle in
+``oracles.py`` solves the real branch equations by safeguarded Newton
+iteration and shares no solver code with the package, so its agreement is
 the primary correctness check here, alongside frozen values from the Lambert
 W function.
 """
@@ -13,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
@@ -36,19 +37,48 @@ E_INV = 1.0 / math.e
 
 
 # ---------------------------------------------------------------------------
-# equivalence of the two independent routes
+# the rate is the dominant root's; the branch equations are its oracle
 # ---------------------------------------------------------------------------
 
 
 @given(c=st.floats(0.01, 1.5), tau=st.floats(0.05, 2.0))
 @settings(max_examples=200, deadline=None)
 def test_rate_equals_negated_real_part_of_dominant_root(c, tau):
-    assume(abs(c - E_INV) > 1e-10)
     beta = c / tau
     res = rate_of_convergence(beta, tau)
-    lam = dominant_root(beta, tau).lam
-    assert res.dominant == pytest.approx(-lam.real, rel=1e-8)
-    assert res.dominant == pytest.approx(branch_rate(res.product, tau), rel=1e-8)
+    assert res.dominant.hex() == (-dominant_root(beta, tau).lam.real).hex()
+    if abs(c - E_INV) > 1e-10:
+        assert res.dominant == pytest.approx(branch_rate(res.product, tau), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "beta, tau, branch",
+    [
+        ((E_INV + 1e-13) / 0.5, 0.5, "boundary"),
+        ((E_INV - 1e-13) / 0.5, 0.5, "boundary"),
+        ((E_INV - 9e-13) / 0.5, 0.5, "boundary"),
+        (3.5, 0.0, "real"),
+        (3.5, 5e-324, "real"),
+        (3.5, 1e-310, "real"),
+        (1e-300, 1e-10, "real"),
+        (1e307, 2e-308, "real"),
+    ],
+    ids=["1/e+1e-13", "1/e-1e-13", "1/e-9e-13", "tau-0", "tau-5e-324", "tau-1e-310", "product-1e-310", "tau-2e-308"],
+)
+def test_rate_is_the_dominant_root_bit_for_bit(beta, tau, branch):
+    """Next to the boundary 1/e, at zero and subnormal delays and products, and at a normal product over a subnormal delay."""
+    res = rate_of_convergence(beta, tau)
+    assert res.branch == branch
+    assert res.dominant.hex() == (-dominant_root(beta, tau).lam.real).hex()
+    c = beta * tau
+    # -W_0(-c)/tau = beta*(1 + c + 1.5c^2 + ...); a subnormal c keeps too few bits to pass to lambertw
+    ref = beta * (1.0 + c) if c < 1e-8 else -lambertw(-c, 0).real / tau
+    assert abs(res.dominant - ref) <= 1e-12 * ref
+
+
+def test_rate_curve_at_a_subnormal_delay_is_the_gain():
+    """At tau = 1e-320 the product is subnormal and exp(-lambda*tau) rounds to 1: the rate is kappa*beta* exactly."""
+    assert rate_curve(0.7, 10.0, 2.0, 20.0, [1.2], [1e-320])[0].rate == beta_star(0.7, 10.0, 2.0, 20.0, 1.2)
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.3])

@@ -154,6 +154,14 @@ def test_a_subnormal_delay_gives_the_delay_free_root(tau):
     assert root.lam == -0.3 + 0.0j and root.residual == 0.0
 
 
+def test_a_normal_product_at_a_subnormal_delay_is_solved():
+    """1e307 * 2e-308 = 0.2: the delay is below the smallest normal double but the product is not, so the root is W_0(-0.2)/tau."""
+    root = dominant_root(1e307, 2e-308)
+    ref = lambertw(-(1e307 * 2e-308), 0).real / 2e-308
+    assert abs(root.lam - ref) <= 1e-12 * abs(ref)
+    assert root.lam.imag == 0.0 and root.residual <= 1e-12 * abs(root.lam)
+
+
 def test_dominant_root_deterministic():
     a = dominant_root(1.9, 0.61)
     b = dominant_root(1.9, 0.61)
