@@ -73,10 +73,6 @@ def _write_table(path: str, header: list[str], rows) -> None:
             fh.write(",".join(cell if isinstance(cell, str) else "%.17g" % cell for cell in row) + "\n")
 
 
-def _thin(idx_count: int, cap: int = 2000) -> int:
-    return max(1, idx_count // cap)
-
-
 def _grid(text: str, flag: str, points: int, points_flag: str) -> tuple[float, float, list[float]]:
     """Parse the 'lo,hi' of flag; return lo, hi and the sweep of points evenly spaced values from lo to hi."""
     values = _parse_float_list(text, flag)
@@ -121,7 +117,7 @@ def _cmd_simulate(args) -> int:
         xlabel="t",
         ylabel="v_i(t)",
     )
-    step = _thin(traj.t.size)
+    step = max(1, traj.t.size // 2000)  # fewer than 4000 points a curve
     for i in range(pc.n):
         chart.add(traj.t[::step], traj.v[::step, i], label=f"v_{i + 1}")
     chart.write(os.path.join(out, "simulate.svg"))
@@ -149,11 +145,14 @@ def _cmd_classify(args) -> int:
 def _cmd_stability_chart(args) -> int:
     m_grid = [m for m in _grid(args.m_range, "--m-range", args.m_points, "--m-points")[2] if abs(m) > 1e-9]  # the boundary is undefined at m = 0
     l_values = _parse_float_list(args.l_set, "--l-set")
+    threshold = stability_region_margin(1.0, 1.0, args.b, 1.0, args.c).threshold  # pi/(2c), whatever m and l
     rows = []
     for l in l_values:
+        try:
+            boundary = threshold * args.b**l  # x0dot**m at the boundary
+        except OverflowError:
+            raise InvalidConfigError(f"b**l overflows at b = {args.b}, l = {l}") from None
         for m in m_grid:
-            check = stability_region_margin(1.0, m, args.b, l, args.c)  # threshold only needs b, l, c
-            boundary = check.threshold * args.b**l  # x0dot**m at the boundary
             try:
                 x0_boundary = boundary ** (1.0 / m)
             except OverflowError:

@@ -211,7 +211,14 @@ class _Store:
 
     def add(self, k: int, rows: np.ndarray) -> None:
         if self.states is None:  # sized by the first rows, once the batch has been checked
-            self.states = np.empty((rows.shape[0], self.sc.steps + 1, rows.shape[2]))
+            shape = (rows.shape[0], self.sc.steps + 1, rows.shape[2])
+            try:
+                self.states = np.empty(shape)
+            except (MemoryError, ValueError):
+                nodes, size = shape[0] * shape[1], 8 * math.prod(shape)
+                raise InvalidConfigError(
+                    f"storing {nodes:.3g} nodes of {shape[2]} numbers takes {size:.3g} bytes, too many to allocate"
+                ) from None
         self.states[:, k : k + rows.shape[1]] = rows
 
     def reports(self) -> list[Trajectory]:

@@ -189,7 +189,10 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
         raise InvalidConfigError(f"desired headway must be positive and finite, got {b}")
     if not (math.isfinite(m) and math.isfinite(l)):
         raise InvalidConfigError(f"exponents m and l must be finite, got m = {m}, l = {l}")
-    return alpha * x0dot**m / b**l
+    try:
+        return alpha * x0dot**m / b**l
+    except OverflowError:
+        raise InvalidConfigError(f"x0dot**m or b**l overflows at x0dot = {x0dot}, m = {m}, b = {b}, l = {l}") from None
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import UnstableRegimeError
 from .model import beta_star as _beta_star
-from .spectral import _require_pair, _require_positive, _rightmost
+from .spectral import _HALF_PI, _INV_E, _require_pair, _require_positive, _rightmost
 
 __all__ = [
     "RateResult",
@@ -48,8 +47,6 @@ __all__ = [
     "rate_curve",
 ]
 
-_INV_E = 1.0 / math.e
-_HALF_PI = 0.5 * math.pi
 _BOUNDARY_TOL = 1e-12
 
 
@@ -173,18 +170,7 @@ class RateCurve(Sequence):
         if isinstance(k, range):
             return [self[j] for j in k]
         l, t = divmod(k, len(self._taus))
-        return tuple.__new__(RateCurvePoint, (self._l[l], self._taus[t], float(self._rate[k]), _LABELS[self._code[k]]))
-
-    def __iter__(self):
-        # One C-level pass over the l-major columns; tuple.__new__ builds the
-        # NamedTuple without its Python-level __new__.
-        columns = zip(
-            chain.from_iterable(map(repeat, self._l, repeat(len(self._taus)))),
-            chain.from_iterable(repeat(self._taus, len(self._l))),
-            self._rate.tolist(),
-            map(_LABELS.__getitem__, self._code.tolist()),
-        )
-        return map(tuple.__new__, repeat(RateCurvePoint), columns)
+        return RateCurvePoint(self._l[l], self._taus[t], float(self._rate[k]), _LABELS[self._code[k]])
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -25,10 +25,22 @@ _PALETTE = [
     "#17becf",
     "#7f7f7f",
 ]
+_FONT = "font-family:Helvetica,Arial,sans-serif"
 
 
 def _fmt(x: float) -> str:
     return "%.6g" % x
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: float, extra: str = "") -> str:
+    """One <line> from (x1, y1) to (x2, y2); ``extra`` holds any further attributes, space-led."""
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"{extra}/>'
+
+
+def _text(x, y, body: str, size: int, fill: str, anchor: str = "", extra: str = "") -> str:
+    """One <text> of ``body`` at (x, y) in the charts' one font; ``extra`` holds any further attributes, space-led."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor} font-size="{size}" fill="{fill}" style="{_FONT}"{extra}>{body}</text>'
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -55,8 +67,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 class Series:
     x: np.ndarray  # float64, the same length as y
     y: np.ndarray
-    label: str = ""
-    color: str | None = None
+    label: str
+    color: str
 
     def finite(self) -> np.ndarray:
         """Mask of the points whose x and y are both finite."""
@@ -108,46 +120,21 @@ class LineChart:
         def sy(y):
             return mt + ph - (y - y0) / (y1 - y0) * ph
 
-        parts: list[str] = []
-        parts.append(
+        parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">'
-        )
-        parts.append(f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>')
-        style = "font-family:Helvetica,Arial,sans-serif"
+            f'viewBox="0 0 {self.width} {self.height}">',
+            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>',
+        ]
         for t in _nice_ticks(x0, x1):
-            parts.append(
-                f'<line x1="{_fmt(sx(t))}" y1="{mt}" x2="{_fmt(sx(t))}" y2="{mt + ph}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(sx(t))}" y="{mt + ph + 16}" text-anchor="middle" '
-                f'font-size="11" fill="#444444" style="{style}">{_fmt(t)}</text>'
-            )
+            parts += [_line(sx(t), mt, sx(t), mt + ph, "#dddddd", 1), _text(sx(t), mt + ph + 16, _fmt(t), 11, "#444444", "middle")]
         for t in _nice_ticks(y0, y1):
-            parts.append(
-                f'<line x1="{ml}" y1="{_fmt(sy(t))}" x2="{ml + pw}" y2="{_fmt(sy(t))}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{ml - 6}" y="{_fmt(sy(t) + 3.5)}" text-anchor="end" '
-                f'font-size="11" fill="#444444" style="{style}">{_fmt(t)}</text>'
-            )
-        parts.append(
-            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333" stroke-width="1"/>'
-        )
+            parts += [_line(ml, sy(t), ml + pw, sy(t), "#dddddd", 1), _text(ml - 6, sy(t) + 3.5, _fmt(t), 11, "#444444", "end")]
+        parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333" stroke-width="1"/>')
         for xv, label in self.vlines:
-            parts.append(
-                f'<line x1="{_fmt(sx(xv))}" y1="{mt}" x2="{_fmt(sx(xv))}" y2="{mt + ph}" '
-                'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-            )
+            parts.append(_line(sx(xv), mt, sx(xv), mt + ph, "#888888", 1, ' stroke-dasharray="5,4"'))
             if label:
-                parts.append(
-                    f'<text x="{_fmt(sx(xv) + 4)}" y="{mt + 14}" font-size="11" '
-                    f'fill="#555555" style="{style}">{label}</text>'
-                )
+                parts.append(_text(sx(xv) + 4, mt + 14, label, 11, "#555555"))
         for s in self.series:
-            color = s.color or _PALETTE[0]
             # Break polylines at non-finite points so gaps stay gaps: each run
             # of finite points is [start, stop) between two mask edges.
             ok = s.finite()
@@ -155,44 +142,27 @@ class LineChart:
             px, py = sx(s.x).tolist(), sy(s.y).tolist()
             for start, stop in zip(edges[::2], edges[1::2]):
                 if stop - start == 1:
-                    parts.append(f'<circle cx="{_fmt(px[start])}" cy="{_fmt(py[start])}" r="2" fill="{color}"/>')
+                    parts.append(f'<circle cx="{_fmt(px[start])}" cy="{_fmt(py[start])}" r="2" fill="{s.color}"/>')
                 else:
                     points = " ".join(map("%.6g,%.6g".__mod__, zip(px[start:stop], py[start:stop])))
-                    parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+                    parts.append(f'<polyline points="{points}" fill="none" stroke="{s.color}" stroke-width="1.6"/>')
         if self.title:
-            parts.append(
-                f'<text x="{self.width / 2:g}" y="20" text-anchor="middle" font-size="14" '
-                f'fill="#111111" style="{style}">{self.title}</text>'
-            )
+            parts.append(_text(self.width / 2, 20, self.title, 14, "#111111", "middle"))
         if self.xlabel:
-            parts.append(
-                f'<text x="{ml + pw / 2:g}" y="{self.height - 10}" text-anchor="middle" '
-                f'font-size="12" fill="#111111" style="{style}">{self.xlabel}</text>'
-            )
+            parts.append(_text(ml + pw / 2, self.height - 10, self.xlabel, 12, "#111111", "middle"))
         if self.ylabel:
-            ycx = 16
-            ycy = mt + ph / 2
-            parts.append(
-                f'<text x="{ycx}" y="{ycy:g}" text-anchor="middle" font-size="12" fill="#111111" '
-                f'style="{style}" transform="rotate(-90 {ycx} {ycy:g})">{self.ylabel}</text>'
-            )
+            ycx, ycy = 16, mt + ph / 2
+            parts.append(_text(ycx, ycy, self.ylabel, 12, "#111111", "middle", f' transform="rotate(-90 {ycx} {_fmt(ycy)})"'))
         labeled = [s for s in self.series if s.label]
         if labeled:
-            lx = ml + pw - 150
-            ly = mt + 10
+            lx, ly = ml + pw - 150, mt + 10
             parts.append(
                 f'<rect x="{lx - 8}" y="{ly - 4}" width="150" height="{16 * len(labeled) + 8}" '
                 'fill="#ffffff" opacity="0.85" stroke="#cccccc"/>'
             )
             for k, s in enumerate(labeled):
                 yk = ly + 16 * k + 8
-                parts.append(
-                    f'<line x1="{lx}" y1="{yk - 4}" x2="{lx + 22}" y2="{yk - 4}" '
-                    f'stroke="{s.color}" stroke-width="1.6"/>'
-                )
-                parts.append(
-                    f'<text x="{lx + 28}" y="{yk}" font-size="11" fill="#222222" style="{style}">{s.label}</text>'
-                )
+                parts += [_line(lx, yk - 4, lx + 22, yk - 4, s.color, 1.6), _text(lx + 28, yk, s.label, 11, "#222222")]
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

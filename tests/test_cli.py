@@ -114,6 +114,18 @@ def test_zero_delay_rk4_artifact_keeps_its_bytes(tmp_path):
     assert hashlib.sha256(data).hexdigest() == "7bece2b0d962166db0c9cc0f3d5532cc4f661e8331c71ba01a9690b45661f65b"
 
 
+def test_simulate_artifacts_keep_their_bytes(tmp_path, config_path):
+    """README's ``ccfm simulate`` example: simulate.csv and simulate.svg pinned."""
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", config_path, "--out", str(out), "--method", "euler", "--ts", "0.01", "--tmax", "300"]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("simulate.csv", "simulate.svg")}
+    assert digests == {
+        "simulate.csv": "352fb37e05a0680bf819e2f03edbeb412261b0ddc89acc017bae57208e4ee9b4",
+        "simulate.svg": "63f1f2ad1f832ce72fae95ecafde2bef8e668847c4bafb3c2f0d2fcdcd5d4480",
+    }
+
+
 @pytest.mark.parametrize("flags", [["--perturb-v", "nan"], ["--perturb-y", "inf"]])
 def test_simulate_rejects_a_non_finite_perturbation(tmp_path, config_path, capsys, flags):
     """A configuration error (exit 2), not a blow-up of the integration (exit 3)."""
@@ -146,6 +158,8 @@ def test_classify_json_schema(tmp_path, config_path, capsys):
     assert products[2] == pytest.approx(1.5708, rel=1e-10)
     shown = capsys.readouterr().out
     assert "pair 3" in shown and "Unstable" in shown
+    # README's ``ccfm classify`` example: its bytes are pinned
+    assert hashlib.sha256((out / "classify.json").read_bytes()).hexdigest() == "6152e45b94d44dadc538ec7200deb169fb380c0fda2fb367b813b457ae9a2e32"
 
 
 def test_classify_honors_config_gain(tmp_path):
@@ -183,6 +197,18 @@ def test_stability_chart_csv(tmp_path):
     want = (math.pi * 20.0 / (2.0 * 0.3)) ** 0.5
     got = by_key[("1", "2")]
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_stability_chart_artifacts_keep_their_bytes(tmp_path):
+    """README's ``ccfm stability-chart`` example: stability-chart.csv and stability-chart.svg pinned."""
+    out = tmp_path / "o"
+    argv = ["stability-chart", "--out", str(out), "--c", "0.3", "--b", "20", "--m-range=-3,3", "--l-set", "0.5,1.0,1.5"]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("stability-chart.csv", "stability-chart.svg")}
+    assert digests == {
+        "stability-chart.csv": "4c76fc45bfe2b15ca7b0dad4b7a0fab9293bfba21e6fb7b1b1690970064c4b36",
+        "stability-chart.svg": "633c9318b849b9510714efe1753f897199cc8bf446b6f1671f1cf3c78b0e5f1d",
+    }
 
 
 def test_stability_chart_bad_range_exit_code(tmp_path):
@@ -517,12 +543,28 @@ RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
         (RATE + ["--tau-range", "0,0.6"], "--tau-range must start above 0"),
         (RATE + ["--tau-points", "1"], "--tau-points must be at least 2"),
         (["bifurcation", "--config", "<config>", "--points", "1"], "--points must be at least 2"),
+        (["simulate", "--config", "<config>", "--method", "rk4", "--tmax", "1e15"],
+         "storing 1e+17 nodes of 8 numbers takes 6.4e+18 bytes, too many to allocate"),
+        (["simulate", "--config", "<config>", "--method", "rk4", "--tmax", "1e16"],
+         "storing 1e+18 nodes of 8 numbers takes 6.4e+19 bytes, too many to allocate"),
+        (["classify", "--config", "<fast config>"], "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
+        (["hopf", "--config", "<fast config>"], "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
+        (["rate", "--alpha", "0.7", "--x0", "1e300", "--m", "2", "--b", "20"],
+         "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 0.8"),
+        (["stability-chart", "--c", "0.3", "--b", "1e300", "--l-set", "2"], "b**l overflows at b = 1e+300, l = 2.0"),
     ],
-    ids=["l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1"],
+    ids=[
+        "l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1",
+        "tmax-1e15-unallocatable", "tmax-1e16-too-big", "classify-x0dot-power-overflows", "hopf-x0dot-power-overflows",
+        "rate-x0dot-power-overflows", "stability-chart-b-power-overflows",
+    ],
 )
 def test_an_invalid_argument_exits_2_with_its_message(tmp_path, config_path, capsys, argv, message):
     out = tmp_path / "o"
-    argv = [config_path if a == "<config>" else a for a in argv]
+    fast = tmp_path / "fast.json"  # the four-vehicle platoon led at 1e300, whose x0dot**m leaves the doubles
+    fast.write_text(json.dumps(dict(CONFIG, leader={"v_eq": 1e300, "ramp": 10.0})))
+    paths = {"<config>": config_path, "<fast config>": str(fast)}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"ccfm: configuration error: {message}\n"
     assert not out.exists()

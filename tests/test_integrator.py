@@ -114,6 +114,18 @@ def test_a_step_count_past_the_largest_index_is_rejected():
         SimConfig(step=1e-300, horizon=1e10)  # the ratio overflows to inf
 
 
+@pytest.mark.parametrize(
+    ("horizon", "message"),
+    [(1e15, r"^storing 1e\+17 nodes of 8 numbers takes 6\.4e\+18 bytes, too many to allocate$"),
+     (1e16, r"^storing 1e\+18 nodes of 8 numbers takes 6\.4e\+19 bytes, too many to allocate$")],
+    ids=["past-memory", "past-array-size"],
+)
+def test_a_run_whose_states_cannot_be_stored_is_rejected(platoon_config, horizon, message):
+    """1e17 steps fit an np.intp, but their stored states do not fit memory (1e15) or an array's size (1e16)."""
+    with pytest.raises(InvalidConfigError, match=message):
+        simulate(platoon_config, SimConfig(step=0.01, horizon=horizon, method="rk4"), _perturb(4))
+
+
 def test_a_delay_of_more_steps_than_the_largest_index_is_rejected(platoon_config):
     """tau = 0.5 is 5e19 steps of 1e-20, which fit no np.intp.  5e18 steps fit one, but not their history's
     flat offset over rows of 3N - 1 = 11 numbers; 4e17 steps, inside the bound, run."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,17 @@ def test_beta_star_requires_finite_arguments(args):
     with pytest.raises(InvalidConfigError, match="finite"):
         beta_star(*args)
     assert beta_star(0.5, 1.0, 2.0, 1.0, 1.0) == 0.5  # bases of 1 with finite exponents stand
+
+
+@pytest.mark.parametrize(
+    ("args", "inputs"),
+    [((0.7, 1e300, 2.0, 20.0, 1.0), "x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"), ((0.7, 10.0, 2.0, 1e300, 2.0), "x0dot = 10.0, m = 2.0, b = 1e+300, l = 2.0")],
+    ids=["x0dot-power", "b-power"],
+)
+def test_beta_star_rejects_an_overflowing_power(args, inputs):
+    """Python's float ** raises OverflowError where numpy's gives inf: x0dot**m or b**l past the doubles is a configuration error."""
+    with pytest.raises(InvalidConfigError, match=rf"^x0dot\*\*m or b\*\*l overflows at {re.escape(inputs)}$"):
+        beta_star(*args)
 
 
 @given(
