@@ -152,6 +152,8 @@ def _cmd_stability_chart(args) -> int:
             boundary = threshold * args.b**l  # x0dot**m at the boundary
         except OverflowError:
             raise InvalidConfigError(f"b**l overflows at b = {args.b}, l = {l}") from None
+        if boundary == 0.0:
+            raise InvalidConfigError(f"pi/(2c)*b**l underflows to 0 at b = {args.b}, l = {l}, c = {args.c}")
         for m in m_grid:
             try:
                 x0_boundary = boundary ** (1.0 / m)

@@ -50,11 +50,12 @@ drives the v-rows: that defect kappa*f_i is the resonance of the line of
 equilibria (v, y) = (0, c), and it is reported as a diagnostic rather than
 asserted away.
 
-``hopf_report`` runs the public stages in turn: ``critical_eigendata``,
-``g_coefficients``, ``manifold_corrections``, ``g_coefficients`` with the
-corrections (the cubic coefficients alone) and ``first_lyapunov``.  The
-eigendata build the ring once, so a report makes one SVD, one stacked solve
-and three field evaluations: the point masses, then the ring twice.
+``hopf_report`` runs the four public stages once each, in turn:
+``critical_eigendata``, ``g_coefficients`` (the quadratic stage),
+``manifold_corrections`` (w20 and w11, then the cubic F21 and g21 read off
+the ring with them) and ``first_lyapunov``.  The eigendata build the ring
+once, so a report makes one SVD, one stacked solve and three field
+evaluations: the point masses, then the ring twice.
 """
 
 from __future__ import annotations
@@ -142,8 +143,7 @@ class CriticalEigendata:
     M0_v: np.ndarray  # M(0)[:N, :N], the v-block that f's v-rows solve on
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
-    B: complex  # scale applied to the raw adjoint vector
-    inner_raw: complex  # <p_raw, q> before scaling
+    inner_raw: complex  # <p_raw, q> before scaling; p = conj(1/inner_raw)*p_raw
     residual_q: float
     residual_p: float
     ring: _Ring  # the states that the normal-form coefficients are read off
@@ -222,8 +222,7 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEi
     inner_raw = complex(pbar_raw @ Mp @ q)
     if abs(inner_raw) < 1e-12:
         raise NumericalError("adjoint and right eigenvectors are numerically orthogonal")
-    B = (1.0 / inner_raw).conjugate()
-    p = B * p_raw
+    p = (1.0 / inner_raw).conjugate() * p_raw
     check = complex(p.conj() @ Mp @ q)
     if abs(check - 1.0) > 1e-10:
         raise NumericalError(f"inner-product normalization failed: <p, q> = {check!r}")
@@ -240,7 +239,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEi
         M0_v=chars[1, :n, :n].copy(),
         q=q,
         p=p,
-        B=B,
         inner_raw=inner_raw,
         residual_q=residual_q,
         residual_p=residual_p,
@@ -332,9 +330,9 @@ class _Ring:
         F20, F11 = _QUADRATIC_WEIGHTS @ even.reshape(-1, self.n) / self.scale**2
         return F20, F11
 
-    def cubic(self, corr: "ManifoldCorrections") -> np.ndarray:
-        """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11 are added."""
-        obs = np.array(self.field.pair_observables(corr._w(self.waves)))  # (3, 2, N): those of w20 and w11
+    def cubic(self, w: np.ndarray) -> np.ndarray:
+        """F21 (v-rows): the rho**3 part of harmonic 1 once w20 and w11, stacked at theta = -tau_i in w, are added."""
+        obs = np.array(self.field.pair_observables(w))  # (3, 2, N): those of w20 and w11
         w = (_RING_TURN2 * obs[:, :1]).real + obs[:, 1:].real  # (3, A, N)
         rows = self._rows(self.linear_states() + (self.scale**2 * w)[:, None, None] * _RING_R2)
         odd = (rows[:, 0] - rows[:, 1]) * _RING_INV_R  # (F(x(z)) - F(x(-z)))/r
@@ -343,40 +341,29 @@ class _Ring:
 
 @dataclass
 class GCoefficients:
-    """Normal-form coefficients; g21 and F21 are None in those of the quadratic stage."""
+    """The quadratic stage of the normal form: g20, g02 and g11, and the v-row forcing F20 and F11 they project."""
 
     g20: complex
     g02: complex
     g11: complex
-    g21: complex | None
     F20: np.ndarray  # per-pair quadratic coefficients (v-rows), length N; F02 is F20.conj()
     F11: np.ndarray
-    F21: np.ndarray | None
 
 
-def g_coefficients(eig: CriticalEigendata, corrections: "ManifoldCorrections | None" = None) -> GCoefficients:
-    """Project the nonlinearity onto the critical mode: g_x = pbar(0) . F_x over the v-rows.
+def g_coefficients(eig: CriticalEigendata) -> GCoefficients:
+    """Project the quadratic nonlinearity onto the critical mode: g_x = pbar(0) . F_x over the v-rows.
 
-    Without corrections, the quadratic coefficients, with g21 and F21 None.
-    With the ManifoldCorrections, which need w20 and w11, the quadratic ones
-    are taken from ``corrections.g`` and the cubic coefficients added.  The
-    adjoint's y-components are zero, so the v-rows carry the projection.
+    The adjoint's y-components are zero, so the v-rows carry the projection.
     """
     pbar_v = eig.p.conj()[: eig.field.n]
-    if corrections is None:
-        F20, F11 = eig.ring.quadratic()
-        return GCoefficients(
-            g20=complex(pbar_v @ F20),
-            g02=complex(pbar_v @ F20.conj()),
-            g11=complex(pbar_v @ F11),
-            g21=None,
-            F20=F20,
-            F11=F11,
-            F21=None,
-        )
-    g = corrections.g
-    F21 = eig.ring.cubic(corrections)
-    return GCoefficients(g.g20, g.g02, g.g11, g21=complex(pbar_v @ F21), F20=g.F20, F11=g.F11, F21=F21)
+    F20, F11 = eig.ring.quadratic()
+    return GCoefficients(
+        g20=complex(pbar_v @ F20),
+        g02=complex(pbar_v @ F20.conj()),
+        g11=complex(pbar_v @ F11),
+        F20=F20,
+        F11=F11,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +385,48 @@ class WResiduals:
     w11_boundary_y: float
 
 
+def _w(eig: CriticalEigendata, g: GCoefficients, e: np.ndarray, f: np.ndarray, waves: np.ndarray) -> np.ndarray:
+    """w20 and w11, stacked, from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
+    w0 = eig.omega0
+    q0 = eig.q
+    # The terms along q*exp(i*omega0*theta), less those along qbar*exp(-i*omega0*theta), of w20 and w11.
+    coef = np.array(
+        [
+            [-(g.g20 / (1j * w0)), g.g02.conjugate() / (3j * w0)],
+            [g.g11 / (1j * w0), g.g11.conjugate() / (1j * w0)],
+        ]
+    )
+    modes = (coef[..., None] * np.array((q0, q0.conj()))).reshape((2, 2) + (1,) * (waves.ndim - 2) + q0.shape)
+    terms = modes * waves[:2]
+    w = terms[:, 0] - terms[:, 1]
+    w[0] += e * waves[2]
+    w[1] += f
+    return w
+
+
 @dataclass
 class ManifoldCorrections:
-    """Second-order center-manifold data: correction vectors and w-functions."""
+    """The center-manifold corrections w20 and w11, and the cubic coefficients F21 and g21 = pbar(0) . F21 they give."""
 
     e: np.ndarray  # 2N complex
     f: np.ndarray  # 2N complex
     g: GCoefficients  # the quadratic stage's, which e and f solve for
     eig: CriticalEigendata
     residuals: WResiduals
+    F21: np.ndarray  # per-pair cubic coefficients (v-rows), length N
+    g21: complex
 
     def w20(self, theta: float | np.ndarray) -> np.ndarray:
         """w20 at theta; an array of K thetas gives a (K, 2N) array."""
-        return self._w(_waves(self.eig.omega0, theta))[0]
+        return _w(self.eig, self.g, self.e, self.f, _waves(self.eig.omega0, theta))[0]
 
     def w11(self, theta: float | np.ndarray) -> np.ndarray:
         """w11 at theta; an array of K thetas gives a (K, 2N) array."""
-        return self._w(_waves(self.eig.omega0, theta))[1]
-
-    def _w(self, waves: np.ndarray) -> np.ndarray:
-        """w20 and w11, stacked, from the waves exp(i*omega0*theta), exp(-i*omega0*theta) and exp(2*i*omega0*theta)."""
-        w0 = self.eig.omega0
-        q0 = self.eig.q
-        g = self.g
-        # The terms along q*exp(i*omega0*theta), less those along qbar*exp(-i*omega0*theta), of w20 and w11.
-        coef = np.array(
-            [
-                [-(g.g20 / (1j * w0)), g.g02.conjugate() / (3j * w0)],
-                [g.g11 / (1j * w0), g.g11.conjugate() / (1j * w0)],
-            ]
-        )
-        modes = (coef[..., None] * np.array((q0, q0.conj()))).reshape((2, 2) + (1,) * (waves.ndim - 2) + q0.shape)
-        terms = modes * waves[:2]
-        w = terms[:, 0] - terms[:, 1]
-        w[0] += self.e * waves[2]
-        w[1] += self.f
-        return w
+        return _w(self.eig, self.g, self.e, self.f, _waves(self.eig.omega0, theta))[1]
 
 
 def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCorrections:
-    """Solve the second-order operator systems for e and f and build w20, w11.
+    """Solve the second-order operator systems for e and f, and read F21 and g21 off the ring with w20 and w11.
 
     e solves M(2*i*omega0) e = (F20, 0); f's v-rows solve M(0) f = (F11, 0),
     whose free y-components are set to zero.  Both systems are solved in one
@@ -459,7 +448,9 @@ def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCo
     e, f = x[0, :, 0].copy(), x[1, :, 0].copy()  # own arrays: a report keeps the two vectors alone
     # The largest |residual| of e's system, and of f's v-rows and y-rows.
     residuals = WResiduals(*np.maximum.reduceat(np.abs(chars @ x - rhs).ravel(), [0, 2 * n, 3 * n]).tolist())
-    return ManifoldCorrections(e=e, f=f, g=g, eig=eig, residuals=residuals)
+    F21 = eig.ring.cubic(_w(eig, g, e, f, eig.ring.waves))
+    g21 = complex(eig.p.conj()[:n] @ F21)
+    return ManifoldCorrections(e=e, f=f, g=g, eig=eig, residuals=residuals, F21=F21, g21=g21)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +458,12 @@ def manifold_corrections(eig: CriticalEigendata, g: GCoefficients) -> ManifoldCo
 # ---------------------------------------------------------------------------
 
 
-def first_lyapunov(g: GCoefficients, omega0: float) -> complex:
-    """c1(0) from the normal-form coefficients."""
-    if g.g21 is None:
-        raise InvalidConfigError("g21 is missing; supply manifold corrections first")
-    return (1j / (2.0 * omega0)) * (
+def first_lyapunov(corr: ManifoldCorrections) -> complex:
+    """c1(0) from the quadratic coefficients and the cubic g21 of the corrections."""
+    g = corr.g
+    return (1j / (2.0 * corr.eig.omega0)) * (
         g.g20 * g.g11 - 2.0 * abs(g.g11) ** 2 - abs(g.g02) ** 2 / 3.0
-    ) + g.g21 / 2.0
+    ) + corr.g21 / 2.0
 
 
 @dataclass
@@ -512,9 +502,9 @@ class HopfReport:
 def hopf_report(pc: PlatoonConfig, pair: int | None = None) -> HopfReport:
     """Run the normal-form pipeline at the first crossing of one pair, its four stages in turn."""
     eig = critical_eigendata(pc, pair)
-    corr = manifold_corrections(eig, g_coefficients(eig))
-    g = g_coefficients(eig, corr)
-    c1 = first_lyapunov(g, eig.omega0)
+    g = g_coefficients(eig)
+    corr = manifold_corrections(eig, g)
+    c1 = first_lyapunov(corr)
     aprime = transversality(float(eig.beta[eig.pair - 1]), float(eig.taus[eig.pair - 1]))
     scale = max(1.0, abs(g.g20), abs(g.g11), abs(c1))
     if abs(c1.real) <= 1e-12 * scale:

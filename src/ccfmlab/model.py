@@ -182,6 +182,8 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     Requires 0 < x0dot < inf and 0 < b < inf (the equilibrium has every
     vehicle cruising at the leader speed with headway deviation zero), and
     finite m and l, which a base of 1 or an exponent of 0 would otherwise hide.
+    Raises InvalidConfigError when x0dot**m or b**l overflows, or b**l
+    underflows to 0, naming the inputs.
     """
     if not 0 < x0dot < math.inf:
         raise InvalidConfigError(f"equilibrium speed must be positive and finite, got {x0dot}")
@@ -192,22 +194,23 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     try:
         return alpha * x0dot**m / b**l
     except OverflowError:
-        raise InvalidConfigError(f"x0dot**m or b**l overflows at x0dot = {x0dot}, m = {m}, b = {b}, l = {l}") from None
+        what = "x0dot**m or b**l overflows"
+    except ZeroDivisionError:
+        what = "b**l underflows to 0"
+    raise InvalidConfigError(f"{what} at x0dot = {x0dot}, m = {m}, b = {b}, l = {l}")
 
 
 @dataclass(frozen=True)
 class EquilibriumCoefficients:
-    """Equilibrium gains beta*_i of each pair, and the stability products beta*_i tau_i."""
+    """Equilibrium gains beta*_i of each pair at the leader's cruise speed, and the stability products beta*_i tau_i."""
 
     beta: np.ndarray
     taus: np.ndarray
-    x0dot: float
 
     @classmethod
-    def from_config(cls, pc: PlatoonConfig, x0dot: float | None = None) -> "EquilibriumCoefficients":
-        x0 = pc.leader.v_eq if x0dot is None else x0dot
-        beta = np.array([beta_star(veh.alpha, x0, pc.m, veh.b, pc.l) for veh in pc.vehicles])
-        return cls(beta=beta, taus=pc.taus, x0dot=x0)
+    def from_config(cls, pc: PlatoonConfig) -> "EquilibriumCoefficients":
+        beta = np.array([beta_star(veh.alpha, pc.leader.v_eq, pc.m, veh.b, pc.l) for veh in pc.vehicles])
+        return cls(beta=beta, taus=pc.taus)
 
     @property
     def products(self) -> np.ndarray:

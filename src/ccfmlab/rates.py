@@ -52,22 +52,20 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RateResult:
-    """Decay rate of a stable pair and the real-equation branches behind it.
+    """Decay rate of a stable pair, the branch it lies on, and the rate-maximizing delay.
 
-    Branch values are None when the branch has no solution at this c;
-    ``dominant`` is the actual asymptotic decay rate.  ``tau_star`` is the
-    rate-maximizing delay for this gain and ``regime`` records where the
-    requested delay sits relative to it ('below' | 'at' | 'above').
+    ``dominant`` is the asymptotic decay rate: sigma2 on the real branch,
+    sigma3 on the complex one, and both at the boundary.  ``sigma1`` is 1/tau,
+    None at tau = 0.  ``tau_star`` is the delay that maximizes the rate at this
+    gain, from :func:`optimal_delay`: the requested delay lies below it on the
+    real branch, at it on the boundary and above it on the complex branch.
     """
 
     product: float
     sigma1: float | None
-    sigma2: float | None
-    sigma3: float | None
     dominant: float
     branch: str  # 'real' | 'boundary' | 'complex'
     tau_star: float
-    regime: str
 
 
 # Branch labels by code, shared by every point so a sweep makes no new strings.
@@ -97,10 +95,8 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
     """Asymptotic decay rate of one pair (requires a stable pair).
 
     A batch of one for the solve behind :func:`rate_curve`, whose branch code
-    fills the result: sigma1 is 1/tau (None at tau = 0), sigma2 the rate on
-    the real branch and sigma3 on the complex one, both at the boundary.
-    Raises UnstableRegimeError when kappa*beta**tau >= pi/2: no decay rate
-    exists there.
+    labels the result.  Raises UnstableRegimeError when kappa*beta**tau >=
+    pi/2: no decay rate exists there.
     """
     _require_pair(beta_star, tau, kappa)
     beta_star, tau, kappa = float(beta_star), float(tau), float(kappa)  # so that every field is a Python float
@@ -116,16 +112,12 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
         raise UnstableRegimeError(
             f"kappa*beta**tau = {c:.6g} >= pi/2: the pair is not asymptotically stable"
         )
-    dominant = float(rate[0])
     return RateResult(
         product=c,
         sigma1=1.0 / tau if tau else None,
-        sigma2=dominant if code <= 1 else None,
-        sigma3=dominant if code >= 1 else None,
-        dominant=dominant,
+        dominant=float(rate[0]),
         branch=_LABELS[code],
-        tau_star=1.0 / (a * math.e),
-        regime=("below", "at", "above")[code],
+        tau_star=optimal_delay(beta_star, kappa),
     )
 
 

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidConfigError, RootSolveError
-from .model import EquilibriumCoefficients
+from .model import EquilibriumCoefficients, beta_star
 
 __all__ = [
     "Regime",
@@ -418,11 +418,11 @@ def stability_region_margin(x0dot: float, m: float, b: float, l: float, c: float
     """Evaluate the closed-form stability region for one pair.
 
     c = alpha*tau aggregates sensitivity and delay; the pair is (marginally)
-    oscillatory-unstable once x0dot**m / b**l reaches pi/(2c).
+    oscillatory-unstable once x0dot**m / b**l reaches pi/(2c).  The left side
+    is :func:`ccfmlab.model.beta_star` at alpha = 1, which checks x0dot, m, b
+    and l.
     """
-    _require_positive("x0dot, b and c", x0dot, b, c)
-    if not (math.isfinite(m) and math.isfinite(l)):
-        raise InvalidConfigError(f"need finite m and l, got {m}, {l}")
-    lhs = x0dot**m / b**l
+    _require_positive("c", c)
+    lhs = beta_star(1.0, x0dot, m, b, l)
     threshold = _HALF_PI / c
     return RegionCheck(lhs=lhs, threshold=threshold, stable=lhs < threshold, margin=threshold - lhs)

@@ -552,18 +552,30 @@ RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
         (["rate", "--alpha", "0.7", "--x0", "1e300", "--m", "2", "--b", "20"],
          "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 0.8"),
         (["stability-chart", "--c", "0.3", "--b", "1e300", "--l-set", "2"], "b**l overflows at b = 1e+300, l = 2.0"),
+        (["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "1e-5", "--l-set", "100"],
+         "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+        (["classify", "--config", "<close config>"], "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+        (["hopf", "--config", "<close config>"], "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+        (["stability-chart", "--c", "0.3", "--b", "1e-5", "--l-set", "100"],
+         "pi/(2c)*b**l underflows to 0 at b = 1e-05, l = 100.0, c = 0.3"),
+        (["stability-chart", "--c", "0.3", "--b", "1e-5", "--l-set", "100", "--m-range", "0.5,3"],
+         "pi/(2c)*b**l underflows to 0 at b = 1e-05, l = 100.0, c = 0.3"),
     ],
     ids=[
         "l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1",
         "tmax-1e15-unallocatable", "tmax-1e16-too-big", "classify-x0dot-power-overflows", "hopf-x0dot-power-overflows",
-        "rate-x0dot-power-overflows", "stability-chart-b-power-overflows",
+        "rate-x0dot-power-overflows", "stability-chart-b-power-overflows", "rate-b-power-underflows",
+        "classify-b-power-underflows", "hopf-b-power-underflows", "stability-chart-b-power-underflows",
+        "stability-chart-b-power-underflows-positive-m",
     ],
 )
 def test_an_invalid_argument_exits_2_with_its_message(tmp_path, config_path, capsys, argv, message):
     out = tmp_path / "o"
     fast = tmp_path / "fast.json"  # the four-vehicle platoon led at 1e300, whose x0dot**m leaves the doubles
     fast.write_text(json.dumps(dict(CONFIG, leader={"v_eq": 1e300, "ramp": 10.0})))
-    paths = {"<config>": config_path, "<fast config>": str(fast)}
+    close = tmp_path / "close.json"  # one follower at b = 1e-5 under l = 100, whose b**l underflows to 0
+    close.write_text(json.dumps(dict(SINGLE, vehicles=[{"alpha": 0.7, "tau": math.pi / 7.0, "b": 1e-5}], l=100.0)))
+    paths = {"<config>": config_path, "<fast config>": str(fast), "<close config>": str(close)}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"ccfm: configuration error: {message}\n"

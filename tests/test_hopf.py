@@ -17,12 +17,14 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 
-from ccfmlab.errors import InvalidConfigError, NumericalError
+from ccfmlab import hopf
+from ccfmlab.errors import DomainBreakdownError, InvalidConfigError, NumericalError
 from ccfmlab.hopf import (
     _RING_FIT,
     _RING_PHASES,
@@ -83,7 +85,6 @@ def test_eigendata_exact_hand_values(critical_config):
     assert eig.p[1] == 0.0
     assert eig.p[0] == pytest.approx((1.0 / PAIRING).conjugate(), abs=1e-13)
     assert eig.inner_raw == pytest.approx(PAIRING, abs=1e-13)
-    assert eig.B == pytest.approx((1.0 / PAIRING).conjugate(), abs=1e-13)
 
     # pairing closed by hand: d/ds[s + beta*exp(-s tau)] at i*omega0 is
     # 1 + i*pi/2, and conj(p_v) times that times q_v must give 1
@@ -160,6 +161,29 @@ def test_a_double_hopf_point_at_two_frequencies_is_rejected(pair):
     assert critical_eigendata(pc, pair=2).pair == 2  # an untied pair keeps its report
 
 
+_BREAKDOWN = DomainBreakdownError(math.inf, 1, -1.0)
+_BREAKDOWN_TEXT = "headway base y_1 + b_1 = -1 <= 0 at t = inf; the interaction term is undefined past this point"
+
+
+def test_a_linearisation_that_leaves_the_domain_is_a_numerical_error(monkeypatch, critical_config):
+    """A probe of the rest state that fails a domain check stops the eigendata with the field's own error."""
+    probe = VectorField.rest_quotients
+    monkeypatch.setattr(VectorField, "rest_quotients", lambda self, h: (probe(self, h)[0], {0: _BREAKDOWN}))
+    with pytest.raises(NumericalError, match=rf"^the linearisation left the model's domain: {re.escape(_BREAKDOWN_TEXT)}$"):
+        critical_eigendata(critical_config)
+
+
+@pytest.mark.parametrize("stage", ["quadratic", "cubic"])
+def test_a_ring_that_leaves_the_domain_is_a_numerical_error(critical_config, stage):
+    """A ring state that fails a domain check stops the stage that evaluates it with the field's own error."""
+    eig = critical_eigendata(critical_config)
+    g = g_coefficients(eig)
+    evaluate = eig.field.flux_rows
+    eig.field.flux_rows = lambda *args: (evaluate(*args)[0], {0: _BREAKDOWN})
+    with pytest.raises(NumericalError, match=rf"^the normal-form ring left the model's domain: {re.escape(_BREAKDOWN_TEXT)}$"):
+        g_coefficients(eig) if stage == "quadratic" else manifold_corrections(eig, g)
+
+
 # ---------------------------------------------------------------------------
 # quadratic and cubic normal-form stages
 # ---------------------------------------------------------------------------
@@ -178,7 +202,6 @@ def test_quadratic_forcing_exact_values(critical_config):
     assert g.g11 == pytest.approx(1.4 / PAIRING, abs=1e-12)
     # g02 projects F02 = conj(F20)
     assert g.g02 == pytest.approx((-1.4 - 0.1j) / PAIRING, abs=1e-12)
-    assert g.g21 is None  # cubic stage needs the manifold corrections
 
 
 def test_taylor_coefficients_match_the_closed_form():
@@ -191,7 +214,7 @@ def test_taylor_coefficients_match_the_closed_form():
             F20, F11, F21 = scalar_taylor_coefficients(pc, rep.eig, rep.corrections)
             assert rep.g.F20[0] == pytest.approx(F20, rel=1e-10), (m, tau)
             assert rep.g.F11[0] == pytest.approx(F11, rel=1e-10), (m, tau)
-            assert rep.g.F21[0] == pytest.approx(F21, rel=1e-9), (m, tau)
+            assert rep.corrections.F21[0] == pytest.approx(F21, rel=1e-9), (m, tau)
 
 
 def test_taylor_coefficients_match_sympy(critical_config):
@@ -202,7 +225,7 @@ def test_taylor_coefficients_match_sympy(critical_config):
     for pc in configs:
         rep = hopf_report(pc)
         F20, F11, F21 = sympy_taylor_coefficients(pc, rep.eig, rep.corrections)
-        for got, want in ((rep.g.F20, F20), (rep.g.F11, F11), (rep.g.F21, F21)):
+        for got, want in ((rep.g.F20, F20), (rep.g.F11, F11), (rep.corrections.F21, F21)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (pc.n, pc.m, pc.l)
         # g02 is the projection of F02 = conj(F20)
         assert rep.g.g02 == pytest.approx(complex(rep.eig.p[: pc.n].conj() @ F20.conj()), rel=1e-9)
@@ -379,9 +402,9 @@ def test_the_ring_holds_the_observables_of_its_whole_row_states(monkeypatch, cri
     for pc in _platoon_set(critical_config):
         eig = critical_eigendata(pc)
         field = eig.field
-        corr = manifold_corrections(eig, g_coefficients(eig))
+        g = g_coefficients(eig)
         seen.clear()
-        g_coefficients(eig, corr)
+        corr = manifold_corrections(eig, g)
         linear, cubic = eig.ring.linear_states(), seen[0]
         assert linear.shape == cubic.shape == (3, _RING_RADII.size, 2, _RING_PSI.size, pc.n)
         rows = _ring_rows(eig, -eig.taus)  # pair i's delayed row at theta = -tau_i
@@ -435,8 +458,9 @@ def test_pinned_reports_keep_their_bits(case):
 def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
     """One evaluation reads the point masses, and the ring makes one for the
     quadratic and one for the cubic coefficients.  A report also makes one
-    SVD, one stacked solve and one ring, and the public stages called one by
-    one do the report's work and no more."""
+    SVD, one stacked solve and one ring, and runs each of its four public
+    stages once; those stages called one by one do the report's work and no
+    more."""
     configs = (critical_config, four_vehicle_platoon())
     want = [hopf_report(pc).to_dict() for pc in configs]
     calls = []
@@ -445,17 +469,20 @@ def test_a_report_makes_three_field_evaluations(monkeypatch, critical_config):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
 
+    stages = ("critical_eigendata", "g_coefficients", "manifold_corrections", "first_lyapunov")
     for owner, name in ((VectorField, "flux_rows"), (np.linalg, "svd"), (np.linalg, "solve"), (_Ring, "__init__")):
         count(owner, name)
+    for name in stages:
+        count(hopf, name)
     for pc, report in zip(configs, want):
         calls.clear()
         assert hopf_report(pc).to_dict() == report
-        assert sorted(calls) == ["__init__", "flux_rows", "flux_rows", "flux_rows", "solve", "svd"]
+        assert sorted(calls) == sorted(["__init__", "flux_rows", "flux_rows", "flux_rows", "solve", "svd", *stages])
         calls.clear()
         eig = critical_eigendata(pc)
-        g = g_coefficients(eig, manifold_corrections(eig, g_coefficients(eig)))
+        corr = manifold_corrections(eig, g_coefficients(eig))
         assert calls.count("flux_rows") == 3
-        assert first_lyapunov(g, eig.omega0) == complex(report["c1_re"], report["c1_im"])
+        assert first_lyapunov(corr) == complex(report["c1_re"], report["c1_im"])
 
 
 def test_w_functions_take_an_array_of_thetas():
@@ -479,12 +506,11 @@ def test_w_functions_frozen_samples(critical_config):
 
 
 def test_cubic_stage_frozen_regression(critical_config):
-    rep = hopf_report(critical_config)
-    g = rep.g
-    assert g.F21[0] == pytest.approx(
+    corr = hopf_report(critical_config).corrections
+    assert corr.F21[0] == pytest.approx(
         -0.12886341586620353 - 0.512212866248998j, rel=1e-10
     )
-    assert g.g21 == pytest.approx(
+    assert corr.g21 == pytest.approx(
         -0.26920609347268765 - 0.08934492347129677j, rel=1e-10
     )
 
@@ -524,17 +550,9 @@ def test_first_lyapunov_formula_consistency(critical_config):
     w0 = rep.omega0
     by_hand = (1j / (2.0 * w0)) * (
         g.g20 * g.g11 - 2.0 * abs(g.g11) ** 2 - abs(g.g02) ** 2 / 3.0
-    ) + g.g21 / 2.0
+    ) + rep.corrections.g21 / 2.0
     assert rep.c1 == pytest.approx(by_hand, rel=1e-14)
-    assert first_lyapunov(g, w0) == rep.c1
-
-
-def test_first_lyapunov_needs_the_cubic_coefficients(critical_config):
-    """The quadratic stage leaves g21 unset: c1 is asked of coefficients that cannot give it."""
-    g = g_coefficients(critical_eigendata(critical_config))
-    assert g.g21 is None
-    with pytest.raises(InvalidConfigError, match="g21 is missing"):
-        first_lyapunov(g, TAU)
+    assert first_lyapunov(rep.corrections) == rep.c1
 
 
 def test_orbit_is_unstable_where_another_pair_crosses_first():
@@ -573,8 +591,8 @@ def test_degenerate_exponents_collapse_everything():
     assert abs(rep.c1) <= 1e-13
     g = rep.g
     assert abs(g.g20) <= 1e-13 and abs(g.g11) <= 1e-13
-    assert abs(g.g02) <= 1e-13 and abs(g.g21) <= 1e-13
     corr = rep.corrections
+    assert abs(g.g02) <= 1e-13 and abs(corr.g21) <= 1e-13
     assert np.allclose(corr.e, 0.0, atol=1e-13)
     assert np.allclose(corr.f, 0.0, atol=1e-13)
     assert rep.mu2 == 0.0 and rep.beta2 == 0.0

@@ -1,5 +1,6 @@
 """Core model layer: parameter validation, gains, the vector field, config I/O."""
 
+import dataclasses
 import json
 import math
 import re
@@ -180,13 +181,18 @@ def test_beta_star_requires_finite_arguments(args):
 
 
 @pytest.mark.parametrize(
-    ("args", "inputs"),
-    [((0.7, 1e300, 2.0, 20.0, 1.0), "x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"), ((0.7, 10.0, 2.0, 1e300, 2.0), "x0dot = 10.0, m = 2.0, b = 1e+300, l = 2.0")],
-    ids=["x0dot-power", "b-power"],
+    ("args", "message"),
+    [
+        ((0.7, 1e300, 2.0, 20.0, 1.0), "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
+        ((0.7, 10.0, 2.0, 1e300, 2.0), "x0dot**m or b**l overflows at x0dot = 10.0, m = 2.0, b = 1e+300, l = 2.0"),
+        ((0.7, 10.0, 2.0, 1e-5, 100.0), "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+    ],
+    ids=["x0dot-power", "b-power", "b-power-underflow"],
 )
-def test_beta_star_rejects_an_overflowing_power(args, inputs):
-    """Python's float ** raises OverflowError where numpy's gives inf: x0dot**m or b**l past the doubles is a configuration error."""
-    with pytest.raises(InvalidConfigError, match=rf"^x0dot\*\*m or b\*\*l overflows at {re.escape(inputs)}$"):
+def test_beta_star_rejects_an_overflowing_power(args, message):
+    """Python's float ** raises OverflowError where numpy's gives inf: x0dot**m or b**l past the doubles is a
+    configuration error.  A b**l that underflows to 0 would divide by zero, and is one too."""
+    with pytest.raises(InvalidConfigError, match=rf"^{re.escape(message)}$"):
         beta_star(*args)
 
 
@@ -206,8 +212,8 @@ def test_equilibrium_coefficients_from_config(platoon_config):
     eq = EquilibriumCoefficients.from_config(platoon_config)
     assert np.allclose(eq.beta, [2.5, 3.0, 3.5, 4.0], rtol=1e-14)
     assert np.allclose(eq.products, [1.25, 1.2, 1.5708, 1.2], rtol=1e-12)
-    assert eq.x0dot == 10.0
-    eq5 = EquilibriumCoefficients.from_config(platoon_config, x0dot=5.0)
+    slower = dataclasses.replace(platoon_config, leader=dataclasses.replace(platoon_config.leader, v_eq=5.0))
+    eq5 = EquilibriumCoefficients.from_config(slower)
     # halving operating speed quarters each gain (m = 2)
     assert np.allclose(eq5.beta, np.asarray(eq.beta) / 4.0, rtol=1e-13)
 

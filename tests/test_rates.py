@@ -103,19 +103,15 @@ def test_rate_matches_branch_equations_on_a_dense_grid(tau):
 def test_rate_branch_values_cross_checked():
     # real branch: product 0.105 (frozen from the Lambert W principal branch)
     res = rate_of_convergence(3.5, 0.03)
-    assert res.branch == "real" and res.regime == "below"
-    assert res.sigma2 * 0.03 == pytest.approx(0.11817081536005551, rel=1e-12)
-    assert res.dominant == res.sigma2
-    assert res.sigma3 is None
+    assert res.branch == "real"
+    assert res.dominant * 0.03 == pytest.approx(0.11817081536005551, rel=1e-12)
 
     # oscillatory branch: product 1.0
     res = rate_of_convergence(2.0, 0.5)
-    assert res.branch == "complex" and res.regime == "above"
-    assert res.sigma2 is None
+    assert res.branch == "complex"
     lam = dominant_root(2.0, 0.5).lam
-    assert res.sigma3 == pytest.approx(-lam.real, rel=1e-10)
-    assert res.sigma3 == pytest.approx(branch_rate(1.0, 0.5), rel=1e-10)
-    assert res.dominant == res.sigma3
+    assert res.dominant == pytest.approx(-lam.real, rel=1e-10)
+    assert res.dominant == pytest.approx(branch_rate(1.0, 0.5), rel=1e-10)
 
 
 def test_zero_delay_rate_is_the_gain():
@@ -155,9 +151,9 @@ def test_boundary_triple_coincidence():
     beta = 3.5
     ts = optimal_delay(beta)
     res = rate_of_convergence(beta, ts)
-    assert res.branch == "boundary" and res.regime == "at"
+    assert res.branch == "boundary"
     assert res.sigma1 == pytest.approx(1.0 / ts, rel=1e-12)
-    assert res.sigma1 == res.sigma2 == res.sigma3 == res.dominant
+    assert res.sigma1 == res.dominant
     assert res.dominant == pytest.approx(peak_rate(beta), rel=1e-12)
 
 
@@ -207,12 +203,14 @@ def test_rate_peaks_at_optimal_delay_on_grid():
     assert lo > hi
 
 
-def test_tau_star_and_regime_fields():
+def test_tau_star_is_the_optimal_delay_and_the_branch_places_the_delay():
+    """tau_star is optimal_delay's, bit for bit; a delay below it lies on the real branch, one above on the complex."""
     beta = 3.5
     ts = optimal_delay(beta)
-    assert rate_of_convergence(beta, 0.5 * ts).tau_star == pytest.approx(ts, rel=1e-14)
-    assert rate_of_convergence(beta, 0.5 * ts).regime == "below"
-    assert rate_of_convergence(beta, 2.0 * ts).regime == "above"
+    below, above = rate_of_convergence(beta, 0.5 * ts), rate_of_convergence(beta, 2.0 * ts)
+    assert below.tau_star == above.tau_star == ts
+    assert rate_of_convergence(beta, 0.5 * ts, kappa=1.7).tau_star == optimal_delay(beta, kappa=1.7)
+    assert below.branch == "real" and above.branch == "complex"
 
 
 # ---------------------------------------------------------------------------

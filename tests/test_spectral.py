@@ -8,6 +8,7 @@ value without sharing any code with the package solver.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,14 @@ def test_non_finite_arguments_are_rejected(bad):
             dominant_root(*args)
 
 
+def test_a_root_with_a_large_residual_is_rejected(monkeypatch):
+    """A u on the principal branch that does not solve u*exp(u) = -c leaves a residual the check refuses."""
+    solve = spectral._principal_uexpu
+    monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: solve(p) + 1e-3)
+    with pytest.raises(RootSolveError, match=r"^dominant-root residual \S+ exceeds 1e-12\*max\(1, \|lambda\|\) for beta\*=2\.0, tau=0\.3, kappa=1\.5$"):
+        dominant_root(2.0, 0.3, kappa=1.5)
+
+
 def test_root_solve_error_names_the_callers_point(monkeypatch):
     # W_1 is a root of the same equation, off the principal branch.
     monkeypatch.setattr(spectral, "_principal_uexpu", lambda p: lambertw(p, 1))
@@ -533,6 +542,21 @@ def test_region_margin_headway_independent_when_l_zero():
     bb = stability_region_margin(10.0, 2.0, 50.0, 0.0, 0.3)
     assert a.lhs == bb.lhs == pytest.approx(100.0, rel=1e-14)
     assert a.margin == bb.margin
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((1.0, 2.0, 1e300, 2.0, 0.3), "x0dot**m or b**l overflows at x0dot = 1.0, m = 2.0, b = 1e+300, l = 2.0"),
+        ((1e300, 2.0, 20.0, 1.0, 0.3), "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
+        ((10.0, 2.0, 1e-5, 100.0, 0.3), "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+    ],
+    ids=["b-power-overflows", "x0dot-power-overflows", "b-power-underflows"],
+)
+def test_region_margin_rejects_a_power_outside_the_doubles(args, message):
+    """The left side x0dot**m / b**l is beta_star's at alpha = 1, with its configuration errors."""
+    with pytest.raises(InvalidConfigError, match=rf"^{re.escape(message)}$"):
+        stability_region_margin(*args)
 
 
 def test_region_margin_degenerate_exponents():
