@@ -145,15 +145,17 @@ def _cmd_classify(args) -> int:
 def _cmd_stability_chart(args) -> int:
     m_grid = [m for m in _grid(args.m_range, "--m-range", args.m_points, "--m-points")[2] if abs(m) > 1e-9]  # the boundary is undefined at m = 0
     l_values = _parse_float_list(args.l_set, "--l-set")
-    threshold = stability_region_margin(1.0, 1.0, args.b, 1.0, args.c).threshold  # pi/(2c), whatever m and l
+    # pi/(2c), whatever m and l; read at l = 0, which checks b and c without forming 1/b (inf at a subnormal b)
+    threshold = stability_region_margin(1.0, 1.0, args.b, 0.0, args.c).threshold
     rows = []
     for l in l_values:
         try:
             boundary = threshold * args.b**l  # x0dot**m at the boundary
         except OverflowError:
             raise InvalidConfigError(f"b**l overflows at b = {args.b}, l = {l}") from None
-        if boundary == 0.0:
-            raise InvalidConfigError(f"pi/(2c)*b**l underflows to 0 at b = {args.b}, l = {l}, c = {args.c}")
+        if not 0.0 < boundary < math.inf:
+            what = "underflows to 0" if boundary == 0.0 else "overflows"
+            raise InvalidConfigError(f"pi/(2c)*b**l {what} at b = {args.b}, l = {l}, c = {args.c}")
         for m in m_grid:
             try:
                 x0_boundary = boundary ** (1.0 / m)

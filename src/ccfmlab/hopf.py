@@ -143,7 +143,6 @@ class CriticalEigendata:
     M0_v: np.ndarray  # M(0)[:N, :N], the v-block that f's v-rows solve on
     q: np.ndarray  # right eigenvector, 2N complex, q[pair-1] = 1
     p: np.ndarray  # adjoint eigenvector scaled so <p, q> = 1; y-components 0
-    inner_raw: complex  # <p_raw, q> before scaling; p = conj(1/inner_raw)*p_raw
     residual_q: float
     residual_p: float
     ring: _Ring  # the states that the normal-form coefficients are read off
@@ -239,7 +238,6 @@ def critical_eigendata(pc: PlatoonConfig, pair: int | None = None) -> CriticalEi
         M0_v=chars[1, :n, :n].copy(),
         q=q,
         p=p,
-        inner_raw=inner_raw,
         residual_q=residual_q,
         residual_p=residual_p,
         ring=_Ring(field, q, omega0),
@@ -468,20 +466,31 @@ def first_lyapunov(corr: ManifoldCorrections) -> complex:
 
 @dataclass
 class HopfReport:
-    """Full bifurcation characterization at the critical gain of one pair."""
+    """Full bifurcation characterization at the critical gain of one pair.
 
-    pair: int
-    omega0: float
-    kappa_cr: float
+    Holds what ``hopf_report`` computes and the corrections it starts from;
+    the crossing, ``pair``, ``omega0`` and ``kappa_cr``, is their eigendata's.
+    """
+
     alpha_prime: float
     c1: complex
     mu2: float
     beta2: float
     kind: str  # 'supercritical' | 'subcritical' | 'degenerate'
     orbit: str  # 'stable' | 'unstable' | 'degenerate'
-    eig: CriticalEigendata
-    g: GCoefficients
     corrections: ManifoldCorrections
+
+    @property
+    def pair(self) -> int:
+        return self.corrections.eig.pair
+
+    @property
+    def omega0(self) -> float:
+        return self.corrections.eig.omega0
+
+    @property
+    def kappa_cr(self) -> float:
+        return self.corrections.eig.kappa
 
     def to_dict(self) -> dict:
         return {
@@ -519,27 +528,16 @@ def hopf_report(pc: PlatoonConfig, pair: int | None = None) -> HopfReport:
     products = eig.beta * eig.taus
     if (products > products[eig.pair - 1]).any():  # another pair is past its crossing: no cycle born here attracts
         orbit = "unstable"
-    return HopfReport(
-        pair=eig.pair,
-        omega0=eig.omega0,
-        kappa_cr=eig.kappa,
-        alpha_prime=aprime,
-        c1=c1,
-        mu2=mu2,
-        beta2=beta2,
-        kind=kind,
-        orbit=orbit,
-        eig=eig,
-        g=g,
-        corrections=corr,
-    )
+    return HopfReport(alpha_prime=aprime, c1=c1, mu2=mu2, beta2=beta2, kind=kind, orbit=orbit, corrections=corr)
 
 
 def predicted_amplitude(report: HopfReport, kappa: float) -> float | None:
-    """Leading-order limit-cycle amplitude of v at the critical pair.
+    """Leading-order limit-cycle amplitude of v at the critical pair, 2*sqrt((kappa - kappa_cr)/mu2).
 
-    Returns None when no cycle is predicted at this gain (below the critical
-    gain for a supercritical bifurcation, or a degenerate case).
+    Returns None at every gain for a subcritical or degenerate report, and at
+    kappa <= kappa_cr for a supercritical one.  A supercritical report whose
+    pair another pair has overtaken (orbit 'unstable') still gets the
+    normal-form amplitude of the cycle born at its pair, which does not attract.
     """
     if not math.isfinite(kappa):
         raise InvalidConfigError(f"need a finite kappa, got {kappa}")

@@ -182,8 +182,8 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     Requires 0 < x0dot < inf and 0 < b < inf (the equilibrium has every
     vehicle cruising at the leader speed with headway deviation zero), and
     finite m and l, which a base of 1 or an exponent of 0 would otherwise hide.
-    Raises InvalidConfigError when x0dot**m or b**l overflows, or b**l
-    underflows to 0, naming the inputs.
+    Raises InvalidConfigError, naming the inputs, when x0dot**m or b**l
+    overflows, b**l underflows to 0, or x0dot**m / b**l leaves (0, inf).
     """
     if not 0 < x0dot < math.inf:
         raise InvalidConfigError(f"equilibrium speed must be positive and finite, got {x0dot}")
@@ -192,11 +192,16 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     if not (math.isfinite(m) and math.isfinite(l)):
         raise InvalidConfigError(f"exponents m and l must be finite, got m = {m}, l = {l}")
     try:
-        return alpha * x0dot**m / b**l
+        power, base = x0dot**m, b**l
+        quotient = power / base  # float / gives inf or 0 where ** raises
     except OverflowError:
         what = "x0dot**m or b**l overflows"
     except ZeroDivisionError:
         what = "b**l underflows to 0"
+    else:
+        if 0.0 < quotient < math.inf:
+            return alpha * power / base
+        what = "x0dot**m / b**l underflows to 0" if quotient == 0.0 else "x0dot**m / b**l overflows"
     raise InvalidConfigError(f"{what} at x0dot = {x0dot}, m = {m}, b = {b}, l = {l}")
 
 

@@ -356,7 +356,6 @@ class HopfPoint:
 
     omega0: float
     kappa_cr: float
-    n: int
     residual: float
 
 
@@ -373,19 +372,18 @@ def hopf_point(beta_star: float, tau: float, n: int = 0) -> HopfPoint:
     omega0 = (2 * n + 1) * _HALF_PI / tau
     kappa_cr = (2 * n + 1) * _HALF_PI / (beta_star * tau)
     residual = abs(1j * omega0 + kappa_cr * beta_star * cmath.exp(-1j * omega0 * tau))
-    return HopfPoint(omega0=omega0, kappa_cr=kappa_cr, n=n, residual=residual)
+    return HopfPoint(omega0=omega0, kappa_cr=kappa_cr, residual=residual)
 
 
-def critical_delay(beta_star: float, kappa: float = 1.0, n: int = 0) -> float:
-    """Delay at which branch n crosses the imaginary axis for the given gain."""
+def critical_delay(beta_star: float, kappa: float = 1.0) -> float:
+    """Delay of the first crossing for the given gain: kappa*beta**tau = pi/2."""
     _require_positive("beta* and kappa", beta_star, kappa)
-    _require_branch(n)
-    return (2 * n + 1) * _HALF_PI / (kappa * beta_star)
+    return _HALF_PI / (kappa * beta_star)
 
 
-def critical_gain(beta_star: float, tau: float, n: int = 0) -> float:
-    """Gain at which branch n crosses the imaginary axis for the given delay."""
-    return hopf_point(beta_star, tau, n=n).kappa_cr
+def critical_gain(beta_star: float, tau: float) -> float:
+    """Gain of the first crossing for the given delay: kappa*beta**tau = pi/2."""
+    return hopf_point(beta_star, tau).kappa_cr
 
 
 def transversality(beta_star: float, tau: float, n: int = 0) -> float:

@@ -237,6 +237,13 @@ def test_stability_chart_writes_an_overflowing_boundary_as_inf(tmp_path):
     assert hashlib.sha256(data).hexdigest() == "7efb4261de858fac5e6392330b7b61c59b8e31341f711f4e108e8f28cf7df7ee"
 
 
+def test_stability_chart_takes_a_subnormal_headway(tmp_path):
+    """pi/(2c) is read at l = 0, so 1/b, which overflows at b = 1e-310, is never formed: only pi/(2c)*b**l is."""
+    out = tmp_path / "o"
+    assert main(["stability-chart", "--out", str(out), "--c", "0.3", "--b", "1e-310", "--l-set", "0.5", "--m-range", "1,2", "--m-points", "2"]) == 0
+    assert _read_csv(out / "stability-chart.csv")[1:] == [["pos", "0.5", "1", "5.2359877559829816e-155"], ["pos", "0.5", "2", "7.2360125455826718e-78"]]
+
+
 # ---------------------------------------------------------------------------
 # rate
 # ---------------------------------------------------------------------------
@@ -560,13 +567,15 @@ RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
          "pi/(2c)*b**l underflows to 0 at b = 1e-05, l = 100.0, c = 0.3"),
         (["stability-chart", "--c", "0.3", "--b", "1e-5", "--l-set", "100", "--m-range", "0.5,3"],
          "pi/(2c)*b**l underflows to 0 at b = 1e-05, l = 100.0, c = 0.3"),
+        (["stability-chart", "--c", "1e-300", "--b", "1e300", "--l-set", "1", "--m-range=-3,-1", "--m-points", "3"],
+         "pi/(2c)*b**l overflows at b = 1e+300, l = 1.0, c = 1e-300"),
     ],
     ids=[
         "l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1",
         "tmax-1e15-unallocatable", "tmax-1e16-too-big", "classify-x0dot-power-overflows", "hopf-x0dot-power-overflows",
         "rate-x0dot-power-overflows", "stability-chart-b-power-overflows", "rate-b-power-underflows",
         "classify-b-power-underflows", "hopf-b-power-underflows", "stability-chart-b-power-underflows",
-        "stability-chart-b-power-underflows-positive-m",
+        "stability-chart-b-power-underflows-positive-m", "stability-chart-boundary-overflows",
     ],
 )
 def test_an_invalid_argument_exits_2_with_its_message(tmp_path, config_path, capsys, argv, message):

@@ -12,6 +12,7 @@ against sympy's derivatives of the model's flux.
 """
 
 import cmath
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -30,6 +31,7 @@ from ccfmlab.hopf import (
     _RING_PHASES,
     _RING_PSI,
     _RING_RADII,
+    HopfReport,
     PointMasses,
     _Ring,
     critical_eigendata,
@@ -84,7 +86,6 @@ def test_eigendata_exact_hand_values(critical_config):
     # adjoint: y-components exactly zero, v-component conj(1/<p_raw, q>)
     assert eig.p[1] == 0.0
     assert eig.p[0] == pytest.approx((1.0 / PAIRING).conjugate(), abs=1e-13)
-    assert eig.inner_raw == pytest.approx(PAIRING, abs=1e-13)
 
     # pairing closed by hand: d/ds[s + beta*exp(-s tau)] at i*omega0 is
     # 1 + i*pi/2, and conj(p_v) times that times q_v must give 1
@@ -211,9 +212,9 @@ def test_taylor_coefficients_match_the_closed_form():
             vehicles = (VehicleParams(alpha=3.5 / 10.0**m, tau=tau, b=20.0),)
             pc = PlatoonConfig(vehicles=vehicles, m=m, l=0.0, leader=LeaderProfile(v_eq=10.0))
             rep = hopf_report(pc)
-            F20, F11, F21 = scalar_taylor_coefficients(pc, rep.eig, rep.corrections)
-            assert rep.g.F20[0] == pytest.approx(F20, rel=1e-10), (m, tau)
-            assert rep.g.F11[0] == pytest.approx(F11, rel=1e-10), (m, tau)
+            F20, F11, F21 = scalar_taylor_coefficients(pc, rep.corrections.eig, rep.corrections)
+            assert rep.corrections.g.F20[0] == pytest.approx(F20, rel=1e-10), (m, tau)
+            assert rep.corrections.g.F11[0] == pytest.approx(F11, rel=1e-10), (m, tau)
             assert rep.corrections.F21[0] == pytest.approx(F21, rel=1e-9), (m, tau)
 
 
@@ -224,11 +225,11 @@ def test_taylor_coefficients_match_sympy(critical_config):
     configs += [_random_platoon(rng, 1 + k % 8, *EXPONENTS[k % len(EXPONENTS)]) for k in range(24)]
     for pc in configs:
         rep = hopf_report(pc)
-        F20, F11, F21 = sympy_taylor_coefficients(pc, rep.eig, rep.corrections)
-        for got, want in ((rep.g.F20, F20), (rep.g.F11, F11), (rep.corrections.F21, F21)):
+        F20, F11, F21 = sympy_taylor_coefficients(pc, rep.corrections.eig, rep.corrections)
+        for got, want in ((rep.corrections.g.F20, F20), (rep.corrections.g.F11, F11), (rep.corrections.F21, F21)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (pc.n, pc.m, pc.l)
         # g02 is the projection of F02 = conj(F20)
-        assert rep.g.g02 == pytest.approx(complex(rep.eig.p[: pc.n].conj() @ F20.conj()), rel=1e-9)
+        assert rep.corrections.g.g02 == pytest.approx(complex(rep.corrections.eig.p[: pc.n].conj() @ F20.conj()), rel=1e-9)
 
 
 def test_manifold_corrections_exact_values(critical_config):
@@ -314,7 +315,7 @@ def test_a_kept_report_holds_no_full_m0():
     pc = _random_platoon(np.random.default_rng(3), 8, *EXPONENTS[1])
     report = hopf_report(pc)
     n = pc.n
-    M0 = report.eig.masses.critical(1j * report.omega0)[1][1]
+    M0 = report.corrections.eig.masses.critical(1j * report.omega0)[1][1]
     square = [a for a in _held_arrays(report) if a.ndim >= 2 and a.shape[-1] == a.shape[-2] > 1]
     assert sum(a.size for a in square) == 5 * n * n
     for a in square:
@@ -367,7 +368,7 @@ def test_pseudospectral_spectrum_is_the_union_of_the_pair_roots(critical_config)
 def test_corrections_match_the_recursion(critical_config):
     for pc in _platoon_set(critical_config):
         rep = hopf_report(pc)
-        e, f = recursive_corrections(rep.eig, rep.g)
+        e, f = recursive_corrections(rep.corrections.eig, rep.corrections.g)
         for got, want in ((rep.corrections.e, e), (rep.corrections.f, f)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), pc.n
 
@@ -378,7 +379,7 @@ def test_broadcast_w_residuals_match_the_theta_loop(critical_config):
     # leaves exactly the residuals of the two solves for e and f.
     for pc in _platoon_set(critical_config):
         rep = hopf_report(pc)
-        want = loop_w_residuals(pc, rep.eig, rep.g, rep.corrections)
+        want = loop_w_residuals(pc, rep.corrections.eig, rep.corrections.g, rep.corrections)
         assert want.w20_interior <= 1e-13 and want.w11_interior <= 1e-13, pc.n
         for name, value in vars(rep.corrections.residuals).items():
             assert abs(value - getattr(want, name)) <= 1e-13, (pc.n, name)
@@ -546,7 +547,7 @@ def test_report_identities(critical_config, platoon_config):
 
 def test_first_lyapunov_formula_consistency(critical_config):
     rep = hopf_report(critical_config)
-    g = rep.g
+    g = rep.corrections.g
     w0 = rep.omega0
     by_hand = (1j / (2.0 * w0)) * (
         g.g20 * g.g11 - 2.0 * abs(g.g11) ** 2 - abs(g.g02) ** 2 / 3.0
@@ -589,7 +590,7 @@ def test_degenerate_exponents_collapse_everything():
     assert rep.kappa_cr == pytest.approx(math.pi / (2.0 * 0.7 * TAU), rel=1e-13)
     assert rep.kind == "degenerate" and rep.orbit == "degenerate"
     assert abs(rep.c1) <= 1e-13
-    g = rep.g
+    g = rep.corrections.g
     assert abs(g.g20) <= 1e-13 and abs(g.g11) <= 1e-13
     corr = rep.corrections
     assert abs(g.g02) <= 1e-13 and abs(corr.g21) <= 1e-13
@@ -603,7 +604,7 @@ def test_report_deterministic(critical_config):
     a = hopf_report(critical_config)
     b = hopf_report(critical_config)
     assert a.c1 == b.c1
-    assert np.array_equal(a.eig.q, b.eig.q)
+    assert np.array_equal(a.corrections.eig.q, b.corrections.eig.q)
     assert np.array_equal(a.corrections.e, b.corrections.e)
 
 
@@ -616,6 +617,23 @@ def test_report_dict_schema(critical_config):
     }
     assert d["type"] == "supercritical" and d["orbit"] == "stable"
     assert d["w11_boundary_y"] == pytest.approx(0.4, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    ("pc", "pair"),
+    [(four_vehicle_platoon(), 1), (four_vehicle_platoon(), 3), (single_follower(l=0.0), None)],
+    ids=["platoon-pair-1", "platoon-pair-3", "single-l0"],
+)
+def test_a_report_holds_only_what_it_computes(pc, pair):
+    """The crossing is the eigendata's, and the eigendata and the quadratic stage are the corrections'."""
+    assert [f.name for f in dataclasses.fields(HopfReport)] == [
+        "alpha_prime", "c1", "mu2", "beta2", "kind", "orbit", "corrections",
+    ]
+    rep = hopf_report(pc, pair)
+    eig = rep.corrections.eig
+    assert (rep.pair, rep.omega0, rep.kappa_cr) == (eig.pair, eig.omega0, eig.kappa)
+    assert rep.pair == (pair or 1)
+    assert not hasattr(rep, "eig") and not hasattr(rep, "g")
 
 
 # ---------------------------------------------------------------------------

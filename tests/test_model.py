@@ -186,12 +186,16 @@ def test_beta_star_requires_finite_arguments(args):
         ((0.7, 1e300, 2.0, 20.0, 1.0), "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
         ((0.7, 10.0, 2.0, 1e300, 2.0), "x0dot**m or b**l overflows at x0dot = 10.0, m = 2.0, b = 1e+300, l = 2.0"),
         ((0.7, 10.0, 2.0, 1e-5, 100.0), "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+        ((1.0, 1e200, 1.0, 1e-200, 1.0), "x0dot**m / b**l overflows at x0dot = 1e+200, m = 1.0, b = 1e-200, l = 1.0"),
+        ((1.0, 1e300, -2.0, 20.0, 1.0), "x0dot**m / b**l underflows to 0 at x0dot = 1e+300, m = -2.0, b = 20.0, l = 1.0"),
+        ((1.0, 1e-200, 1.0, 1e200, 1.0), "x0dot**m / b**l underflows to 0 at x0dot = 1e-200, m = 1.0, b = 1e+200, l = 1.0"),
     ],
-    ids=["x0dot-power", "b-power", "b-power-underflow"],
+    ids=["x0dot-power", "b-power", "b-power-underflow", "quotient-overflow", "x0dot-power-underflow", "quotient-underflow"],
 )
 def test_beta_star_rejects_an_overflowing_power(args, message):
     """Python's float ** raises OverflowError where numpy's gives inf: x0dot**m or b**l past the doubles is a
-    configuration error.  A b**l that underflows to 0 would divide by zero, and is one too."""
+    configuration error.  A b**l that underflows to 0 would divide by zero, and is one too.  Float / raises
+    neither, so a quotient x0dot**m / b**l of inf or 0 is named the same way: it gave beta* = inf or 0."""
     with pytest.raises(InvalidConfigError, match=rf"^{re.escape(message)}$"):
         beta_star(*args)
 

@@ -1,6 +1,7 @@
 """The README's library quick start runs as written and prints what its
-comments say."""
+comments say, and its module table names only entry points that exist."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -26,3 +27,19 @@ def test_library_quick_start_runs():
     ref = complex(lambertw(-0.7, 0)) / 0.2
     assert abs(complex(root) - ref) <= 1e-12 * abs(ref)
     assert kind == "supercritical"
+
+
+def test_module_table_entry_points_resolve():
+    """Each entry point that README's module table names is an attribute of its row's module."""
+    rows = re.findall(r"^\| `(ccfmlab\.\w+)` \|[^|]*\| (.*) \|$", (ROOT / "README.md").read_text(), re.M)
+    assert len(rows) == 6
+    missing = []
+    for module, names in rows:
+        mod = importlib.import_module(module)
+        for name in re.findall(r"`([\w.]+)`", names):
+            if name == "ccfm":  # the console command of the CLI row
+                continue
+            name = name.removeprefix(module + ".")
+            if not hasattr(mod, name):
+                missing.append(f"{module}.{name}")
+    assert missing == []

@@ -7,6 +7,8 @@ lambda + a*exp(-lambda*tau) = 0 has its rightmost root at W_0(-a*tau)/tau
 value without sharing any code with the package solver.
 """
 
+import dataclasses
+import inspect
 import math
 import re
 
@@ -386,7 +388,7 @@ def test_hopf_point_reference_values():
     hp = hopf_point(3.5, math.pi / 7.0)
     assert hp.omega0 == pytest.approx(3.5, rel=1e-14)
     assert hp.kappa_cr == pytest.approx(1.0, rel=1e-14)
-    assert hp.n == 0
+    assert [f.name for f in dataclasses.fields(hp)] == ["omega0", "kappa_cr", "residual"]  # no echo of n
     assert hp.residual <= 1e-12
 
     hp2 = hopf_point(3.5, math.pi / 7.0, n=2)
@@ -444,6 +446,15 @@ def test_critical_delay_reference_values():
 def test_critical_gain_reference_value():
     assert critical_gain(3.5, math.pi / 7.0) == pytest.approx(1.0, rel=1e-14)
     assert critical_gain(3.5, math.pi / 14.0) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_first_crossing_helpers_take_no_branch_index():
+    """critical_delay and critical_gain give the first crossing alone, with the bits of the branch-0 formula."""
+    assert list(inspect.signature(critical_delay).parameters) == ["beta_star", "kappa"]
+    assert list(inspect.signature(critical_gain).parameters) == ["beta_star", "tau"]
+    for beta, tau, kappa in ((3.5, math.pi / 7.0, 1.0), (1.9224809507857061, 0.3, 2.0), (0.1, 7.0, 0.7)):
+        assert critical_delay(beta, kappa) == 0.5 * math.pi / (kappa * beta)
+        assert critical_gain(beta, tau) == hopf_point(beta, tau, n=0).kappa_cr
 
 
 @given(
@@ -550,8 +561,9 @@ def test_region_margin_headway_independent_when_l_zero():
         ((1.0, 2.0, 1e300, 2.0, 0.3), "x0dot**m or b**l overflows at x0dot = 1.0, m = 2.0, b = 1e+300, l = 2.0"),
         ((1e300, 2.0, 20.0, 1.0, 0.3), "x0dot**m or b**l overflows at x0dot = 1e+300, m = 2.0, b = 20.0, l = 1.0"),
         ((10.0, 2.0, 1e-5, 100.0, 0.3), "b**l underflows to 0 at x0dot = 10.0, m = 2.0, b = 1e-05, l = 100.0"),
+        ((1e200, 1.0, 1e-200, 1.0, 0.3), "x0dot**m / b**l overflows at x0dot = 1e+200, m = 1.0, b = 1e-200, l = 1.0"),
     ],
-    ids=["b-power-overflows", "x0dot-power-overflows", "b-power-underflows"],
+    ids=["b-power-overflows", "x0dot-power-overflows", "b-power-underflows", "quotient-overflows"],
 )
 def test_region_margin_rejects_a_power_outside_the_doubles(args, message):
     """The left side x0dot**m / b**l is beta_star's at alpha = 1, with its configuration errors."""
