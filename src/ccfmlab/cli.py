@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CcfmError, InvalidConfigError, NumericalError
 from .hopf import hopf_report
-from .integrate import SimConfig, settling_times, simulate, tail_envelopes, write_trajectory_csv
+from .integrate import _FRACTIONS, SimConfig, settling_times, simulate, tail_envelopes, write_trajectory_csv
 from .model import (
     EquilibriumCoefficients,
     PlatoonConfig,
@@ -84,10 +84,11 @@ def _grid(text: str, flag: str, points: int, points_flag: str) -> tuple[float, f
     return lo, hi, [lo + k * (hi - lo) / (points - 1) for k in range(points)]
 
 
-def _add_sim_flags(p: argparse.ArgumentParser, method: str = "euler") -> None:
-    p.add_argument("--method", choices=("euler", "rk4"), default=method, help=f"integration scheme (default {method})")
-    p.add_argument("--ts", type=float, default=0.01, help="integration step size")
-    p.add_argument("--tmax", type=float, default=300.0, help="integration horizon")
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    """The integration flags, each defaulting to SimConfig's field, which also checks them."""
+    p.add_argument("--method", default=SimConfig.method, help=f"integration scheme: {', '.join(_FRACTIONS)} (default {SimConfig.method})")
+    p.add_argument("--ts", type=float, default=SimConfig.step, help=f"integration step size (default {SimConfig.step:g})")
+    p.add_argument("--tmax", type=float, default=SimConfig.horizon, help=f"integration horizon (default {SimConfig.horizon:g})")
     p.add_argument("--perturb-v", type=float, default=0.1, help="initial relative-velocity perturbation")
     p.add_argument("--perturb-y", type=float, default=0.0, help="initial headway-deviation perturbation")
 
@@ -284,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-set", default="0.8,1.0,1.2")
     p.add_argument("--tau-range", default="0.001,0.6", help="delay span, as 'lo,hi'")
     p.add_argument("--tau-points", type=int, default=400)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=float, default=PlatoonConfig.kappa)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("bifurcation", help="sweep the gain and measure limit-cycle amplitudes")
@@ -294,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--tail", type=float, default=0.25, help="trailing window fraction for amplitudes")
     p.add_argument("--workers", type=int, default=1, help="kept for old command lines (>= 1); starts no processes")
-    _add_sim_flags(p, method="rk4")
+    _add_sim_flags(p)
     p.set_defaults(func=_cmd_bifurcation)
 
     p = sub.add_parser("hopf", help="normal-form analysis at the critical gain")

@@ -7,11 +7,12 @@ one.  Two fixed-step schemes are provided:
 * ``euler``  -- explicit Euler; each delayed value is read at the grid point
   floor((t - tau)/h), i.e. the newest stored node not later than the delayed
   instant.  Its first-order lag shifts the oscillation threshold.
-* ``rk4``    -- classical Runge-Kutta; delayed values are reconstructed by
-  cubic Hermite interpolation on stored node values and derivatives (Bellen &
-  Zennaro, *Numerical Methods for Delay Differential Equations*, 2003).
-  Stage lookups never run ahead of the newest completed node because the
-  step size is capped by the smallest positive delay.
+* ``rk4``    -- classical Runge-Kutta, the default; delayed values are
+  reconstructed by cubic Hermite interpolation on stored node values and
+  derivatives (Bellen & Zennaro, *Numerical Methods for Delay Differential
+  Equations*, 2003), fourth order only when every delay is a whole number of
+  steps and about second order otherwise.  Stage lookups never run ahead of
+  the newest completed node: the step is capped by the smallest positive delay.
 
 Pairs with zero delay read the current (or current-stage) state directly, so
 a delay-free configuration reduces to the ordinary ODE schemes.  Pre-history
@@ -97,11 +98,11 @@ _INDEX_MAX = np.iinfo(np.intp).max  # a step count or delay in steps past it ind
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings: step size, horizon, scheme."""
+    """Integration settings: step size, horizon, scheme.  Its defaults are the only ones: the CLI's flags read them."""
 
     step: float = 0.01
     horizon: float = 300.0
-    method: str = "euler"
+    method: str = "rk4"
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):

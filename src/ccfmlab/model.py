@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +184,9 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
     vehicle cruising at the leader speed with headway deviation zero), and
     finite m and l, which a base of 1 or an exponent of 0 would otherwise hide.
     Raises InvalidConfigError, naming the inputs, when x0dot**m or b**l
-    overflows, b**l underflows to 0, or x0dot**m / b**l leaves (0, inf).
+    overflows, b**l underflows to 0, or x0dot**m / b**l or, for a finite
+    alpha > 0, beta* leaves (0, inf).  Where alpha * x0dot**m is no normal
+    double, or beta* left the doubles, beta* is alpha * (x0dot**m / b**l).
     """
     if not 0 < x0dot < math.inf:
         raise InvalidConfigError(f"equilibrium speed must be positive and finite, got {x0dot}")
@@ -200,7 +203,12 @@ def beta_star(alpha: float, x0dot: float, m: float, b: float, l: float) -> float
         what = "b**l underflows to 0"
     else:
         if 0.0 < quotient < math.inf:
-            return alpha * power / base
+            beta = alpha * power / base
+            if 0.0 < alpha < math.inf and not (sys.float_info.min <= alpha * power < math.inf and 0.0 < beta < math.inf):
+                beta = alpha * quotient  # alpha * x0dot**m is no normal double, or beta* left the doubles
+                if not 0.0 < beta < math.inf:
+                    raise InvalidConfigError(f"beta* {'overflows' if beta else 'underflows to 0'} at alpha = {alpha}, x0dot = {x0dot}, m = {m}, b = {b}, l = {l}")
+            return beta  # a bad alpha is left to the callers' beta* > 0 checks
         what = "x0dot**m / b**l underflows to 0" if quotient == 0.0 else "x0dot**m / b**l overflows"
     raise InvalidConfigError(f"{what} at x0dot = {x0dot}, m = {m}, b = {b}, l = {l}")
 
@@ -417,14 +425,14 @@ def config_from_dict(data: dict) -> PlatoonConfig:
     _require("v_eq" in leader_raw, "leader missing required key 'v_eq'")
     leader = LeaderProfile(
         v_eq=_check_number(leader_raw["v_eq"], "leader.v_eq"),
-        ramp=_check_number(leader_raw.get("ramp", 10.0), "leader.ramp"),
+        ramp=_check_number(leader_raw.get("ramp", LeaderProfile.ramp), "leader.ramp"),
     )
     return PlatoonConfig(
         vehicles=tuple(vehicles),
         m=_check_number(data["m"], "m"),
         l=_check_number(data["l"], "l"),
         leader=leader,
-        kappa=_check_number(data.get("kappa", 1.0), "kappa"),
+        kappa=_check_number(data.get("kappa", PlatoonConfig.kappa), "kappa"),
     )
 
 

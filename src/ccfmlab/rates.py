@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import UnstableRegimeError
-from .model import beta_star as _beta_star
+from .model import PlatoonConfig, beta_star as _beta_star
 from .spectral import _HALF_PI, _INV_E, _require_pair, _require_positive, _rightmost
 
 __all__ = [
@@ -91,7 +91,7 @@ def _decay_rates(a: np.ndarray, tau: np.ndarray, describe: Callable[[int], str])
     return rate, code
 
 
-def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> RateResult:
+def rate_of_convergence(beta_star: float, tau: float, kappa: float = PlatoonConfig.kappa) -> RateResult:
     """Asymptotic decay rate of one pair (requires a stable pair).
 
     A batch of one for the solve behind :func:`rate_curve`, whose branch code
@@ -121,13 +121,13 @@ def rate_of_convergence(beta_star: float, tau: float, kappa: float = 1.0) -> Rat
     )
 
 
-def optimal_delay(beta_star: float, kappa: float = 1.0) -> float:
+def optimal_delay(beta_star: float, kappa: float = PlatoonConfig.kappa) -> float:
     """Delay maximizing the decay rate: tau* = 1/(kappa*beta**e)."""
     _require_positive("beta* and kappa", beta_star, kappa)
     return 1.0 / (kappa * beta_star * math.e)
 
 
-def peak_rate(beta_star: float, kappa: float = 1.0) -> float:
+def peak_rate(beta_star: float, kappa: float = PlatoonConfig.kappa) -> float:
     """Best achievable decay rate over all delays: kappa*beta**e, attained at tau*."""
     _require_positive("beta* and kappa", beta_star, kappa)
     return kappa * beta_star * math.e
@@ -175,7 +175,7 @@ def rate_curve(
     b: float,
     l_values: Sequence[float],
     taus: Iterable[float],
-    kappa: float = 1.0,
+    kappa: float = PlatoonConfig.kappa,
 ) -> RateCurve:
     """Decay rate versus delay for each headway exponent l in l_values.
 

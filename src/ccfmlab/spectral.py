@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidConfigError, RootSolveError
-from .model import EquilibriumCoefficients, beta_star
+from .model import EquilibriumCoefficients, PlatoonConfig, beta_star
 
 __all__ = [
     "Regime",
@@ -124,7 +124,7 @@ def _require_branch(n: int) -> None:
         raise InvalidConfigError(f"branch index n must be an even integer >= 0, got {n!r}")
 
 
-def classify_pair(beta_star: float, tau: float, kappa: float = 1.0, pair: int | None = None) -> StabilityVerdict:
+def classify_pair(beta_star: float, tau: float, kappa: float = PlatoonConfig.kappa, pair: int | None = None) -> StabilityVerdict:
     """Classify one pair from beta* and tau (boundaries: <=1/e, <pi/2)."""
     _require_pair(beta_star, tau, kappa)
     product = kappa * beta_star * tau
@@ -145,7 +145,7 @@ def classify_pair(beta_star: float, tau: float, kappa: float = 1.0, pair: int | 
     )
 
 
-def classify_platoon(eq: EquilibriumCoefficients, kappa: float = 1.0) -> list[StabilityVerdict]:
+def classify_platoon(eq: EquilibriumCoefficients, kappa: float = PlatoonConfig.kappa) -> list[StabilityVerdict]:
     """Classify every pair of a platoon; pair indices are 1-based."""
     return [
         classify_pair(float(b), float(t), kappa=kappa, pair=i)
@@ -284,7 +284,7 @@ class CharacteristicRoot:
     right_count: int
 
 
-def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> CharacteristicRoot:
+def dominant_root(beta_star: float, tau: float, kappa: float = PlatoonConfig.kappa) -> CharacteristicRoot:
     """Rightmost characteristic root of one pair: a batch of one for the array solver.
 
     Solves u*exp(u) = -kappa*beta_star*tau (u = lambda*tau) by seeded Halley
@@ -309,7 +309,7 @@ def dominant_root(beta_star: float, tau: float, kappa: float = 1.0) -> Character
 # ---------------------------------------------------------------------------
 
 
-def no_delay_spectrum(eq: EquilibriumCoefficients, kappa: float = 1.0) -> np.ndarray:
+def no_delay_spectrum(eq: EquilibriumCoefficients, kappa: float = PlatoonConfig.kappa) -> np.ndarray:
     """Eigenvalues of the v-block with all delays set to zero: -kappa*beta*_i.
 
     The y-block contributes N additional neutral (zero) eigenvalues, which are
@@ -334,7 +334,7 @@ class SmallDelayCheck:
         return bool(np.all(self.satisfied))
 
 
-def small_delay_condition(eq: EquilibriumCoefficients, kappa: float = 1.0) -> SmallDelayCheck:
+def small_delay_condition(eq: EquilibriumCoefficients, kappa: float = PlatoonConfig.kappa) -> SmallDelayCheck:
     """First-order-in-delay stability condition kappa*beta*_i*tau_i < 1 per pair.
 
     Expanding each delayed term to first order turns the pair dynamics into an
@@ -375,7 +375,7 @@ def hopf_point(beta_star: float, tau: float, n: int = 0) -> HopfPoint:
     return HopfPoint(omega0=omega0, kappa_cr=kappa_cr, residual=residual)
 
 
-def critical_delay(beta_star: float, kappa: float = 1.0) -> float:
+def critical_delay(beta_star: float, kappa: float = PlatoonConfig.kappa) -> float:
     """Delay of the first crossing for the given gain: kappa*beta**tau = pi/2."""
     _require_positive("beta* and kappa", beta_star, kappa)
     return _HALF_PI / (kappa * beta_star)

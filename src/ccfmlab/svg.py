@@ -57,7 +57,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * span:
+    while t <= hi + 1e-9 * span and t not in ticks[-1:]:  # a step below half an ulp of t leaves t where it was
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks

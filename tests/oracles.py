@@ -23,6 +23,10 @@ numbers by independent means and share no solver code with it:
   a per-pair loop over the vector field, and a per-pair history lookup that
   interpolates each delayed row with its own Hermite weights at every stage.
   ``integrate.simulate_batch`` is checked against it;
+* ``delayed_decay`` is the exact solution of v'(t) = -a v(t - tau) from a
+  constant history, by the method of steps in rationals: a single follower
+  at m = l = 0 obeys that equation, so the schemes' errors, and rk4's order,
+  are read against it;
 * ``step_loop_run`` is the batched engine before the block method of steps:
   one field call per Runge-Kutta stage and step.  With its pair lookup,
   ``integrate._run`` must match it bit for bit, error for error; with its
@@ -59,6 +63,7 @@ import cmath
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -480,6 +485,21 @@ def reference_simulate(pc, sc, perturbation=None):
             if _blown_up(states[k + 1]):
                 raise NumericalError(f"trajectory blew up at t = {(k + 1) * h:.6g}")
     return Trajectory(t=np.arange(steps + 1) * h, states=states, config=pc, sim=sc)
+
+
+def delayed_decay(a: float, tau: float, v0: float, t) -> Fraction:
+    """v(t) of v'(t) = -a v(t - tau), v = v0 for t <= 0, at t >= 0, exact in rationals.
+
+    The method of steps gives v0 * sum_j (-a)**j (t - (j - 1) tau)**j / j!,
+    summed over the j with t >= (j - 1) tau.  Floats are taken at their exact
+    binary values, so the sum is the solution for the doubles given.
+    """
+    a, tau, v0, t = (Fraction(x) for x in (a, tau, v0, t))
+    total, j = Fraction(0), 0
+    while t >= (j - 1) * tau:
+        total += (-a) ** j * (t - (j - 1) * tau) ** j / math.factorial(j)
+        j += 1
+    return v0 * total
 
 
 # ---------------------------------------------------------------------------

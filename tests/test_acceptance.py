@@ -309,7 +309,7 @@ def test_criterion_09_amplitude_growth_and_l_ordering(capsys):
             for kappa in kappas
         ]
         trajs = simulate_batch(
-            pcs, SimConfig(step=0.01, horizon=300.0),
+            pcs, SimConfig(step=0.01, horizon=300.0, method="euler"),  # the scheme its frozen amplitudes came from
             PlatoonState.uniform_perturbation(1),
         )
         curves[l] = np.array([amplitude_envelope(traj).max_v for traj in trajs])

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ccfmlab.cli import main
+from ccfmlab.cli import _build_parser, main
+from ccfmlab.integrate import SimConfig
 from ccfmlab.svg import LineChart
 
 from conftest import record_slides
@@ -296,6 +297,24 @@ def test_rate_artifacts_keep_their_bytes(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    ("flags", "branch", "rate"),
+    [
+        (["--alpha", "1e10", "--x0", "1e300", "--b", "1e10"], "unstable", math.nan),  # beta* tau >= 1e297
+        (["--alpha", "1e-200", "--x0", "1e-200", "--b", "1e-200"], "real", 1e-200),
+    ],
+    ids=["beta-1e300", "beta-1e-200"],
+)
+def test_rate_takes_a_beta_star_whose_alpha_product_leaves_the_doubles(tmp_path, flags, branch, rate):
+    """alpha * x0**m is 1e310 or 1e-400 where beta* is 1e300 or 1e-200: the run exited 2 with beta* = inf or 0.
+    At 1e-200 the rates differ in their last bits, a span on which the chart's tick loop never ended."""
+    out = tmp_path / "o"
+    assert main(["rate", "--out", str(out), "--m", "1", "--l-set", "1"] + flags) == 0
+    rows = _read_csv(out / "rate.csv")[1:]
+    assert len(rows) == 400 and {r[3] for r in rows} == {branch}
+    assert [float(r[2]) for r in rows] == pytest.approx([rate] * 400, rel=1e-15, nan_ok=True)
+
+
 def test_rate_empty_l_set_writes_header_only(tmp_path):
     out = tmp_path / "o"
     code = main(
@@ -569,6 +588,9 @@ RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
          "pi/(2c)*b**l underflows to 0 at b = 1e-05, l = 100.0, c = 0.3"),
         (["stability-chart", "--c", "1e-300", "--b", "1e300", "--l-set", "1", "--m-range=-3,-1", "--m-points", "3"],
          "pi/(2c)*b**l overflows at b = 1e+300, l = 1.0, c = 1e-300"),
+        (["simulate", "--config", "<config>", "--method", "midpoint"], "method must be one of ('euler', 'rk4'), got 'midpoint'"),
+        (["settling", "--config", "<config>", "--method", "midpoint"], "method must be one of ('euler', 'rk4'), got 'midpoint'"),
+        (["bifurcation", "--config", "<config>", "--method", "midpoint"], "method must be one of ('euler', 'rk4'), got 'midpoint'"),
     ],
     ids=[
         "l-set-not-numbers", "l-set-empty", "m-points-1", "tau-range-from-0", "tau-points-1", "points-1",
@@ -576,6 +598,7 @@ RATE = ["rate", "--alpha", "0.7", "--x0", "10", "--m", "2", "--b", "20"]
         "rate-x0dot-power-overflows", "stability-chart-b-power-overflows", "rate-b-power-underflows",
         "classify-b-power-underflows", "hopf-b-power-underflows", "stability-chart-b-power-underflows",
         "stability-chart-b-power-underflows-positive-m", "stability-chart-boundary-overflows",
+        "simulate-method-midpoint", "settling-method-midpoint", "bifurcation-method-midpoint",
     ],
 )
 def test_an_invalid_argument_exits_2_with_its_message(tmp_path, config_path, capsys, argv, message):
@@ -597,6 +620,14 @@ def test_an_out_under_a_regular_file_exits_2(tmp_path, config_path, capsys):
     out = str(blocker / "o")
     assert main(["classify", "--config", config_path, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"ccfm: configuration error: cannot create output directory {out!r}: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "settling", "bifurcation"])
+def test_every_integrating_command_takes_sim_configs_defaults(command):
+    """SimConfig declares the scheme, step and horizon once, and the scheme is rk4: no entry point defaults to euler."""
+    assert SimConfig().method == "rk4"
+    args = _build_parser().parse_args([command, "--config", "platoon.json", "--out", "o"])
+    assert (args.method, args.ts, args.tmax) == ("rk4", SimConfig.step, SimConfig.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from ccfmlab.model import (
 )
 
 from conftest import four_vehicle_platoon, record_slides, single_follower
-from oracles import reference_simulate, step_loop_run
+from oracles import delayed_decay, reference_simulate, step_loop_run
 
 
 def _perturb(n, v0=0.1, y0=0.0):
@@ -574,7 +574,21 @@ def test_euler_is_first_order_with_delays():
 def test_rk4_order_with_delays_at_least_two():
     pc = single_follower(tau=0.2)
     order = _observed_order(pc, "rk4", 0.05, 0.025)
-    assert order >= 2.0  # interpolated history; observed ~4 in practice
+    assert order >= 2.0  # interpolated history: about 4 here, where tau = 0.2 is 4 and 8 steps; about 2 off the grid
+
+
+def test_rk4_is_fourth_order_against_the_exact_delayed_decay():
+    """At m = l = 0 a single follower obeys v' = -a v(t - tau) exactly.  With tau = 0.5 a whole number of
+    steps, rk4's largest error on [0, 10] against the method-of-steps solution falls 16-fold a halving."""
+    a, tau, v0 = 2.8, 0.5, 0.1
+    pc = PlatoonConfig(vehicles=(VehicleParams(alpha=a, tau=tau, b=20.0),), m=0.0, l=0.0, leader=LeaderProfile(v_eq=10.0))
+    exact = np.array([float(delayed_decay(a, tau, v0, Fraction(k, 25))) for k in range(251)])  # every 0.04 s
+    errors = []
+    for h, every in ((0.02, 2), (0.01, 4), (0.005, 8)):
+        traj = simulate(pc, SimConfig(step=h, horizon=10.0, method="rk4"), _perturb(1, v0=v0))
+        errors.append(float(np.max(np.abs(traj.v[::every, 0] - exact))))
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert min(orders) >= 3.8, (errors, orders)
 
 
 def test_rk4_order_without_delays_at_least_three_and_half():
@@ -850,7 +864,7 @@ def test_reference_platoon_two_scheme_amplitude_agreement(platoon_config):
     by the end of this horizon, so the floor clause is what actually binds).
     """
     pert = _perturb(4)
-    tr_e = simulate(platoon_config, SimConfig(step=0.01, horizon=300.0), pert)
+    tr_e = simulate(platoon_config, SimConfig(step=0.01, horizon=300.0, method="euler"), pert)
     tr_r = simulate(
         platoon_config, SimConfig(step=0.001, horizon=300.0, method="rk4"), pert
     )
@@ -867,7 +881,7 @@ def test_settling_comparison_short_versus_long_delays():
     betas = [beta_star(a, 10.0, 2.0, 20.0, 1.0) for a in alphas]
     fast = four_vehicle_platoon(taus=tuple(1.0 / (3.0 * math.e * b) for b in betas))
     slow = four_vehicle_platoon(taus=tuple(3.0 / (math.e * b) for b in betas))
-    sc = SimConfig(step=0.01, horizon=60.0)
+    sc = SimConfig(step=0.01, horizon=60.0, method="euler")  # the scheme its 5.75 s came from
     rep_fast = settling_time(simulate(fast, sc, _perturb(4)), epsilon=0.2)
     rep_slow = settling_time(simulate(slow, sc, _perturb(4)), epsilon=0.2)
     assert rep_fast.per_pair == (0.0, 0.0, 0.0, 0.0)

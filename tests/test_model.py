@@ -189,15 +189,37 @@ def test_beta_star_requires_finite_arguments(args):
         ((1.0, 1e200, 1.0, 1e-200, 1.0), "x0dot**m / b**l overflows at x0dot = 1e+200, m = 1.0, b = 1e-200, l = 1.0"),
         ((1.0, 1e300, -2.0, 20.0, 1.0), "x0dot**m / b**l underflows to 0 at x0dot = 1e+300, m = -2.0, b = 20.0, l = 1.0"),
         ((1.0, 1e-200, 1.0, 1e200, 1.0), "x0dot**m / b**l underflows to 0 at x0dot = 1e-200, m = 1.0, b = 1e+200, l = 1.0"),
+        ((1e300, 1e300, 1.0, 1e-5, 1.0), "beta* overflows at alpha = 1e+300, x0dot = 1e+300, m = 1.0, b = 1e-05, l = 1.0"),
+        ((1e-300, 1e-300, 1.0, 1e10, 1.0), "beta* underflows to 0 at alpha = 1e-300, x0dot = 1e-300, m = 1.0, b = 10000000000.0, l = 1.0"),
+        ((1e10, 1e290, 1.0, 1e-10, 1.0), "beta* overflows at alpha = 10000000000.0, x0dot = 1e+290, m = 1.0, b = 1e-10, l = 1.0"),
     ],
-    ids=["x0dot-power", "b-power", "b-power-underflow", "quotient-overflow", "x0dot-power-underflow", "quotient-underflow"],
+    ids=[
+        "x0dot-power", "b-power", "b-power-underflow", "quotient-overflow", "x0dot-power-underflow", "quotient-underflow",
+        "beta-overflow", "beta-underflow", "beta-overflow-after-a-normal-product",
+    ],
 )
 def test_beta_star_rejects_an_overflowing_power(args, message):
     """Python's float ** raises OverflowError where numpy's gives inf: x0dot**m or b**l past the doubles is a
     configuration error.  A b**l that underflows to 0 would divide by zero, and is one too.  Float / raises
-    neither, so a quotient x0dot**m / b**l of inf or 0 is named the same way: it gave beta* = inf or 0."""
+    neither, so a quotient x0dot**m / b**l of inf or 0 is named the same way: it gave beta* = inf or 0.  So is a
+    beta* = alpha * quotient of inf or 0, naming alpha too."""
     with pytest.raises(InvalidConfigError, match=rf"^{re.escape(message)}$"):
         beta_star(*args)
+
+
+@pytest.mark.parametrize(
+    ("args", "expected"),
+    [
+        ((1e10, 1e300, 1.0, 1e10, 1.0), 1e300),
+        ((1e-200, 1e-200, 1.0, 1e-200, 1.0), 1e-200),
+        ((1e-200, 1e-120, 1.0, 1e-100, 1.0), 1e-220),
+    ],
+    ids=["alpha-product-overflows", "alpha-product-underflows", "alpha-product-subnormal"],
+)
+def test_beta_star_outlives_an_alpha_product_outside_the_doubles(args, expected):
+    """alpha * x0dot**m may leave the normal doubles where beta* does not: these gave inf, 0, and 9.99988867e-221
+    from a subnormal 1e-320 that kept five digits."""
+    assert beta_star(*args) == expected
 
 
 @given(

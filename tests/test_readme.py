@@ -1,14 +1,18 @@
 """The README's library quick start runs as written and prints what its
-comments say, and its module table names only entry points that exist."""
+comments say, its CLI examples parse, and its module table names only entry
+points that exist."""
 
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 from scipy.special import lambertw
+
+from ccfmlab.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +47,13 @@ def test_module_table_entry_points_resolve():
             if not hasattr(mod, name):
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_cli_examples_parse():
+    """Each ``ccfm`` line of README's sh blocks parses with the CLI's parser, flags and values alike."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("ccfm ")]
+    assert len(lines) == 7
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert _build_parser().parse_args(argv).command == argv[0]  # a flag it does not know exits 2
